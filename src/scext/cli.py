@@ -64,13 +64,14 @@ class ScenarioConfig:
     custom: dict | None = None  # domain/function/ball specs for scenario "custom"
 
     def echo(self) -> dict:
+        """The request as report.json records it.  The artifact directory is
+        left out, so a run writes the same bytes wherever it is written."""
         return {
             "scenario": self.scenario,
             "schema": self.schema,
             "stages": list(self.stages) if self.stages else None,
             "knobs": {k: _jsonable(v) for k, v in self.knobs.items()},
             "delta": self.delta,
-            "out": self.out,
             "format": self.fmt,
             "custom": self.custom,
         }

@@ -9,6 +9,32 @@ which agrees with u on A-bar and stays fractionally semiconcave on the whole
 ball with constant coefficient*(1+alpha)*(1+2**(2-alpha)).  Local fields can
 be glued over a finite ball cover with a smooth partition of unity, and
 mollified into smooth approximants with the same constant.
+
+The envelope kernel (``ExtensionField._min_over_pairs``) serves every alpha.
+It computes pair j's value as (x@p_j + offs_j) + c*max(|x|^2 + |y_j|^2 -
+2x@y_j, 0)^((1+alpha)/2), offs_j = u(y_j) - <p_j, y_j>; for alpha = 1 as
+x@q_j + b_j, q_j = p_j - 2c*y_j, b_j = offs_j + c|y_j|^2, with the shared
+c|x|^2 added after the minimum.  Queries are grouped by grid cell and each
+group is scanned against its cell's candidate pairs only.
+
+* Bound: over a box with centre m and half-widths h, pair j lies between
+  offs_j + <p_j, m> -/+ <|p_j|, h> + c*(nearest/farthest distance from y_j
+  to the box)^(1+alpha).  Candidates: lower_j <= min_i upper_i + slack.
+* Levels: coarse cells (radius/4) filter all pairs, fine cells (radius/12,
+  three per coarse edge) their parent's candidates, which hold a minimizer
+  for every point of the child; both are cached on the field on first use.
+* Exactness: if every computed value in the cell is within e of the exact
+  one and j* attains the computed minimum at x, then for every pair i
+  lower_j* <= v_j*(x) <= v_i(x) + 2e <= upper_i + 2e.  So a slack of 2e keeps
+  j*, and the minimum over the candidates is bit for bit the full one.  The
+  slack is derived per cell: |x|^2 + |y|^2 - 2<x, y> cancels with error up to
+  (d+4)eps(|x|+|y|)^2, which the power lifts to c((d+4)eps(|x|+|y|)^2)^((1+
+  alpha)/2): ~1e-11c at alpha = 0.5, ~1e-7c as alpha -> 0.
+* BLAS shape: OpenBLAS gemm rounds a 2-term dot product as fma(x1, p1, x0*p0),
+  gemv (one row or column) as fma(x0, p0, x1*p1), and large gemm products
+  round their last m mod 8 columns apart when m mod 8 >= 4.  A lone query row
+  is doubled (``_gemm``) and candidate lists are padded to a multiple of 8,
+  so every value gets the gemm rounding whatever the batch.
 """
 
 from __future__ import annotations
@@ -32,8 +58,12 @@ from .semiconcavity import ModulusParams
 DEFAULT_SPACING_SCALE = 0.01  # support spacing as a fraction of the ball radius
 DEFAULT_M_Q = 21  # quadrature points per axis for the mollifier
 _PAIR_CHUNK = 1024
-_QUERY_CHUNK = 8192
 _PRUNE_TOL = 5e-13
+_FINE_PER_RADIUS = 12  # fine envelope cells per ball radius
+_NEST = 3  # fine cells per coarse cell edge, so coarse cells are radius/4
+_LANES = 8  # candidate lists are padded to whole gemm column blocks
+_BLOCK = 1 << 20  # matrix entries per kernel block
+_EPS = float(np.finfo(float).eps)
 
 
 def constant_bound(params: ModulusParams, coefficient: float | None = None) -> float:
@@ -68,6 +98,13 @@ def _kernel_grad(w: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 1.0:
         return 2.0 * r
     return (1.0 + alpha) * n ** (alpha - 1.0) * r
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T, with a lone row doubled so the product never runs as gemv."""
+    if a.shape[0] == 1:
+        return (np.vstack([a, a]) @ b.T)[:1]
+    return a @ b.T
 
 
 # -- support sets ------------------------------------------------------------
@@ -243,15 +280,18 @@ class ExtensionField:
         self._offs = self.support.values - np.einsum(
             "ij,ij->i", self.support.gradients, self.support.points
         )
+        self._y_sq = np.einsum("ij,ij->i", self.support.points, self.support.points)
         if self.params.alpha == 1.0:
             # quadratic kernel: value_j(x) = coeff*|x|^2 + <q_j, x> + b_j, so the
             # minimum reduces to one matrix product over the pairs
-            y_sq = np.einsum("ij,ij->i", self.support.points, self.support.points)
             self._lin_q = (
                 self.support.gradients - 2.0 * self.coefficient * self.support.points
             )
-            self._lin_b = self._offs + self.coefficient * y_sq
-            self._lin_qn = np.linalg.norm(self._lin_q, axis=1)
+            self._lin_b = self._offs + self.coefficient * self._y_sq
+        # candidate index, built on first use: cell key -> pair indices
+        self._cell = self.ball.radius / _FINE_PER_RADIUS
+        self._coarse: dict[tuple, np.ndarray] = {}
+        self._fine: dict[tuple, np.ndarray] = {}
 
     @property
     def ball(self) -> BallRegion:
@@ -292,77 +332,57 @@ class ExtensionField:
         return float(self.evaluate_many(x[None, :])[0])
 
     def _min_over_pairs(self, pts: np.ndarray) -> np.ndarray:
-        if self.params.alpha == 1.0:
-            return self._min_quadratic(pts)
-        Y, P = self.support.points, self.support.gradients
-        a = self.params.alpha
-        c = self.coefficient
-        best = np.full(pts.shape[0], np.inf)
+        """The envelope kernel (module docstring): queries are grouped by fine
+        cell and each group is scanned against its cell's candidate pairs."""
+        c, a = self.coefficient, self.params.alpha
         x_sq = np.einsum("ij,ij->i", pts, pts)
-        for qlo in range(0, pts.shape[0], _QUERY_CHUNK):
-            xb = pts[qlo : qlo + _QUERY_CHUNK]
-            xb_sq = x_sq[qlo : qlo + _QUERY_CHUNK]
-            for lo in range(0, Y.shape[0], _PAIR_CHUNK):
-                yb = Y[lo : lo + _PAIR_CHUNK]
-                pb = P[lo : lo + _PAIR_CHUNK]
-                ob = self._offs[lo : lo + _PAIR_CHUNK]
-                y_sq = np.einsum("ij,ij->i", yb, yb)
-                d_sq = np.clip(
-                    xb_sq[:, None] + y_sq[None, :] - 2.0 * xb @ yb.T, 0.0, None
-                )
-                vals = xb @ pb.T + ob[None, :] + c * d_sq ** (0.5 * (1.0 + a))
-                np.minimum(
-                    best[qlo : qlo + _QUERY_CHUNK],
-                    vals.min(axis=1),
-                    out=best[qlo : qlo + _QUERY_CHUNK],
-                )
-        return best
-
-    def _affine_min(self, pts: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
-        best = np.full(pts.shape[0], np.inf)
-        for qlo in range(0, pts.shape[0], _QUERY_CHUNK):
-            xb = pts[qlo : qlo + _QUERY_CHUNK]
-            for lo in range(0, q.shape[0], _PAIR_CHUNK):
-                vals = xb @ q[lo : lo + _PAIR_CHUNK].T
-                vals += b[None, lo : lo + _PAIR_CHUNK]
-                np.minimum(
-                    best[qlo : qlo + _QUERY_CHUNK],
-                    vals.min(axis=1),
-                    out=best[qlo : qlo + _QUERY_CHUNK],
-                )
-        return best
-
-    def _min_quadratic(self, pts: np.ndarray) -> np.ndarray:
-        """alpha = 1 scan: min of affine pieces plus the shared c|x|^2 term.
-
-        Large batches are grouped into spatial tiles and each tile drops the
-        pairs whose Lipschitz lower bound over the tile exceeds the best
-        upper bound; the surviving set provably contains every minimizer, so
-        the result is identical to the full scan.
-        """
-        c = self.coefficient
-        x_sq = np.einsum("ij,ij->i", pts, pts)
-        n, n_pairs = pts.shape[0], self.support.size
-        if n <= 2048 or n_pairs <= 512:
-            return self._affine_min(pts, self._lin_q, self._lin_b) + c * x_sq
-        tile = 0.02 * self.ball.radius
-        keys = np.floor(pts / tile).astype(np.int64)
+        out = np.empty(pts.shape[0])
+        keys = np.floor(pts / self._cell).astype(np.int64)
         order = np.lexsort(keys.T[::-1])
-        sorted_keys = keys[order]
-        breaks = np.flatnonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1)) + 1
-        starts = np.concatenate([[0], breaks, [n]])
-        out = np.empty(n)
-        for a0, a1 in zip(starts[:-1], starts[1:]):
-            idx = order[a0:a1]
-            blk = pts[idx]
-            z = 0.5 * (blk.min(axis=0) + blk.max(axis=0))
-            rho = math.sqrt(float(np.max(((blk - z) ** 2).sum(axis=1))))
-            vz = self._lin_q @ z + self._lin_b
-            # |grad value_j| <= |q_j| + 2c(|z| + rho) on the tile
-            slack = (self._lin_qn + 2.0 * c * (np.linalg.norm(z) + rho)) * rho
-            keep = vz - slack <= np.min(vz + slack)
-            out[idx] = self._affine_min(blk, self._lin_q[keep], self._lin_b[keep])
-        return out + c * x_sq
+        starts = np.flatnonzero(np.any(np.diff(keys[order], axis=0) != 0, axis=1)) + 1
+        for group in np.split(order, starts) if pts.shape[0] else []:
+            cand = self._candidates(tuple(keys[group[0]]))
+            for idx in np.array_split(group, -(-group.size * cand.size // _BLOCK)):
+                x = pts[idx]
+                if a == 1.0:
+                    vals = _gemm(x, self._lin_q[cand]) + self._lin_b[cand]
+                else:
+                    xy2 = _gemm(2.0 * x, self.support.points[cand])
+                    d_sq = np.clip(x_sq[idx, None] + self._y_sq[cand] - xy2, 0.0, None)
+                    vals = _gemm(x, self.support.gradients[cand]) + self._offs[cand]
+                    vals += c * d_sq ** (0.5 * (1.0 + a))
+                out[idx] = vals.min(axis=1)
+        return out + c * x_sq if a == 1.0 else out
+
+    def _candidates(self, key: tuple) -> np.ndarray:
+        """Cached candidate pairs of a fine cell, filtered from its coarse parent's."""
+        if key not in self._fine:
+            parent = tuple(k // _NEST for k in key)
+            if parent not in self._coarse:
+                every = np.arange(self.support.size)
+                self._coarse[parent] = self._prune_cell(every, parent, _NEST * self._cell)
+            cand = self._prune_cell(self._coarse[parent], key, self._cell)
+            # pad to whole gemm column blocks by repeating the last pair
+            self._fine[key] = np.r_[cand, np.full(-cand.size % _LANES, cand[-1])]
+        return self._fine[key]
+
+    def _prune_cell(self, cand: np.ndarray, key: tuple, size: float) -> np.ndarray:
+        """Pairs of ``cand`` whose lower bound over the cell is within the slack
+        of the smallest upper bound (module docstring)."""
+        c, e = self.coefficient, 1.0 + self.params.alpha
+        m = (np.asarray(key) + 0.5) * size
+        # widened by the rounding of x/size: the box holds every point keyed to it
+        h = 0.5 * size + 4.0 * _EPS * (np.abs(m) + size)
+        y, p, o = self.support.points[cand], self.support.gradients[cand], self._offs[cand]
+        gap, base, spread = np.abs(y - m), o + p @ m, np.abs(p) @ h
+        lower = base - spread + c * np.linalg.norm(np.maximum(gap - h, 0.0), axis=1) ** e
+        upper = base + spread + c * np.linalg.norm(gap + h, axis=1) ** e
+        # error bound of any pair's computed value in the cell
+        rx, ry = np.linalg.norm(np.abs(m) + h), np.linalg.norm(y, axis=1).max()
+        s, tol = rx + ry, (m.size + 4) * _EPS
+        err = tol * (rx * (np.linalg.norm(p, axis=1).max() + 2.0 * c * ry) + np.abs(o).max())
+        err += tol * c * (s * s + s**e) + c * (tol * s * s) ** (0.5 * e)
+        return cand[lower <= upper.min() + 4.0 * err]
 
     def to_dict(self, limit: int | None = None) -> dict:
         return {
@@ -699,10 +719,6 @@ class MollifiedApproximant:
     def __call__(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return float(self.evaluate_many(x[None, :])[0])
-
-
-def mollify(m: MollifiedApproximant, x) -> float:
-    return m(x)
 
 
 # -- diagnostics -------------------------------------------------------------

@@ -23,8 +23,6 @@ from .errors import (
 )
 from .geometry import BallRegion, DomainSpec, closure_grid, sample_closure_points
 
-DEFAULT_FD_SCALE = 1e-5  # h_fd = this times the region radius unless overridden
-
 _Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
@@ -256,15 +254,6 @@ def declared_domain(func) -> DomainSpec | None:
     return getattr(func, "evaluation_domain", None)
 
 
-@dataclass(frozen=True, eq=False)
-class GradientSample:
-    """A gradient observed at an interior differentiability point."""
-
-    point: np.ndarray
-    gradient: np.ndarray
-    method: str  # "analytic" or "central-difference(h_fd)"
-
-
 def gradient(func, x, h_fd: float | None = None) -> np.ndarray:
     """Gradient at x: analytic when declared, else central differences.
 
@@ -327,7 +316,3 @@ def _require_overlap(domain: DomainSpec, region: BallRegion) -> None:
     probe = closure_grid(domain, region, region.radius / 8.0)
     if probe.shape[0] == 0:
         raise InputError("the region ball does not meet the closure of the domain")
-
-
-def default_fd_step(region: BallRegion) -> float:
-    return DEFAULT_FD_SCALE * region.radius

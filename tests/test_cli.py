@@ -170,6 +170,20 @@ class TestLayeringAndDeterminism:
                 continue
             assert second[name] == first[name], name
 
+    def test_same_run_in_two_directories_is_byte_identical(self, tmp_path):
+        argv = ["--scenario", "example2", "--stages", "certify,support,extend",
+                "--triples", "1500", "--spacing", "0.05"]
+        runs = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            assert main(argv + ["--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert set(runs[0]) == set(runs[1])
+        assert "report.json" in runs[0]
+        for name in runs[0]:
+            if name != "timings.json":
+                assert runs[0][name] == runs[1][name], name
+
     def test_example3_condition_records_false(self, tmp_path):
         out = tmp_path / "artifacts"
         code = main(

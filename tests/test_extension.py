@@ -25,6 +25,7 @@ from scext import (
     partition_weights,
     summand_differentiability_probe,
 )
+from scext.extension import _FINE_PER_RADIUS
 from scext.scenarios import envelope_neg_abs_x2
 
 from conftest import ball_points
@@ -208,8 +209,8 @@ class TestEnvelope:
         assert float((fine.envelope_values(pts) - coarse.envelope_values(pts)).max()) <= 1e-12
 
     def test_tiled_scan_matches_plain_scan(self, ex2):
-        # large batches take the spatially tiled path; results must be
-        # identical to small-batch evaluation bit for bit
+        # queries are grouped by cell, so how a batch is split must not move
+        # any value by a single bit
         field = ex2["field"]
         pts = ball_points(5000, seed=8, radius=0.999)
         tiled = field.envelope_values(pts)
@@ -231,6 +232,126 @@ class TestEnvelope:
         a = ex2["field"].envelope_values(pts)
         b = unpruned.envelope_values(pts)
         assert float(np.abs(a - b).max()) <= 1e-12
+
+
+def _dense_envelope(field, pts):
+    """All-pairs minimum with the kernel's per-pair expression for alpha < 1.
+
+    The pairs are padded to a multiple of 8 by repeating the last one, so
+    every product runs through gemm with whole column blocks, as the kernel's
+    do (see the docstring of scext.extension)."""
+    s = field.support
+    pad = np.r_[np.arange(s.size), np.full(-s.size % 8, s.size - 1)]
+    y, p = s.points[pad], s.gradients[pad]
+    offs = s.values[pad] - np.einsum("ij,ij->i", p, y)
+    y_sq = np.einsum("ij,ij->i", y, y)
+    x_sq = np.einsum("ij,ij->i", pts, pts)
+    best = np.full(pts.shape[0], np.inf)
+    for lo in range(0, pad.size, 1024):
+        yb, pb, ob = y[lo : lo + 1024], p[lo : lo + 1024], offs[lo : lo + 1024]
+        d_sq = np.clip(x_sq[:, None] + y_sq[None, lo : lo + 1024] - 2.0 * pts @ yb.T, 0.0, None)
+        kernel = d_sq ** (0.5 * (1.0 + field.params.alpha))
+        vals = pts @ pb.T + ob[None, :] + field.coefficient * kernel
+        best = np.minimum(best, vals.min(axis=1))
+    return best
+
+
+@pytest.fixture(scope="module")
+def half_alpha(ex2, half_disk):
+    """Example 2's support under the fractional modulus alpha = 0.5."""
+    return build_extension(ex2["func"], half_disk, ex2["support"], ModulusParams(0.5, 0.0), 1.0)
+
+
+def _kernel_queries(field, n, seed):
+    """Random ball points (on and off the data region) mixed with points on
+    cell corners and cell faces, shuffled so every prefix holds all kinds."""
+    rng = np.random.default_rng(seed)
+    ticks = np.arange(-12, 13) * field._cell
+    corners = np.column_stack([g.ravel() for g in np.meshgrid(ticks, ticks)])
+    faces = np.column_stack([rng.choice(ticks, 400), rng.uniform(-1.0, 1.0, 400)])
+    faces = np.vstack([faces, faces[:, ::-1]])
+    special = np.vstack([corners, faces])
+    special = special[np.linalg.norm(special, axis=1) <= 0.999]
+    pts = np.vstack([special, ball_points(n - special.shape[0], seed=seed, radius=0.999)])
+    return pts[rng.permutation(n)]
+
+
+def _assert_candidates_sound(ball, y, p, u, alpha, x):
+    """Each query's cell candidates hold a pair whose value at the query,
+    computed elementwise without BLAS, equals the minimum over all pairs."""
+    support = SupportSet(y, p, u, ["smooth"] * u.size, ball, 0.05)
+    field = build_extension(
+        None, None, support, ModulusParams(alpha, 0.0), coefficient=3.0, prune=False
+    )
+    offs = u - (y * p).sum(axis=1)
+    d_sq = np.clip(
+        (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
+        - 2.0 * (x[:, None, :] * y[None, :, :]).sum(axis=2), 0.0, None
+    )
+    vals = (x[:, None, :] * p[None, :, :]).sum(axis=2) + offs + 3.0 * d_sq ** (0.5 * (1.0 + alpha))
+    keys = np.floor(x / field._cell).astype(np.int64)
+    for i in range(x.shape[0]):
+        cand = field._candidates(tuple(keys[i]))
+        assert vals[i, cand].min() == vals[i].min(), (i, x[i])
+
+
+class TestEnvelopeKernel:
+    @pytest.mark.parametrize("n", [2, 13, 500, 5000])
+    def test_fractional_envelope_equals_dense_scan(self, half_alpha, half_disk, n):
+        pts = _kernel_queries(half_alpha, 5000, seed=12)[:n]
+        if n >= 500:
+            assert np.any(~half_disk.contains_many(pts, "closure"))
+        assert np.array_equal(half_alpha.envelope_values(pts), _dense_envelope(half_alpha, pts))
+
+    def test_fractional_identity_at_support_nodes(self, half_alpha, ex2):
+        # at x = y the expression's |x|^2 + |y|^2 - 2<x, y> is zero only up to
+        # about 8 eps |y|^2, which the power 1.5/2 lifts to c*(8 eps)^0.75 ~ 8e-12
+        nodes = half_alpha.support.node_points()
+        u_vals = ex2["func"].evaluate_many(nodes)
+        tol = half_alpha.coefficient * (8.0 * np.finfo(float).eps) ** 0.75
+        assert float(np.abs(half_alpha.envelope_values(nodes) - u_vals).max()) <= tol
+
+    def test_fractional_never_exceeds_any_single_pair_bound(self, half_alpha):
+        support = half_alpha.support
+        pts = ball_points(100, seed=6, radius=0.999)
+        vals = half_alpha.envelope_values(pts)
+        for j in range(0, support.size, 37):
+            y, p, uy = support.points[j], support.gradients[j], support.values[j]
+            gap = np.linalg.norm(pts - y, axis=1)
+            upper = uy + (pts - y) @ p + half_alpha.coefficient * gap**1.5
+            assert float((vals - upper).max()) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cell_candidates_hold_a_dense_minimizer(self, alpha, dim):
+        # near-coincident anchors carrying nearly equal gradients, queried at
+        # and within 1e-15..1e-6 of the anchors
+        rng = np.random.default_rng(31)
+        ball = BallRegion((0.25,) * dim, 1.0)
+        base = ball.center + rng.uniform(-0.6, 0.6, size=(40, dim))
+        y = np.vstack([base, base + 1e-12 * rng.standard_normal(base.shape)])
+        p = -y / np.linalg.norm(y, axis=1)[:, None]
+        y = np.vstack([y, y])
+        p = np.vstack([p, p + 1e-10 * rng.standard_normal(p.shape)])
+        steps = np.array([0.0, 1e-15, 1e-12, 1e-9, 1e-6])
+        x = y[:, None, :] + steps[None, :, None] * rng.standard_normal((y.shape[0], 5, dim))
+        _assert_candidates_sound(ball, y, p, -np.linalg.norm(y, axis=1), alpha, x.reshape(-1, dim))
+        # two pairs with p = 0 whose bounds are both tight at a cell corner x
+        # (1e-13 inside): x is the cell point nearest to y_near and farthest
+        # from y_far.  Pair far is below pair near at x by less than the
+        # rounding error of the |x|^2 + |y|^2 - 2<x, y> cancellation at
+        # |x - y_near| = t, so the computed minimizer can be either, and only
+        # the slack keeps both
+        cell = ball.radius / _FINE_PER_RADIUS
+        diag = np.ones(dim) / math.sqrt(dim)
+        for k in rng.integers(-8, 8, size=(12, dim)):
+            x0 = k * cell + 1e-13
+            for t in (3e-9, 1e-8, 3e-8):
+                v_near = 3.0 * t ** (1.0 + alpha)
+                for frac in (0.01, 0.03, 0.1, 0.3):
+                    y2 = np.vstack([x0 - t * diag, x0 + 0.3 * diag])
+                    u2 = np.array([0.0, v_near * (1.0 - frac) - 3.0 * 0.3 ** (1.0 + alpha)])
+                    _assert_candidates_sound(ball, y2, np.zeros_like(y2), u2, alpha, x0[None, :])
 
 
 class TestGlue:
