@@ -52,7 +52,7 @@ from .errors import (
 )
 from .funcspace import evaluate_many
 from .geometry import BallRegion, DomainSpec, boundary_sample, closure_grid, disk
-from .gradients import reachable_gradients
+from .gradients import _analytic_samples, _fd_samples, reachable_gradients
 from .semiconcavity import ModulusParams
 
 DEFAULT_SPACING_SCALE = 0.01  # support spacing as a fraction of the ball radius
@@ -131,8 +131,7 @@ class SupportSet:
 
     def node_points(self) -> np.ndarray:
         """Distinct anchor points (pairs at one y share the node)."""
-        keys = np.round(self.points / 1e-9) * 1e-9
-        _, idx = np.unique(keys, axis=0, return_index=True)
+        _, idx = np.unique(_node_keys(self.points), axis=0, return_index=True)
         return self.points[np.sort(idx)]
 
     def to_dict(self, limit: int | None = None) -> dict:
@@ -153,45 +152,14 @@ class SupportSet:
         }
 
 
+def _node_keys(points: np.ndarray) -> np.ndarray:
+    """Integer keys that tell anchor nodes apart at the 1e-9 scale."""
+    return np.round(points / 1e-9).astype(np.int64)
+
+
 def _dedupe_points(pts: np.ndarray) -> np.ndarray:
-    keys = np.round(pts / 1e-9).astype(np.int64)
-    _, idx = np.unique(keys, axis=0, return_index=True)
+    _, idx = np.unique(_node_keys(pts), axis=0, return_index=True)
     return pts[np.sort(idx)]
-
-
-def _smooth_split_analytic(func, pts: np.ndarray):
-    """Split points into (smooth with gradients, singular) for closed forms;
-    a point is smooth exactly when the declared gradient evaluates."""
-    try:
-        return pts, func.gradient_many(pts), pts[:0]
-    except EvaluationError:
-        pass
-    smooth, grads, singular = [], [], []
-    for p in pts:
-        try:
-            grads.append(func.gradient_many(p[None, :])[0])
-            smooth.append(p)
-        except EvaluationError:
-            singular.append(p)
-    d = pts.shape[1]
-    return (
-        np.array(smooth).reshape(-1, d),
-        np.array(grads).reshape(-1, d),
-        np.array(singular).reshape(-1, d),
-    )
-
-
-def _smooth_split_fd(func, domain, pts: np.ndarray, h_fd: float, eps_c: float):
-    from .gradients import _fd_samples  # shared one-sided-quotient filter
-
-    kept, grads = _fd_samples(func, pts, domain, h_fd, eps_c)
-    if kept.shape[0] == 0:
-        return kept, grads, pts
-    keys = {tuple(np.round(p / 1e-9).astype(np.int64)) for p in kept}
-    singular = np.array(
-        [p for p in pts if tuple(np.round(p / 1e-9).astype(np.int64)) not in keys]
-    ).reshape(-1, pts.shape[1])
-    return kept, grads, singular
 
 
 def build_support_set(
@@ -226,13 +194,13 @@ def build_support_set(
     if h_fd is None:
         h_fd = 1e-5 * spacing
 
+    inner = anchors[interior]
     if getattr(func, "has_gradient", False):
-        smooth, grads, singular = _smooth_split_analytic(func, anchors[interior])
+        mask, grads = _analytic_samples(func, inner)
     else:
-        smooth, grads, singular = _smooth_split_fd(
-            func, domain, anchors[interior], h_fd, eps_c
-        )
-    multi = np.vstack([anchors[~interior], singular])
+        mask, grads = _fd_samples(func, inner, domain, h_fd, eps_c)
+    smooth = inner[mask]
+    multi = np.vstack([anchors[~interior], inner[~mask]])
 
     pts, gvecs, srcs = [smooth], [grads], ["smooth"] * smooth.shape[0]
     for y in multi:
@@ -423,8 +391,7 @@ def _prune_support(support: SupportSet, params: ModulusParams, coefficient: floa
     keep = worst <= tol
     if not np.all(keep):
         # an anchor must not vanish from the support entirely
-        keys = np.round(Y / 1e-9).astype(np.int64)
-        _, anchor_ids = np.unique(keys, axis=0, return_inverse=True)
+        _, anchor_ids = np.unique(_node_keys(Y), axis=0, return_inverse=True)
         for aid in np.unique(anchor_ids):
             members = np.flatnonzero(anchor_ids == aid)
             if not keep[members].any():

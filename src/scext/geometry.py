@@ -5,6 +5,15 @@ box, half-space, and a half-space-capped disk).  Membership is decided
 exactly from the defining inequalities, with a thin band tolerance only
 for telling boundary from interior.  Boundary points are generated
 parametrically on the defining surfaces, never by band filtering.
+
+Invariant: every closure is convex.  The closure of each kind is
+{max_i g_i <= BOUNDARY_TOL} with every constraint g_i convex: |x - c| - r
+(disk) is a norm minus a constant, |x_j - c_j| - w_j (one per box face pair)
+is the absolute value of an affine map minus a constant, and offset - n.x
+(half-space) is affine; the capped disk combines the disk and half-space
+constraints.  A sublevel set of a maximum of convex functions is convex, so
+a segment lies in the closure exactly when both of its endpoints do
+(``segment_in_closure``).  A new kind must keep this invariant.
 """
 
 from __future__ import annotations
@@ -20,6 +29,9 @@ from .errors import DimensionError, InputError, SamplingError
 BOUNDARY_TOL = 1e-12
 
 _KINDS = ("disk", "box", "half-space", "capped-disk")
+
+# Smallest candidate batch of the closure sampler.
+_MIN_BATCH = 1024
 
 
 def _vec(x, dim: int | None = None) -> np.ndarray:
@@ -52,9 +64,6 @@ class BallRegion:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         d = np.linalg.norm(pts - self.center, axis=1)
         return d <= self.radius * (1.0 + 1e-12) + tol
-
-    def contains(self, x, tol: float = BOUNDARY_TOL) -> bool:
-        return bool(self.contains_many(_vec(x, self.dimension)[None, :], tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,15 +347,11 @@ def contains(domain: DomainSpec, x, where: str = "closure") -> bool:
     return domain.contains(x, where)
 
 
-def segment_in_closure(domain: DomainSpec, a, b, n_probe: int = 256) -> bool:
-    """Probe the segment [a, b] at n_probe equally spaced points (ends included)."""
-    if n_probe < 2:
-        raise InputError(f"n_probe must be at least 2, got {n_probe}")
-    a = _vec(a, domain.dimension)
-    b = _vec(b, domain.dimension)
-    t = np.linspace(0.0, 1.0, n_probe)[:, None]
-    pts = a + t * (b - a)
-    return bool(np.all(domain.contains_many(pts, "closure")))
+def segment_in_closure(domain: DomainSpec, a, b) -> bool:
+    """Whether the segment [a, b] lies in closure(domain): exactly when both
+    endpoints do, since every closure is convex (module docstring)."""
+    ends = np.vstack([_vec(a, domain.dimension), _vec(b, domain.dimension)])
+    return bool(np.all(domain.contains_many(ends, "closure")))
 
 
 def closure_grid(domain: DomainSpec, region: BallRegion, spacing: float) -> np.ndarray:
@@ -380,12 +385,15 @@ def sample_closure_points(
     region: BallRegion,
     count: int,
     rng: np.random.Generator,
-    max_tries: int | None = None,
 ) -> np.ndarray:
-    """Rejection-sample ``count`` points of closure(domain) & ball, streaming.
+    """Rejection-sample ``count`` points of closure(domain) & ball.
 
-    The draw sequence is a prefix: the first k points for a given generator
-    state are independent of ``count``.
+    Candidates are drawn uniformly from the ball's bounding box, one point
+    (``dimension`` doubles) per draw.  The draw sequence is a prefix: the
+    first k points for a given generator state are independent of ``count``,
+    and the generator ends just past the draw that gave the last point.
+    After max(10_000, 1000*count) draws without ``count`` points, a
+    SamplingError reports a ball that barely meets the domain.
     """
     dim = domain.dimension
     lo = region.center - region.radius
@@ -393,16 +401,27 @@ def sample_closure_points(
     out = np.empty((count, dim))
     got = 0
     tries = 0
-    budget = max_tries if max_tries is not None else max(10_000, 1000 * count)
+    budget = max(10_000, 1000 * count)
     while got < count:
         if tries >= budget:
             raise SamplingError(
                 f"drew {got}/{count} admissible points in the retry budget; "
                 f"the region ball may barely intersect the domain"
             )
-        cand = rng.uniform(lo, hi)
-        tries += 1
-        if domain.contains(cand, "closure") and region.contains(cand):
-            out[got] = cand
-            got += 1
+        need = count - got
+        # about twice the points still needed, so memory stays O(count)
+        size = min(budget - tries, max(2 * need, _MIN_BATCH))
+        state = rng.bit_generator.state
+        cand = rng.uniform(lo, hi, size=(size, dim))
+        ok = domain.contains_many(cand, "closure") & region.contains_many(cand)
+        hits = np.flatnonzero(ok)
+        if hits.size >= need:
+            # rewind, and redraw only the draws up to the last point taken
+            size = int(hits[need - 1]) + 1
+            rng.bit_generator.state = state
+            rng.uniform(lo, hi, size=(size, dim))
+            hits = hits[:need]
+        out[got : got + hits.size] = cand[hits]
+        got += hits.size
+        tries += size
     return out

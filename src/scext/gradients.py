@@ -32,10 +32,6 @@ DEFAULT_K_MAX = 8
 DEFAULT_M_A = 200
 DEFAULT_EPS_C = 0.02
 DEFAULT_EPS_S = 0.05
-# r0 as a fraction of the region radius.  Large radii let curvature of the
-# field leak into the samples (the envelope picks up O(r) terms outside the
-# original domain), so the first annulus starts close in.
-DEFAULT_R0_SCALE = 0.02
 # h_fd as a fraction of r0: small enough that the one-sided-quotient filter
 # still passes points where the field merely bends at O(1/r**2) curvature.
 DEFAULT_FD_FRACTION = 5e-6
@@ -103,11 +99,10 @@ def _annulus_candidates(x: np.ndarray, r: float, m: int, k: int) -> np.ndarray:
 
 
 def _fd_samples(func, pts: np.ndarray, domain: DomainSpec | None, h: float, eps_c: float):
-    """Central-difference gradients at the subset of pts passing the
-    one-sided-quotient agreement filter; stencils must stay in the closure."""
+    """Mask of the pts passing the one-sided-quotient agreement filter, and
+    their central-difference gradients; stencils must stay in the closure."""
     m, d = pts.shape
-    if m == 0:
-        return pts, np.empty((0, d))
+    mask = np.zeros(m, dtype=bool)
     eye = h * np.eye(d)
     # rows: [p, p+h e_1, p-h e_1, p+h e_2, ...] per point
     rows = np.concatenate(
@@ -120,29 +115,34 @@ def _fd_samples(func, pts: np.ndarray, domain: DomainSpec | None, h: float, eps_
     else:
         fit = np.ones(m, dtype=bool)
     if not fit.any():
-        return pts[:0], np.empty((0, d))
-    kept = pts[fit]
+        return mask, np.empty((0, d))
     rows = rows.reshape(m, 2 * d + 1, d)[fit].reshape(-1, d)
-    vals = evaluate_many(func, rows).reshape(kept.shape[0], 2 * d + 1)
+    vals = evaluate_many(func, rows).reshape(-1, 2 * d + 1)
     u0 = vals[:, 0]
     fwd = (vals[:, 1 : d + 1] - u0[:, None]) / h
     bwd = (u0[:, None] - vals[:, d + 1 :]) / h
     smooth = np.abs(fwd - bwd).max(axis=1) <= eps_c
-    return kept[smooth], 0.5 * (fwd + bwd)[smooth]
+    mask[np.flatnonzero(fit)[smooth]] = True
+    return mask, 0.5 * (fwd + bwd)[smooth]
 
 
 def _analytic_samples(func, pts: np.ndarray):
-    """Closed-form gradients; points where the form is singular are skipped."""
-    kept, grads = [], []
-    for p in pts:
+    """Mask of the pts where the closed-form gradient evaluates (it raises
+    where the form is singular), and the gradients there.  The whole batch
+    is tried first, single points only when it raises."""
+    try:
+        return np.ones(pts.shape[0], dtype=bool), func.gradient_many(pts)
+    except EvaluationError:
+        pass
+    mask = np.zeros(pts.shape[0], dtype=bool)
+    grads = np.empty(pts.shape)
+    for i, p in enumerate(pts):
         try:
-            grads.append(func.gradient_many(p[None, :])[0])
-            kept.append(p)
+            grads[i] = func.gradient_many(p[None, :])[0]
+            mask[i] = True
         except EvaluationError:
             continue
-    if not kept:
-        return pts[:0], np.empty((0, pts.shape[1]))
-    return np.array(kept), np.array(grads)
+    return mask, grads[mask]
 
 
 def _refine_ring(func, domain, x, r, base_pts, base_grads, budget, eps_c, sampler):
@@ -258,8 +258,10 @@ def reachable_gradients(
 
     def sampler(pts):
         if analytic:
-            return _analytic_samples(func, pts)
-        return _fd_samples(func, pts, fd_domain, h_fd, eps_c)
+            mask, grads = _analytic_samples(func, pts)
+        else:
+            mask, grads = _fd_samples(func, pts, fd_domain, h_fd, eps_c)
+        return pts[mask], grads
 
     all_grads = []
     n_samples = 0

@@ -22,6 +22,7 @@ from .geometry import BallRegion, DomainSpec, sample_closure_points, segment_in_
 
 # Chunk size of the triple sampler; part of the deterministic draw order.
 _CHUNK = 4096
+# Names the triple draw order, which has not changed; certificates record it.
 SAMPLER_VERSION = "triples/pcg64/chunk4096/probe256/v1"
 
 _MIN_GAP = 1e-9  # pairs closer than this are skipped in ratio estimates
@@ -125,39 +126,19 @@ def _defect_batch(func, X, Y, lam, params: ModulusParams) -> np.ndarray:
     return lam * ux + (1.0 - lam) * uy - um - params.modulus(gap, lam)
 
 
-def _sample_triples(domain: DomainSpec, region: BallRegion, n: int, rng, retry_cap: int):
-    """Draw n triples with segments inside closure(domain); fixed chunking
-    keeps the draw order, and hence every certificate, seed-deterministic."""
+def _sample_triples(domain: DomainSpec, region: BallRegion, n: int, rng):
+    """Draw n triples, each chunk of k as 2k closure points then k lambdas;
+    the fixed chunking keeps the draw order, and hence every certificate,
+    seed-deterministic.  Every segment [x, y] lies in the closure because
+    the closure is convex (geometry module docstring)."""
     xs, ys, ls = [], [], []
-    got = 0
-    drawn = 0
-    while got < n:
+    for got in range(0, n, _CHUNK):
         k = min(_CHUNK, n - got)
-        if drawn >= retry_cap:
-            raise SamplingError(
-                f"made {drawn} draws but found only {got}/{n} admissible triples"
-            )
         pts = sample_closure_points(domain, region, 2 * k, rng)
-        lam = rng.uniform(0.0, 1.0, k)
-        drawn += k
-        X, Y = pts[0::2], pts[1::2]
-        ok = _segments_ok(domain, X, Y)
-        xs.append(X[ok])
-        ys.append(Y[ok])
-        ls.append(lam[ok])
-        got += int(ok.sum())
-    X = np.vstack(xs)[:n]
-    Y = np.vstack(ys)[:n]
-    lam = np.concatenate(ls)[:n]
-    return X, Y, lam
-
-
-def _segments_ok(domain: DomainSpec, X: np.ndarray, Y: np.ndarray, n_probe: int = 256):
-    t = np.linspace(0.0, 1.0, n_probe)
-    # (k, n_probe, d) probe cloud, flattened for one membership call
-    probes = X[:, None, :] + t[None, :, None] * (Y - X)[:, None, :]
-    flat_ok = domain.contains_many(probes.reshape(-1, X.shape[1]), "closure")
-    return flat_ok.reshape(X.shape[0], n_probe).all(axis=1)
+        xs.append(pts[0::2])
+        ys.append(pts[1::2])
+        ls.append(rng.uniform(0.0, 1.0, k))
+    return np.vstack(xs), np.vstack(ys), np.concatenate(ls)
 
 
 def estimate_constant(
@@ -177,7 +158,7 @@ def estimate_constant(
         raise InputError("n_triples must be at least 1")
     params = ModulusParams(alpha=alpha, C=0.0)
     rng = np.random.default_rng(seed)
-    X, Y, lam = _sample_triples(domain, region, n_triples, rng, 100 * n_triples)
+    X, Y, lam = _sample_triples(domain, region, n_triples, rng)
     gap = np.linalg.norm(X - Y, axis=1)
     keep = (gap >= _MIN_GAP) & (lam > 0.0) & (lam < 1.0)
     if not np.any(keep):
@@ -199,7 +180,7 @@ def certify(
     if n_triples < 1:
         raise InputError("n_triples must be at least 1")
     rng = np.random.default_rng(seed)
-    X, Y, lam = _sample_triples(domain, region, n_triples, rng, 100 * n_triples)
+    X, Y, lam = _sample_triples(domain, region, n_triples, rng)
     defects = _defect_batch(func, X, Y, lam, params)
     bad = np.flatnonzero(defects > 0.0)
     witnesses = [

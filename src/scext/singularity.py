@@ -28,8 +28,6 @@ from .gradients import (
     normal_cone_directions,
 )
 
-DEFAULT_STEP_SCALE = 0.02  # delta_s as a fraction of the ball radius
-DEFAULT_HORIZON_SCALE = 0.4
 DEFAULT_RESIDUAL_TOL = 0.25
 DEFAULT_SEARCH_FACTOR = 3.0  # w = 3 * delta_s
 DEFAULT_DISC_FRACTION = 0.1  # disc grid spacing = delta_s / 10

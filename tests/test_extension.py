@@ -128,6 +128,26 @@ class TestSupportSet:
         assert bool(np.all(half_disk.contains_many(support.points, "closure")))
         assert float(np.linalg.norm(support.gradients, axis=1).max()) <= 1.0 + 0.05
 
+    def test_difference_quotient_split_matches_analytic_split(self, half_disk, unit_ball):
+        # without a declared gradient the one-sided-quotient filter must send
+        # the same anchors to reachable pairs as the closed form's singular
+        # set; anchors within a stencil step of the boundary are left out,
+        # since their stencils leave the closure
+        analytic = named_function("neg-abs-x2", dimension=2, domain=half_disk)
+        plain = dataclasses.replace(analytic, _grad=None)
+        parts = []
+        for f in (analytic, plain):
+            support = build_support_set(f, half_disk, unit_ball, spacing=0.1, k_max=3, m_a=16)
+            deep = half_disk.interior_distance(support.points) >= 1e-3
+            smooth = deep & (np.array(support.sources) == "smooth")
+            multi = np.unique(support.points[deep & ~smooth], axis=0)
+            parts.append((support.points[smooth], support.gradients[smooth], multi))
+        (pa, ga, ma), (pf, gf, mf) = parts
+        assert np.array_equal(pa, pf)
+        assert np.allclose(ga, gf, atol=1e-6)
+        assert np.array_equal(ma, mf)
+        assert ma.shape[0] >= 5 and bool(np.all(ma[:, 1] == 0.0))  # the crease
+
     def test_empty_intersection_rejected(self, half_disk, ex1):
         with pytest.raises(InputError):
             build_support_set(

@@ -1,5 +1,6 @@
 """Domain membership, grids, and boundary sampling on the named domains."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scext import (
     BallRegion,
     DimensionError,
+    SamplingError,
     boundary_sample,
     box,
     capped_disk,
@@ -20,8 +22,46 @@ from scext import (
     sample_closure_points,
     segment_in_closure,
 )
+from scext.geometry import _KINDS
+from scext.semiconcavity import _sample_triples
 
 from conftest import ball_points
+
+
+def _reference_sampler(domain, region, count, rng):
+    """The per-point rejection loop the batched sampler must reproduce: one
+    draw of ``dimension`` doubles per candidate, kept when it lies in
+    closure(domain) & ball, with a budget of max(10_000, 1000*count) draws."""
+    dim = domain.dimension
+    lo = region.center - region.radius
+    hi = region.center + region.radius
+    out = np.empty((count, dim))
+    got = 0
+    tries = 0
+    budget = max(10_000, 1000 * count)
+    while got < count:
+        if tries >= budget:
+            raise SamplingError(f"drew {got}/{count} admissible points")
+        cand = rng.uniform(lo, hi)
+        tries += 1
+        if domain.contains(cand, "closure") and region.contains_many(cand[None, :])[0]:
+            out[got] = cand
+            got += 1
+    return out
+
+
+# one test domain per kind, tilted off the axes where the dimension allows;
+# a kind missing here fails the tests parametrized over _KINDS
+_DOMAINS = {
+    "disk": lambda c, n: disk(c, 0.8),
+    "box": lambda c, n: box(c, 0.7 - 0.1 * np.arange(c.size)),
+    "half-space": lambda c, n: half_space(n, -0.2),
+    "capped-disk": lambda c, n: capped_disk(c, 0.8, n, 0.05),
+}
+
+
+def _domain(kind, d):
+    return _DOMAINS[kind](np.linspace(0.1, -0.1, d), np.linspace(1.0, 0.4, d))
 
 
 class TestContains:
@@ -57,21 +97,31 @@ class TestContains:
 
 class TestSegmentInClosure:
     def test_chord_of_convex_region(self, half_disk):
-        assert segment_in_closure(half_disk, (0.2, 0.5), (0.5, -0.5), n_probe=64)
+        assert segment_in_closure(half_disk, (0.2, 0.5), (0.5, -0.5))
 
     def test_crossing_segment_rejected(self, half_disk):
-        assert not segment_in_closure(half_disk, (0.5, 0.0), (-0.5, 0.0), n_probe=64)
+        assert not segment_in_closure(half_disk, (0.5, 0.0), (-0.5, 0.0))
 
     def test_degenerate_segment(self, half_disk):
         assert segment_in_closure(half_disk, (0.3, 0.1), (0.3, 0.1))
 
-    def test_false_is_stable_under_probe_refinement(self, half_disk):
-        # linspace(0, 1, m) contains linspace(0, 1, n) whenever (m-1) % (n-1) == 0,
-        # so a failing probe stays in every nested refinement
-        a, b = (0.5, 0.0), (-0.5, 0.0)
-        assert not segment_in_closure(half_disk, a, b, n_probe=65)
-        for m in (129, 257, 513):
-            assert not segment_in_closure(half_disk, a, b, n_probe=m)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_closure_is_convex(self, kind, d):
+        # the endpoint test is exact only for convex closures: every probe of
+        # a segment between closure points, boundary points included, must
+        # lie in the closure
+        domain, region = _domain(kind, d), BallRegion(np.zeros(d), 1.0)
+        rng = np.random.default_rng(11)
+        pool = np.vstack([
+            sample_closure_points(domain, region, 300, rng),
+            boundary_sample(domain, region, 0.1),
+        ])
+        i, j = rng.integers(0, pool.shape[0], size=(2, 1000))
+        t = np.linspace(0.0, 1.0, 256)[None, :, None]
+        probes = pool[i][:, None, :] + t * (pool[j] - pool[i])[:, None, :]
+        assert bool(np.all(domain.contains_many(probes.reshape(-1, d), "closure")))
+        assert all(segment_in_closure(domain, a, b) for a, b in zip(pool[i], pool[j]))
 
 
 class TestClosureGrid:
@@ -132,6 +182,45 @@ class TestSampler:
         pts = sample_closure_points(half_disk, unit_ball, 100, np.random.default_rng(9))
         assert all(contains(half_disk, p, "closure") for p in pts)
 
+    @staticmethod
+    def _assert_matches_reference(domain, region, seed):
+        for count in (1, 7, 500, 8192):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_closure_points(domain, region, count, got_rng)
+            want = _reference_sampler(domain, region, count, ref_rng)
+            assert np.array_equal(got, want)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_matches_per_point_loop(self, kind, d):
+        self._assert_matches_reference(_domain(kind, d), BallRegion(np.zeros(d), 1.0), 7)
+
+    def test_matches_per_point_loop_at_low_acceptance(self):
+        # the ball meets the unit disk in a lens of about 8% of its bounding box
+        self._assert_matches_reference(disk((0.0, 0.0), 1.0), BallRegion((1.6, 0.0), 1.0), 8)
+
+    def test_budget_exhausted_after_the_same_draws(self):
+        domain, region = disk((0.0, 0.0), 1.0), BallRegion((5.0, 0.0), 1.0)
+        for count in (1, 20):
+            got_rng, ref_rng = np.random.default_rng(123), np.random.default_rng(123)
+            with pytest.raises(SamplingError):
+                sample_closure_points(domain, region, count, got_rng)
+            with pytest.raises(SamplingError):
+                _reference_sampler(domain, region, count, ref_rng)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_triple_stream_is_pinned(self, half_disk, unit_ball):
+        # SHA-256 of (X, Y, lambda) recorded before the sampler was batched;
+        # certificates carry SAMPLER_VERSION, which names this stream
+        X, Y, lam = _sample_triples(half_disk, unit_ball, 10_000, np.random.default_rng(8))
+        digest = hashlib.sha256()
+        for a in (X, Y, lam):
+            digest.update(np.ascontiguousarray(a).tobytes())
+        assert digest.hexdigest() == (
+            "5207ad32d5104402c2a04deedf545d76fcc0e8761c25d6dce07987c4ca9b29ee"
+        )
+
 
 @given(
     cx=st.floats(-0.5, 0.5),
@@ -159,4 +248,4 @@ def test_grid_membership_holds_for_random_capped_disks(cx, cy, radius, spacing):
 def test_chords_of_the_convex_half_disk_stay_inside(half_disk, ax, ay, bx, by):
     a, b = np.array([ax, ay]), np.array([bx, by])
     if contains(half_disk, a, "closure") and contains(half_disk, b, "closure"):
-        assert segment_in_closure(half_disk, a, b, n_probe=64)
+        assert segment_in_closure(half_disk, a, b)

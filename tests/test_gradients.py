@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scext import (
+    EvaluationError,
     InputError,
     ModulusParams,
     convex_hull,
@@ -22,7 +23,8 @@ from scext import (
     sample_closure_points,
     supergradient_defect,
 )
-from scext.gradients import ReachableGradientSet
+from scext.funcspace import _REGISTRY
+from scext.gradients import ReachableGradientSet, _analytic_samples
 from scext.scenarios import hausdorff_to_reference
 
 from conftest import PROBE
@@ -71,6 +73,34 @@ class TestReachableSets:
         diff = np.linalg.norm(reps[:, None, :] - reps[None, :, :], axis=2)
         np.fill_diagonal(diff, np.inf)
         assert float(diff.min()) > ex1_u_set.eps_c
+
+
+def _per_point_gradients(func, pts):
+    """Reference: one gradient_many call per point, skipping singular ones."""
+    kept, grads = [], []
+    for p in pts:
+        try:
+            grads.append(func.gradient_many(p[None, :])[0])
+            kept.append(p)
+        except EvaluationError:
+            continue
+    d = pts.shape[1]
+    return np.array(kept).reshape(-1, d), np.array(grads).reshape(-1, d)
+
+
+class TestAnalyticSamples:
+    @pytest.mark.parametrize("identifier", sorted(_REGISTRY))
+    @pytest.mark.parametrize("n, singular", [(20_000, False), (2_000, True)])
+    def test_batch_matches_single_points(self, identifier, n, singular):
+        func = named_function(identifier, dimension=2)
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(n, 2))
+        if singular:
+            # the origin and the axis x2 = 0 are singular for the creased forms
+            pts[[5, 500, 1500]] = [[0.0, 0.0], [0.5, 0.0], [-0.25, 0.0]]
+        mask, grads = _analytic_samples(func, pts)
+        kept, want = _per_point_gradients(func, pts)
+        assert np.array_equal(pts[mask], kept)
+        assert np.array_equal(grads, want)
 
 
 class TestSupergradientDefect:
