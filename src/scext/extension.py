@@ -35,6 +35,14 @@ group is scanned against its cell's candidate pairs only.
   round their last m mod 8 columns apart when m mod 8 >= 4.  A lone query row
   is doubled (``_gemm``) and candidate lists are padded to a multiple of 8,
   so every value gets the gemm rounding whatever the batch.
+* Pruning: ``build_extension`` drops pair j if u(z) - v_j(z) > tol at some
+  node z, v_j computed by the kernel's expression (``_pair_values``).  The
+  kernel runs once at the distinct nodes; a violating pair has env(z) <=
+  v_j(z) < u(z) - tol, so only nodes with u(z) - env(z) > tol can hold a
+  violation, and a dense scan of those nodes against all pairs (padded to
+  whole gemm blocks) gives every prunable pair's worst violation exactly.
+  At alpha = 1 the scan adds c|z|^2 to each value; rounding is monotone, so
+  min_j fl(A_j + s) = fl(min_j A_j + s) and the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +65,6 @@ from .semiconcavity import ModulusParams
 
 DEFAULT_SPACING_SCALE = 0.01  # support spacing as a fraction of the ball radius
 DEFAULT_M_Q = 21  # quadrature points per axis for the mollifier
-_PAIR_CHUNK = 1024
 _PRUNE_TOL = 5e-13
 _FINE_PER_RADIUS = 12  # fine envelope cells per ball radius
 _NEST = 3  # fine cells per coarse cell edge, so coarse cells are radius/4
@@ -131,8 +138,7 @@ class SupportSet:
 
     def node_points(self) -> np.ndarray:
         """Distinct anchor points (pairs at one y share the node)."""
-        _, idx = np.unique(_node_keys(self.points), axis=0, return_index=True)
-        return self.points[np.sort(idx)]
+        return self.points[_node_index(self.points)[0]]
 
     def to_dict(self, limit: int | None = None) -> dict:
         k = self.size if limit is None else min(limit, self.size)
@@ -152,14 +158,13 @@ class SupportSet:
         }
 
 
-def _node_keys(points: np.ndarray) -> np.ndarray:
-    """Integer keys that tell anchor nodes apart at the 1e-9 scale."""
-    return np.round(points / 1e-9).astype(np.int64)
-
-
-def _dedupe_points(pts: np.ndarray) -> np.ndarray:
-    _, idx = np.unique(_node_keys(pts), axis=0, return_index=True)
-    return pts[np.sort(idx)]
+def _node_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct node, in order of appearance, and the node
+    of every point; nodes are told apart at the 1e-9 scale."""
+    keys = np.round(points / 1e-9).astype(np.int64)
+    _, first, node = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rank = np.argsort(first)
+    return first[rank], np.argsort(rank)[node.reshape(-1)]
 
 
 def build_support_set(
@@ -187,7 +192,9 @@ def build_support_set(
     if nodes.shape[0] == 0:
         raise InputError("closure(domain) does not meet the ball")
     bnd = boundary_sample(domain, ball, spacing)
-    anchors = _dedupe_points(np.vstack([nodes, bnd]) if bnd.shape[0] else nodes)
+    if bnd.shape[0]:
+        nodes = np.vstack([nodes, bnd])
+    anchors = nodes[_node_index(nodes)[0]]
     interior = domain.contains_many(anchors, "open")
     if r0 is None:
         r0 = max(spacing, 1e-3 * ball.radius)
@@ -311,16 +318,20 @@ class ExtensionField:
         for group in np.split(order, starts) if pts.shape[0] else []:
             cand = self._candidates(tuple(keys[group[0]]))
             for idx in np.array_split(group, -(-group.size * cand.size // _BLOCK)):
-                x = pts[idx]
-                if a == 1.0:
-                    vals = _gemm(x, self._lin_q[cand]) + self._lin_b[cand]
-                else:
-                    xy2 = _gemm(2.0 * x, self.support.points[cand])
-                    d_sq = np.clip(x_sq[idx, None] + self._y_sq[cand] - xy2, 0.0, None)
-                    vals = _gemm(x, self.support.gradients[cand]) + self._offs[cand]
-                    vals += c * d_sq ** (0.5 * (1.0 + a))
-                out[idx] = vals.min(axis=1)
+                out[idx] = self._pair_values(pts[idx], x_sq[idx], cand).min(axis=1)
         return out + c * x_sq if a == 1.0 else out
+
+    def _pair_values(self, x: np.ndarray, x_sq: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Values of pairs ``cand`` at the rows of ``x`` (module docstring),
+        without the shared c|x|^2 at alpha = 1."""
+        c, a = self.coefficient, self.params.alpha
+        if a == 1.0:
+            return _gemm(x, self._lin_q[cand]) + self._lin_b[cand]
+        xy2 = _gemm(2.0 * x, self.support.points[cand])
+        d_sq = np.clip(x_sq[:, None] + self._y_sq[cand] - xy2, 0.0, None)
+        vals = _gemm(x, self.support.gradients[cand]) + self._offs[cand]
+        vals += c * d_sq ** (0.5 * (1.0 + a))
+        return vals
 
     def _candidates(self, key: tuple) -> np.ndarray:
         """Cached candidate pairs of a fine cell, filtered from its coarse parent's."""
@@ -364,80 +375,58 @@ class ExtensionField:
         }
 
 
-def _prune_support(support: SupportSet, params: ModulusParams, coefficient: float):
-    """Drop pairs that undercut u somewhere on the anchor set.
-
-    Exact reachable gradients never violate the one-sided inequality
-    u(z) <= u(y) + <p, z-y> + coeff*|z-y|^(1+a); sampled representatives can,
-    by just enough to dent the envelope below u near their anchor.  Violating
-    pairs are sampling artifacts and are removed; an anchor that would lose
-    all its pairs keeps its least-violating one.
-    """
-    Y, P, U = support.points, support.gradients, support.values
-    a, c = params.alpha, coefficient
-    scale = max(1.0, float(np.max(np.abs(U))))
-    tol = _PRUNE_TOL * scale
-    z = support.points
-    u_z = support.values
-    z_sq = np.einsum("ij,ij->i", z, z)
-    worst = np.empty(Y.shape[0])
-    for lo in range(0, Y.shape[0], _PAIR_CHUNK):
-        yb, pb, ub = Y[lo : lo + _PAIR_CHUNK], P[lo : lo + _PAIR_CHUNK], U[lo : lo + _PAIR_CHUNK]
-        y_sq = np.einsum("ij,ij->i", yb, yb)
-        d_sq = np.clip(z_sq[:, None] + y_sq[None, :] - 2.0 * z @ yb.T, 0.0, None)
-        kernel = d_sq if a == 1.0 else d_sq ** (0.5 * (1.0 + a))
-        vals = z @ pb.T + (ub - np.einsum("ij,ij->i", yb, pb))[None, :] + c * kernel
-        worst[lo : lo + _PAIR_CHUNK] = (u_z[:, None] - vals).max(axis=0)
-    keep = worst <= tol
-    if not np.all(keep):
-        # an anchor must not vanish from the support entirely
-        _, anchor_ids = np.unique(_node_keys(Y), axis=0, return_inverse=True)
-        for aid in np.unique(anchor_ids):
-            members = np.flatnonzero(anchor_ids == aid)
-            if not keep[members].any():
-                keep[members[np.argmin(worst[members])]] = True
-    pruned = int((~keep).sum())
-    if pruned == 0:
-        return support, 0
-    return (
-        SupportSet(
-            Y[keep],
-            P[keep],
-            U[keep],
-            [s for s, k in zip(support.sources, keep) if k],
-            support.ball,
-            support.spacing,
-        ),
-        pruned,
-    )
-
-
 def build_extension(
     func,
     domain: DomainSpec,
     support: SupportSet,
     params: ModulusParams,
     coefficient: float | None = None,
-    prune: bool = True,
 ) -> ExtensionField:
+    """Envelope over the pairs of ``support`` that never undercut u at a node.
+
+    Exact reachable gradients never violate the one-sided inequality
+    u(z) <= u(y) + <p, z-y> + coeff*|z-y|^(1+a); sampled representatives can,
+    by just enough to dent the envelope below u near their anchor.  Violating
+    pairs are sampling artifacts and are pruned (module docstring); an anchor
+    that would lose all its pairs keeps its least-violating one.
+    """
     if coefficient is None:
         coefficient = params.C + 1.0
-    n_pruned = 0
-    if prune:
-        support, n_pruned = _prune_support(support, params, coefficient)
-    return ExtensionField(
-        support=support,
-        params=params,
-        coefficient=float(coefficient),
-        func=func,
-        domain=domain,
-        n_pruned=n_pruned,
+    field = ExtensionField(support, params, float(coefficient), func, domain)
+    tol = _PRUNE_TOL * max(1.0, float(np.max(np.abs(support.values))))
+    first, node = _node_index(support.points)
+    z, u_z = support.points[first], support.values[first]
+    flagged = u_z - field._min_over_pairs(z) > tol
+    if not flagged.any():
+        return field
+    z, u_z = z[flagged], u_z[flagged]
+    z_sq = np.einsum("ij,ij->i", z, z)
+    k = support.size
+    pairs = np.r_[np.arange(k), np.full(-k % _LANES, k - 1)]
+    worst = np.full(pairs.size, -np.inf)
+    for idx in np.array_split(np.arange(z.shape[0]), -(-z.shape[0] * pairs.size // _BLOCK)):
+        vals = field._pair_values(z[idx], z_sq[idx], pairs)
+        if params.alpha == 1.0:
+            vals += field.coefficient * z_sq[idx, None]
+        worst = np.maximum(worst, (u_z[idx, None] - vals).max(axis=0))
+    worst = worst[:k]
+    keep = worst <= tol
+    # the least-violating pair of each node leads its group; orphaned nodes keep it
+    order = np.lexsort((worst, node))
+    lead = order[np.unique(node[order], return_index=True)[1]]
+    keep[lead[np.bincount(node[keep], minlength=first.size) == 0]] = True
+    n_pruned = int(k - keep.sum())
+    if n_pruned == 0:
+        return field
+    kept = SupportSet(
+        support.points[keep],
+        support.gradients[keep],
+        support.values[keep],
+        [s for s, kp in zip(support.sources, keep) if kp],
+        support.ball,
+        support.spacing,
     )
-
-
-def extend(field: ExtensionField, x) -> float:
-    """Envelope value at one point of the source ball."""
-    return field(x)
+    return ExtensionField(kept, params, field.coefficient, func, domain, n_pruned=n_pruned)
 
 
 # -- glued covers ------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from scext import (
     BallRegion,
+    ExtensionField,
     InputError,
     ModulusParams,
     MollifiedApproximant,
@@ -18,7 +19,6 @@ from scext import (
     build_support_set,
     constant_bound,
     disk,
-    extend,
     glue_global,
     holder_ratio,
     named_function,
@@ -157,16 +157,16 @@ class TestSupportSet:
 
 class TestEnvelope:
     def test_grid_node_value_matches_u(self, ex1):
-        v = extend(ex1["field"], (0.5, 0.5))
+        v = ex1["field"]((0.5, 0.5))
         assert v == pytest.approx(-SQRT_HALF, abs=1e-6)
         assert v == pytest.approx(-0.7071067811865476, abs=1e-12)
 
     def test_left_half_plane_closed_form_for_neg_norm(self, ex1):
         # continuation of -|x| beyond the flat face: -|x2| + x1^2
-        assert extend(ex1["field"], (-0.5, 0.3)) == pytest.approx(-0.05, abs=0.02)
+        assert ex1["field"]((-0.5, 0.3)) == pytest.approx(-0.05, abs=0.02)
 
     def test_left_half_plane_closed_form_for_quartic(self, ex3):
-        assert extend(ex3["field"], (-0.2, -0.4)) == pytest.approx(-0.36, abs=0.02)
+        assert ex3["field"]((-0.2, -0.4)) == pytest.approx(-0.36, abs=0.02)
 
     def test_affine_reproduced_everywhere(self, affine_bundle):
         field = affine_bundle["field"]
@@ -219,12 +219,8 @@ class TestEnvelope:
             support.ball,
             support.spacing,
         )
-        coarse = build_extension(
-            ex2["func"], half_disk, half, ex2["params"], coefficient=1.0, prune=False
-        )
-        fine = build_extension(
-            ex2["func"], half_disk, support, ex2["params"], coefficient=1.0, prune=False
-        )
+        coarse = ExtensionField(half, ex2["params"], 1.0, ex2["func"], half_disk)
+        fine = ExtensionField(support, ex2["params"], 1.0, ex2["func"], half_disk)
         pts = ball_points(300, seed=7, radius=0.999)
         assert float((fine.envelope_values(pts) - coarse.envelope_values(pts)).max()) <= 1e-12
 
@@ -244,10 +240,7 @@ class TestEnvelope:
             ex2["field"].evaluate_many(np.array([[1.5, 0.0]]))
 
     def test_pruning_preserves_envelope(self, ex2, half_disk):
-        unpruned = build_extension(
-            ex2["func"], half_disk, ex2["support"], ex2["params"],
-            coefficient=1.0, prune=False,
-        )
+        unpruned = ExtensionField(ex2["support"], ex2["params"], 1.0, ex2["func"], half_disk)
         pts = ball_points(500, seed=9, radius=0.999)
         a = ex2["field"].envelope_values(pts)
         b = unpruned.envelope_values(pts)
@@ -300,9 +293,7 @@ def _assert_candidates_sound(ball, y, p, u, alpha, x):
     """Each query's cell candidates hold a pair whose value at the query,
     computed elementwise without BLAS, equals the minimum over all pairs."""
     support = SupportSet(y, p, u, ["smooth"] * u.size, ball, 0.05)
-    field = build_extension(
-        None, None, support, ModulusParams(alpha, 0.0), coefficient=3.0, prune=False
-    )
+    field = ExtensionField(support, ModulusParams(alpha, 0.0), 3.0, None, None)
     offs = u - (y * p).sum(axis=1)
     d_sq = np.clip(
         (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
@@ -372,6 +363,84 @@ class TestEnvelopeKernel:
                     y2 = np.vstack([x0 - t * diag, x0 + 0.3 * diag])
                     u2 = np.array([0.0, v_near * (1.0 - frac) - 3.0 * 0.3 ** (1.0 + alpha)])
                     _assert_candidates_sound(ball, y2, np.zeros_like(y2), u2, alpha, x0[None, :])
+
+
+def _dense_prune(support, params, coefficient):
+    """Reference pruning: every pair checked against every node, O(K^2).
+
+    Returns the kept mask.  A pair is dropped if it undercuts u at some node
+    by more than the tolerance; an anchor that would lose all its pairs keeps
+    its least-violating one."""
+    Y, P, U = support.points, support.gradients, support.values
+    a, c = params.alpha, coefficient
+    tol = 5e-13 * max(1.0, float(np.max(np.abs(U))))
+    z_sq = np.einsum("ij,ij->i", Y, Y)
+    worst = np.empty(Y.shape[0])
+    for lo in range(0, Y.shape[0], 1024):
+        yb, pb, ub = Y[lo : lo + 1024], P[lo : lo + 1024], U[lo : lo + 1024]
+        y_sq = np.einsum("ij,ij->i", yb, yb)
+        d_sq = np.clip(z_sq[:, None] + y_sq[None, :] - 2.0 * Y @ yb.T, 0.0, None)
+        kernel = d_sq if a == 1.0 else d_sq ** (0.5 * (1.0 + a))
+        vals = Y @ pb.T + (ub - np.einsum("ij,ij->i", yb, pb))[None, :] + c * kernel
+        worst[lo : lo + 1024] = (U[:, None] - vals).max(axis=0)
+    keep = worst <= tol
+    _, anchor_ids = np.unique(np.round(Y / 1e-9).astype(np.int64), axis=0, return_inverse=True)
+    anchor_ids = anchor_ids.reshape(-1)
+    for aid in np.unique(anchor_ids):
+        members = np.flatnonzero(anchor_ids == aid)
+        if not keep[members].any():
+            keep[members[np.argmin(worst[members])]] = True
+    return keep
+
+
+def _assert_kept(field, support, keep):
+    kept = field.support
+    assert field.n_pruned == int((~keep).sum())
+    assert np.array_equal(kept.points, support.points[keep])
+    assert np.array_equal(kept.gradients, support.gradients[keep])
+    assert np.array_equal(kept.values, support.values[keep])
+    assert kept.sources == [s for s, k in zip(support.sources, keep) if k]
+
+
+@pytest.fixture(scope="module")
+def ex1_coarse(ex1, half_disk, unit_ball):
+    return build_support_set(ex1["func"], half_disk, unit_ball, spacing=0.02)
+
+
+class TestPruning:
+    @pytest.mark.parametrize(
+        "example, alpha", [("ex1", 1.0), ("ex1", 0.5), ("ex3", 1.0), ("ex3", 0.8)]
+    )
+    def test_kept_pairs_match_dense_check(self, request, ex1_coarse, half_disk, example, alpha):
+        bundle = request.getfixturevalue(example)
+        support = ex1_coarse if example == "ex1" else bundle["support"]
+        params = ModulusParams(alpha, 0.0)
+        keep = _dense_prune(support, params, 1.0)
+        # sampled reachable gradients undercut u here, so the check has work to do
+        assert not keep.all()
+        field = build_extension(bundle["func"], half_disk, support, params, coefficient=1.0)
+        _assert_kept(field, support, keep)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_planted_violations(self, unit_ball, alpha):
+        # u = 0 on a 7x7 lattice, one flat pair per node, plus: a steep second
+        # pair at node a, which undercuts u at a's left neighbour, and three
+        # steep pairs replacing node b's flat one, each undercutting u on b's left
+        ticks = 0.1 * np.arange(-3, 4)
+        nodes = np.column_stack([g.ravel() for g in np.meshgrid(ticks, ticks)])
+        a, b = 10, 31
+        flat = np.delete(np.arange(nodes.shape[0]), b)
+        y = np.vstack([nodes[flat], nodes[[a, b, b, b]]])
+        p = np.vstack([np.zeros((flat.size, 2)), [[3.0, 0.0], [2.0, 0.0], [0.5, 0.0], [1.0, 0.0]]])
+        support = SupportSet(y, p, np.zeros(y.shape[0]), ["smooth"] * y.shape[0], unit_ball, 0.1)
+        params = ModulusParams(alpha, 0.0)
+        keep = _dense_prune(support, params, 1.0)
+        field = build_extension(None, None, support, params, coefficient=1.0)
+        _assert_kept(field, support, keep)
+        # the planted pair goes; b keeps only its least-violating pair, p = (0.5, 0)
+        want = np.ones(y.shape[0], dtype=bool)
+        want[[flat.size, flat.size + 1, flat.size + 3]] = False
+        assert np.array_equal(keep, want)
 
 
 class TestGlue:

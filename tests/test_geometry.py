@@ -237,15 +237,3 @@ def test_grid_membership_holds_for_random_capped_disks(cx, cy, radius, spacing):
     bnd = boundary_sample(dom, region, spacing)
     if bnd.shape[0]:
         assert bool(np.all(dom.contains_many(bnd, "boundary")))
-
-
-@given(
-    ax=st.floats(0.0, 0.7),
-    ay=st.floats(-0.7, 0.7),
-    bx=st.floats(0.0, 0.7),
-    by=st.floats(-0.7, 0.7),
-)
-def test_chords_of_the_convex_half_disk_stay_inside(half_disk, ax, ay, bx, by):
-    a, b = np.array([ax, ay]), np.array([bx, by])
-    if contains(half_disk, a, "closure") and contains(half_disk, b, "closure"):
-        assert segment_in_closure(half_disk, a, b)
