@@ -187,9 +187,10 @@ def merge_config(args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(
             f"unknown scenario {scenario!r}; known: {list(SCENARIO_NAMES) + ['custom']}"
         )
-    knobs = dict(raw.get("knobs", {}))
+    knobs = raw.get("knobs", {})
     if not isinstance(knobs, dict):
         raise ConfigError("config knobs must be an object")
+    knobs = dict(knobs)
     for name in _FLAG_KNOBS:
         value = getattr(args, name)
         if value is not None:

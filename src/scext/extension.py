@@ -60,7 +60,7 @@ from .errors import (
 )
 from .funcspace import evaluate_many
 from .geometry import BallRegion, DomainSpec, boundary_sample, closure_grid, disk
-from .gradients import _analytic_samples, _fd_samples, reachable_gradients
+from .gradients import _gradient_samples, reachable_gradients
 from .semiconcavity import ModulusParams
 
 DEFAULT_SPACING_SCALE = 0.01  # support spacing as a fraction of the ball radius
@@ -202,10 +202,7 @@ def build_support_set(
         h_fd = 1e-5 * spacing
 
     inner = anchors[interior]
-    if getattr(func, "has_gradient", False):
-        mask, grads = _analytic_samples(func, inner)
-    else:
-        mask, grads = _fd_samples(func, inner, domain, h_fd, eps_c)
+    mask, grads = _gradient_samples(func, inner, domain, h_fd, eps_c)
     smooth = inner[mask]
     multi = np.vstack([anchors[~interior], inner[~mask]])
 

@@ -81,15 +81,19 @@ _REGISTRY: dict[str, Callable] = {}
 
 def register_function(identifier: str, builder: Callable) -> None:
     """Register a named form.  ``builder(dimension, params)`` must return a
-    pair ``(fn, grad_or_None)`` of vectorized evaluators on (N, d) arrays."""
+    pair ``(fn, grad_or_None)`` of vectorized evaluators on (N, d) arrays.
+
+    A gradient evaluator returns a NaN row at each point where the form is
+    singular and a finite row everywhere else, without raising or warning."""
     if identifier in _REGISTRY:
         raise InputError(f"function identifier {identifier!r} already registered")
     _REGISTRY[identifier] = builder
 
 
-def _guard_nonzero(mag: np.ndarray, what: str) -> None:
-    if np.any(mag == 0.0):
-        raise EvaluationError(f"gradient of {what} undefined where it is singular")
+def _nan_where_zero(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The gradient rows g, NaN where t == 0 (the form is singular there)."""
+    g[t == 0.0] = np.nan
+    return g
 
 
 def _build_neg_norm(dimension, params):
@@ -98,8 +102,8 @@ def _build_neg_norm(dimension, params):
 
     def grad(pts):
         r = np.linalg.norm(pts, axis=1)
-        _guard_nonzero(r, "neg-norm")
-        return -pts / r[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _nan_where_zero(-pts / r[:, None], r)
 
     return fn, grad
 
@@ -113,10 +117,9 @@ def _build_neg_abs_x2(dimension, params):
 
     def grad(pts):
         s = np.sign(pts[:, 1])
-        _guard_nonzero(np.abs(pts[:, 1]), "neg-abs-x2")
         g = np.zeros_like(pts)
         g[:, 1] = -s
-        return g
+        return _nan_where_zero(g, pts[:, 1])
 
     return fn, grad
 
@@ -130,11 +133,11 @@ def _build_neg_sqrt_x1p4_x2sq(dimension, params):
 
     def grad(pts):
         s = np.sqrt(pts[:, 0] ** 4 + pts[:, 1] ** 2)
-        _guard_nonzero(s, "neg-sqrt-x1p4-x2sq")
         g = np.empty_like(pts)
-        g[:, 0] = -2.0 * pts[:, 0] ** 3 / s
-        g[:, 1] = -pts[:, 1] / s
-        return g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g[:, 0] = -2.0 * pts[:, 0] ** 3 / s
+            g[:, 1] = -pts[:, 1] / s
+        return _nan_where_zero(g, s)
 
     return fn, grad
 
@@ -257,13 +260,17 @@ def declared_domain(func) -> DomainSpec | None:
 def gradient(func, x, h_fd: float | None = None) -> np.ndarray:
     """Gradient at x: analytic when declared, else central differences.
 
+    An EvaluationError reports a point where the analytic form is singular.
     The finite-difference stencil must stay inside the closure of the
     declared domain (when there is one); otherwise a StencilError asks the
     caller to shrink h_fd or move inward.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if getattr(func, "has_gradient", False):
-        return func.gradient_many(x[None, :])[0]
+        g = func.gradient_many(x[None, :])[0]
+        if np.isnan(g).any():
+            raise EvaluationError(f"gradient undefined at {x.tolist()}: singular point")
+        return g
     if h_fd is None or not h_fd > 0.0:
         raise InputError("central differences need a positive step h_fd")
     stencil = _central_stencil(x, h_fd)

@@ -18,7 +18,6 @@ from scipy.spatial import ConvexHull
 
 from .errors import (
     DimensionError,
-    EvaluationError,
     HypothesisError,
     InputError,
     IsolationError,
@@ -39,6 +38,14 @@ DEFAULT_FD_FRACTION = 5e-6
 _GOLDEN = 0.6180339887498949
 
 
+def _diameter(reps: np.ndarray) -> float:
+    """Largest distance between two rows of reps; 0 for fewer than two."""
+    if reps.shape[0] < 2:
+        return 0.0
+    diff = reps[:, None, :] - reps[None, :, :]
+    return float(np.sqrt((diff**2).sum(-1)).max())
+
+
 @dataclass(eq=False)
 class ReachableGradientSet:
     """Cluster means of gradient samples taken on annuli around base_point."""
@@ -54,11 +61,7 @@ class ReachableGradientSet:
     methods: dict
 
     def diameter(self) -> float:
-        reps = self.representatives
-        if reps.shape[0] < 2:
-            return 0.0
-        diff = reps[:, None, :] - reps[None, :, :]
-        return float(np.sqrt((diff**2).sum(-1)).max())
+        return _diameter(self.representatives)
 
     def to_dict(self) -> dict:
         return {
@@ -73,10 +76,6 @@ class ReachableGradientSet:
             "methods": dict(self.methods),
             "diameter": self.diameter(),
         }
-
-
-def default_h_fd(r0: float) -> float:
-    return DEFAULT_FD_FRACTION * r0
 
 
 # -- gradient sampling -------------------------------------------------------
@@ -98,19 +97,30 @@ def _annulus_candidates(x: np.ndarray, r: float, m: int, k: int) -> np.ndarray:
     return x + r * dirs
 
 
-def _fd_samples(func, pts: np.ndarray, domain: DomainSpec | None, h: float, eps_c: float):
-    """Mask of the pts passing the one-sided-quotient agreement filter, and
-    their central-difference gradients; stencils must stay in the closure."""
+def _gradient_samples(
+    func, pts: np.ndarray, fd_domain: DomainSpec | None, h_fd: float, eps_c: float
+):
+    """Mask of the pts that look differentiable, and the gradients there.
+
+    A closed-form gradient marks a point singular by a NaN row.  Without one,
+    the central-difference gradient counts where the one-sided quotients
+    agree within eps_c and the whole stencil lies in the closure of
+    fd_domain (when there is one).
+    """
     m, d = pts.shape
+    if getattr(func, "has_gradient", False):
+        grads = func.gradient_many(pts)
+        mask = ~np.isnan(grads).any(axis=1)
+        return mask, grads[mask]
     mask = np.zeros(m, dtype=bool)
-    eye = h * np.eye(d)
+    eye = h_fd * np.eye(d)
     # rows: [p, p+h e_1, p-h e_1, p+h e_2, ...] per point
     rows = np.concatenate(
         [pts[:, None, :], pts[:, None, :] + eye[None], pts[:, None, :] - eye[None]],
         axis=1,
     ).reshape(m * (2 * d + 1), d)
-    if domain is not None:
-        ok_rows = domain.contains_many(rows, "closure").reshape(m, 2 * d + 1)
+    if fd_domain is not None:
+        ok_rows = fd_domain.contains_many(rows, "closure").reshape(m, 2 * d + 1)
         fit = ok_rows.all(axis=1)
     else:
         fit = np.ones(m, dtype=bool)
@@ -119,74 +129,55 @@ def _fd_samples(func, pts: np.ndarray, domain: DomainSpec | None, h: float, eps_
     rows = rows.reshape(m, 2 * d + 1, d)[fit].reshape(-1, d)
     vals = evaluate_many(func, rows).reshape(-1, 2 * d + 1)
     u0 = vals[:, 0]
-    fwd = (vals[:, 1 : d + 1] - u0[:, None]) / h
-    bwd = (u0[:, None] - vals[:, d + 1 :]) / h
+    fwd = (vals[:, 1 : d + 1] - u0[:, None]) / h_fd
+    bwd = (u0[:, None] - vals[:, d + 1 :]) / h_fd
     smooth = np.abs(fwd - bwd).max(axis=1) <= eps_c
     mask[np.flatnonzero(fit)[smooth]] = True
     return mask, 0.5 * (fwd + bwd)[smooth]
 
 
-def _analytic_samples(func, pts: np.ndarray):
-    """Mask of the pts where the closed-form gradient evaluates (it raises
-    where the form is singular), and the gradients there.  The whole batch
-    is tried first, single points only when it raises."""
-    try:
-        return np.ones(pts.shape[0], dtype=bool), func.gradient_many(pts)
-    except EvaluationError:
-        pass
-    mask = np.zeros(pts.shape[0], dtype=bool)
-    grads = np.empty(pts.shape)
-    for i, p in enumerate(pts):
-        try:
-            grads[i] = func.gradient_many(p[None, :])[0]
-            mask[i] = True
-        except EvaluationError:
-            continue
-    return mask, grads[mask]
-
-
-def _refine_ring(func, domain, x, r, base_pts, base_grads, budget, eps_c, sampler):
+def _refine_ring(domain, x, r, base_pts, base_grads, budget, eps_c, sampler):
     """Bisect angular gaps whose gradient jump exceeds eps_c (2D only).
 
     The reachable set can be a continuum traversed very unevenly in angle;
     uniform rings miss narrow angular windows, so spend the leftover budget
-    where the gradient field moves fastest.
+    where the gradient field moves fastest.  Returns the base gradients in
+    angular order followed by those at the accepted midpoints.
     """
     if x.size != 2 or base_pts.shape[0] < 2 or budget <= 0:
-        return base_pts, base_grads
+        return base_grads
     rel = base_pts - x
-    phi = np.arctan2(rel[:, 1], rel[:, 0])
-    order = np.argsort(phi)
-    phi, pts, grads = phi[order], base_pts[order], base_grads[order]
-    entries = list(zip(phi.tolist(), pts.tolist(), grads.tolist()))
+    angle = np.arctan2(rel[:, 1], rel[:, 0])
+    order = np.argsort(angle)
+    n = order.size
+    phi = np.empty(n + budget)
+    grads = np.empty((n + budget, 2))
+    phi[:n], grads[:n] = angle[order], base_grads[order]
     heap = []
 
     def push(a, b):
-        jump = float(np.linalg.norm(np.asarray(a[2]) - np.asarray(b[2])))
-        width = b[0] - a[0]
+        jump = float(np.linalg.norm(grads[a] - grads[b]))
+        width = phi[b] - phi[a]
         if jump > eps_c and width > 1e-7:
-            heapq.heappush(heap, (-jump, a[0], b[0], a, b))
+            heapq.heappush(heap, (-jump, phi[a], phi[b], a, b))
 
-    for i in range(len(entries) - 1):
-        push(entries[i], entries[i + 1])
-    out = list(entries)
+    for i in range(n - 1):
+        push(i, i + 1)
     while heap and budget > 0:
         _, _, _, a, b = heapq.heappop(heap)
-        mid_phi = 0.5 * (a[0] + b[0])
+        mid_phi = 0.5 * (phi[a] + phi[b])
         cand = x + r * np.array([math.cos(mid_phi), math.sin(mid_phi)])
         budget -= 1
         if not domain.contains(cand, "open"):
             continue
-        kp, kg = sampler(cand[None, :])
-        if kp.shape[0] == 0:
+        ok, g = sampler(cand[None, :])
+        if not ok[0]:
             continue
-        mid = (mid_phi, kp[0].tolist(), kg[0].tolist())
-        out.append(mid)
-        push(a, mid)
-        push(mid, b)
-    pts = np.array([e[1] for e in out])
-    grads = np.array([e[2] for e in out])
-    return pts, grads
+        phi[n], grads[n] = mid_phi, g[0]
+        push(a, n)
+        push(n, b)
+        n += 1
+    return grads[:n]
 
 
 def _cluster(samples: np.ndarray, eps_c: float):
@@ -194,20 +185,21 @@ def _cluster(samples: np.ndarray, eps_c: float):
     closest means until all are pairwise more than eps_c apart."""
     order = np.lexsort(samples.T[::-1])
     pts = samples[order]
-    means: list[np.ndarray] = []
-    counts: list[int] = []
+    means = np.empty_like(pts)
+    counts = np.zeros(pts.shape[0])
+    k = 0
     for p in pts:
-        if means:
-            d = np.linalg.norm(np.array(means) - p, axis=1)
+        if k:
+            d = np.linalg.norm(means[:k] - p, axis=1)
             j = int(np.argmin(d))
             if d[j] <= 0.5 * eps_c:
                 counts[j] += 1
                 means[j] = means[j] + (p - means[j]) / counts[j]
                 continue
-        means.append(p.copy())
-        counts.append(1)
-    mean_arr = np.array(means)
-    count_arr = np.array(counts, dtype=float)
+        means[k] = p
+        counts[k] = 1
+        k += 1
+    mean_arr, count_arr = means[:k], counts[:k]
     while mean_arr.shape[0] > 1:
         diff = mean_arr[:, None, :] - mean_arr[None, :, :]
         dist = np.sqrt((diff**2).sum(-1))
@@ -240,9 +232,10 @@ def reachable_gradients(
 
     Each annulus r_{k+1} <= |y - x| <= r_k contributes at most m_a sample
     points on the sphere of radius r_k.  Closed-form gradients are used when
-    the function declares them (any point where the form evaluates is a
-    differentiability point); otherwise central differences guarded by the
-    one-sided-quotient filter.
+    the function declares them (every point where the form is not singular,
+    i.e. where it returns no NaN row, is a differentiability point);
+    otherwise central differences guarded by the one-sided-quotient filter,
+    with stencils kept inside the function's declared domain.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not r0 > 0.0:
@@ -252,16 +245,12 @@ def reachable_gradients(
     if not domain.contains(x, "closure"):
         raise InputError("base point must lie in the closure of the domain")
     if h_fd is None:
-        h_fd = default_h_fd(r0)
+        h_fd = DEFAULT_FD_FRACTION * r0
     analytic = getattr(func, "has_gradient", False)
     fd_domain = declared_domain(func)
 
     def sampler(pts):
-        if analytic:
-            mask, grads = _analytic_samples(func, pts)
-        else:
-            mask, grads = _fd_samples(func, pts, fd_domain, h_fd, eps_c)
-        return pts[mask], grads
+        return _gradient_samples(func, pts, fd_domain, h_fd, eps_c)
 
     all_grads = []
     n_samples = 0
@@ -272,9 +261,9 @@ def reachable_gradients(
         base_budget = m_a if x.size != 2 else max(m_a // 2, 8)
         cand = _annulus_candidates(x, r, base_budget, k)
         cand = cand[domain.contains_many(cand, "open")]
-        pts, grads = sampler(cand)
-        pts, grads = _refine_ring(
-            func, domain, x, r, pts, grads, m_a - base_budget, eps_c, sampler
+        mask, grads = sampler(cand)
+        grads = _refine_ring(
+            domain, x, r, cand[mask], grads, m_a - base_budget, eps_c, sampler
         )
         if grads.shape[0]:
             all_grads.append(grads)

@@ -23,6 +23,7 @@ from .errors import (
 from .gradients import (
     ReachableGradientSet,
     _cluster,
+    _diameter,
     convex_hull,
     hull_gap,
     normal_cone_directions,
@@ -108,15 +109,7 @@ def _indicator_values(
     vals = field.evaluate_many(stencil).reshape(n * m, 2 * d)
     grads = (vals[:, :d] - vals[:, d:]) / (2.0 * h_fd)
     grads = grads.reshape(n, m, d)
-    out = np.empty(n)
-    for j in range(n):
-        reps = _cluster(grads[j], eps_c)
-        if reps.shape[0] < 2:
-            out[j] = 0.0
-        else:
-            diff = reps[:, None, :] - reps[None, :, :]
-            out[j] = float(np.sqrt((diff**2).sum(-1)).max())
-    return out
+    return np.array([_diameter(_cluster(g, eps_c)) for g in grads])
 
 
 def singularity_indicator(

@@ -95,6 +95,12 @@ class TestExitCodes:
         assert main(["--scenario", "example2", "--stages", "polish"]) == 2
         assert "unknown stages" in capsys.readouterr().err
 
+    def test_knobs_that_are_not_an_object_are_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "example2", "knobs": [1, 2]}))
+        assert main(["--config", str(cfg)]) == 2
+        assert "knobs must be an object" in capsys.readouterr().err
+
     def test_incomplete_custom_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"scenario": "custom"}))

@@ -1,5 +1,7 @@
 """Named functions: evaluation, gradients, and Lipschitz estimation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,29 @@ from scext import (
     named_function,
     sampled_function,
 )
+from scext.funcspace import _REGISTRY
+
+
+def _origin(pts):
+    return np.all(pts == 0.0, axis=1)
+
+
+def _nowhere(pts):
+    return np.zeros(pts.shape[0], dtype=bool)
+
+
+# where each registered named form is singular (its gradient_many returns NaN
+# rows there); a form missing from this table fails the contract test
+_SINGULAR_SET = {
+    "neg-norm": _origin,
+    "neg-abs-x2": lambda pts: pts[:, 1] == 0.0,
+    "neg-sqrt-x1p4-x2sq": _origin,
+    "affine": _nowhere,
+    "sq-norm": _nowhere,
+    "neg-sq-norm": _nowhere,
+    "quadratic": _nowhere,
+    "constant": _nowhere,
+}
 
 
 class _NoGradient:
@@ -74,6 +99,20 @@ class TestGradient:
         shim = _NoGradient(functions["sq-norm"])
         g = gradient(shim, (0.3, 0.4), h_fd=1e-4)
         assert np.allclose(g, (0.6, 0.8), atol=1e-8)
+
+    @pytest.mark.parametrize("identifier", sorted(_REGISTRY))
+    def test_nan_rows_exactly_on_the_singular_set(self, identifier):
+        func = named_function(identifier, dimension=2)
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(1_000, 2))
+        pts[:6] = [
+            [0.0, 0.0], [0.5, 0.0], [-0.25, 0.0], [0.0, 0.3], [0.0, -1.0], [1e-3, 0.0],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            grads = func.gradient_many(pts)
+        singular = _SINGULAR_SET[identifier](pts)
+        assert np.array_equal(np.isnan(grads).all(axis=1), singular)
+        assert np.isfinite(grads[~singular]).all()
 
     def test_gradient_undefined_on_crease(self, functions):
         with pytest.raises(EvaluationError):

@@ -1,6 +1,7 @@
 """Reachable-gradient sets, hulls, normal cones, and singularity detection."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scext import (
-    EvaluationError,
     InputError,
     ModulusParams,
     convex_hull,
@@ -24,7 +24,7 @@ from scext import (
     supergradient_defect,
 )
 from scext.funcspace import _REGISTRY
-from scext.gradients import ReachableGradientSet, _analytic_samples
+from scext.gradients import ReachableGradientSet, _cluster, _gradient_samples
 from scext.scenarios import hausdorff_to_reference
 
 from conftest import PROBE
@@ -76,14 +76,14 @@ class TestReachableSets:
 
 
 def _per_point_gradients(func, pts):
-    """Reference: one gradient_many call per point, skipping singular ones."""
+    """Reference: one gradient_many call per point, skipping the NaN rows of
+    singular ones."""
     kept, grads = [], []
     for p in pts:
-        try:
-            grads.append(func.gradient_many(p[None, :])[0])
+        g = func.gradient_many(p[None, :])[0]
+        if not np.isnan(g).any():
+            grads.append(g)
             kept.append(p)
-        except EvaluationError:
-            continue
     d = pts.shape[1]
     return np.array(kept).reshape(-1, d), np.array(grads).reshape(-1, d)
 
@@ -97,10 +97,109 @@ class TestAnalyticSamples:
         if singular:
             # the origin and the axis x2 = 0 are singular for the creased forms
             pts[[5, 500, 1500]] = [[0.0, 0.0], [0.5, 0.0], [-0.25, 0.0]]
-        mask, grads = _analytic_samples(func, pts)
+        mask, grads = _gradient_samples(func, pts, None, 1e-7, 0.01)
         kept, want = _per_point_gradients(func, pts)
         assert np.array_equal(pts[mask], kept)
         assert np.array_equal(grads, want)
+
+
+def _list_cluster(samples, eps_c):
+    """Reference: the leader pass with a list of means, as first written."""
+    order = np.lexsort(samples.T[::-1])
+    pts = samples[order]
+    means, counts = [], []
+    for p in pts:
+        if means:
+            d = np.linalg.norm(np.array(means) - p, axis=1)
+            j = int(np.argmin(d))
+            if d[j] <= 0.5 * eps_c:
+                counts[j] += 1
+                means[j] = means[j] + (p - means[j]) / counts[j]
+                continue
+        means.append(p.copy())
+        counts.append(1)
+    mean_arr = np.array(means)
+    count_arr = np.array(counts, dtype=float)
+    while mean_arr.shape[0] > 1:
+        diff = mean_arr[:, None, :] - mean_arr[None, :, :]
+        dist = np.sqrt((diff**2).sum(-1))
+        np.fill_diagonal(dist, np.inf)
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[i, j] > eps_c:
+            break
+        w = count_arr[i] + count_arr[j]
+        mean_arr[i] = (count_arr[i] * mean_arr[i] + count_arr[j] * mean_arr[j]) / w
+        count_arr[i] = w
+        keep = np.ones(mean_arr.shape[0], dtype=bool)
+        keep[j] = False
+        mean_arr, count_arr = mean_arr[keep], count_arr[keep]
+    return mean_arr[np.lexsort(mean_arr.T[::-1])]
+
+
+# SHA-256 of reachable_gradients(...).representatives on the half disk with
+# PROBE, recorded while singular points still raised and were retried one at
+# a time and the leader pass kept a list of means
+_PINNED_REPRESENTATIVES = {
+    ("neg-norm", (0.0, 0.0)):
+        "3b72560dfa1521ad252c6a11a6a432b5b8f82331c33bf698a7e61d9bee5cb7ce",
+    ("neg-norm", (1.0, 0.0)):
+        "bb42e2b6571702578d9dd8029e8a9ff9755a6c4cf3fc735e9b42fce8a8cc325b",
+    ("neg-abs-x2", (0.0, 0.0)):
+        "637b5e97259482d6885571622b249c0fb4438b263a7be16d32c77e3ffd508863",
+    ("neg-abs-x2", (1.0, 0.0)):
+        "637b5e97259482d6885571622b249c0fb4438b263a7be16d32c77e3ffd508863",
+    ("neg-sqrt-x1p4-x2sq", (0.0, 0.0)):
+        "330cb333ee8fe68dc3952e79c4e0c0f5464ef4c6cb4f2164fdfe7f3284dc0a53",
+    ("neg-sqrt-x1p4-x2sq", (1.0, 0.0)):
+        "4cf35722e9c3abb68f42cec7a27a2651d8414b018686dc97e555224909ec79ac",
+}
+
+
+class TestCluster:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n, eps_c, spread", [
+        (1, 0.02, 1.0), (300, 0.02, 1.0), (300, 1.5, 1.0), (2_000, 0.1, 0.05),
+    ])
+    def test_matches_list_leader_pass(self, d, n, eps_c, spread):
+        # spread < 1: samples scattered around five centres, so both the
+        # leader pass and the merge loop combine many of them
+        rng = np.random.default_rng(10 * d + n)
+        centres = rng.uniform(-1.0, 1.0, size=(5, d))
+        noise = rng.uniform(-spread, spread, size=(n, d))
+        samples = noise if spread == 1.0 else centres[rng.integers(0, 5, n)] + noise
+        assert np.array_equal(_cluster(samples, eps_c), _list_cluster(samples, eps_c))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_with_exact_duplicates(self, d):
+        rng = np.random.default_rng(d)
+        base = rng.uniform(-1.0, 1.0, size=(40, d))
+        samples = base[rng.integers(0, 40, size=500)]
+        for eps_c in (1e-9, 0.02, 0.3):
+            assert np.array_equal(_cluster(samples, eps_c), _list_cluster(samples, eps_c))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("offsets, n_reps", [
+        # 0 and 0.25 are exactly 0.5*eps_c apart and share a leader, so 0.45
+        # starts its own and 0.75 later merges with it
+        ([0.0, 0.25, 0.45, 0.75], 1),
+        # two rows exactly eps_c apart merge
+        ([0.0, 0.5], 1),
+        ([0.0, 0.5, 0.5, 1.25, 1.75, 1.75], 2),
+    ])
+    def test_matches_at_the_thresholds(self, d, offsets, n_reps):
+        # eps_c = 0.5 and the offsets 0.25, 0.5, 1.25, 1.75 are exact in binary
+        samples = np.zeros((len(offsets), d))
+        samples[:, 0] = offsets
+        got = _cluster(samples, 0.5)
+        assert np.array_equal(got, _list_cluster(samples, 0.5))
+        assert got.shape[0] == n_reps
+
+    @pytest.mark.parametrize("identifier, x", list(_PINNED_REPRESENTATIVES))
+    def test_representatives_are_pinned(self, half_disk, identifier, x):
+        func = named_function(identifier, dimension=2, domain=half_disk)
+        rset = reachable_gradients(func, half_disk, x, **PROBE)
+        digest = hashlib.sha256(rset.representatives.tobytes()).hexdigest()
+        assert digest == _PINNED_REPRESENTATIVES[identifier, x]
 
 
 class TestSupergradientDefect:
