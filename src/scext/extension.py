@@ -60,7 +60,7 @@ from .errors import (
 )
 from .funcspace import evaluate_many
 from .geometry import BallRegion, DomainSpec, boundary_sample, closure_grid, disk
-from .gradients import _gradient_samples, reachable_gradients
+from .gradients import _gradient_samples, _reachable_sets, _row_norms
 from .semiconcavity import ModulusParams
 
 DEFAULT_SPACING_SCALE = 0.01  # support spacing as a fraction of the ball radius
@@ -79,32 +79,44 @@ def constant_bound(params: ModulusParams, coefficient: float | None = None) -> f
     return coeff * (1.0 + params.alpha) * (1.0 + 2.0 ** (2.0 - params.alpha))
 
 
-def holder_ratio(y, x, z, params: ModulusParams, coefficient: float) -> float:
+def holder_ratio(
+    y, x, z, params: ModulusParams, coefficient: float
+) -> float | np.ndarray:
     """|Dv_y(x) - Dv_y(z)| / |x-z|^alpha for the kernel v_y = coeff*|w-y|^(1+a).
 
     Dv_y(w) = coeff*(1+a)*|w-y|^(a-1)*(w-y), with Dv_y(y) = 0.  The ratio is
-    bounded by coeff*(1+a)*(1+2^(2-a)) for every admissible triple.
+    bounded by coeff*(1+a)*(1+2^(2-a)) for every admissible triple.  Takes one
+    triple of points and returns a float, or (n, d) arrays of n triples and
+    returns n ratios, each bit for bit the one its triple gives alone.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    gap = float(np.linalg.norm(x - z))
-    if gap == 0.0:
+    single = np.ndim(x) < 2
+    y, x, z = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (y, x, z))
+    gap = _row_norms(x - z)
+    if np.any(gap == 0.0):
         raise InputError("holder_ratio requires x != z")
     a = params.alpha
-    return float(np.linalg.norm(_kernel_grad(x, y, a) - _kernel_grad(z, y, a))
-                 * coefficient / gap**a)
+    ratio = (_row_norms(_kernel_grad(x, y, a) - _kernel_grad(z, y, a))
+             * coefficient / _pow(gap, a))
+    return float(ratio[0]) if single else ratio
+
+
+def _pow(base: np.ndarray, e: float) -> np.ndarray:
+    """base**e through the C library's pow, element by element: numpy's
+    vectorised power rounds differently on some CPUs."""
+    return np.array([b**e for b in base.tolist()])
 
 
 def _kernel_grad(w: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """(1+alpha)|w-y|^(alpha-1)(w-y) with the removable singularity at w=y."""
+    """(1+alpha)|w-y|^(alpha-1)(w-y) per row, with the removable singularity
+    at w=y."""
     r = w - y
-    n = float(np.linalg.norm(r))
-    if n == 0.0:
-        return np.zeros_like(r)
     if alpha == 1.0:
         return 2.0 * r
-    return (1.0 + alpha) * n ** (alpha - 1.0) * r
+    n = _row_norms(r)
+    out = np.zeros_like(r)
+    nz = n != 0.0
+    out[nz] = ((1.0 + alpha) * _pow(n[nz], alpha - 1.0))[:, None] * r[nz]
+    return out
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,18 +218,11 @@ def build_support_set(
     smooth = inner[mask]
     multi = np.vstack([anchors[~interior], inner[~mask]])
 
-    pts, gvecs, srcs = [smooth], [grads], ["smooth"] * smooth.shape[0]
-    for y in multi:
-        rset = reachable_gradients(
-            func, domain, y, r0=r0, ratio=ratio, k_max=k_max,
-            m_a=m_a, eps_c=eps_c, h_fd=h_fd,
-        )
-        reps = rset.representatives
-        pts.append(np.broadcast_to(y, reps.shape).copy())
-        gvecs.append(reps)
-        srcs.extend(["reachable"] * reps.shape[0])
-    points = np.vstack(pts)
-    gradients_arr = np.vstack(gvecs)
+    reps, _ = _reachable_sets(func, domain, multi, r0, ratio, k_max, m_a, eps_c, h_fd)
+    n_reps = [r.shape[0] for r in reps]
+    points = np.vstack([smooth, np.repeat(multi, n_reps, axis=0)])
+    gradients_arr = np.vstack([grads, *reps])
+    srcs = ["smooth"] * smooth.shape[0] + ["reachable"] * sum(n_reps)
     values = evaluate_many(func, points)
     return SupportSet(points, gradients_arr, values, srcs, ball, float(spacing))
 

@@ -96,14 +96,29 @@ def _nan_where_zero(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     return g
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _underflowed(q: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Nonzero rows whose sum of squared terms q fell below the normal range,
+    so that it lost precision or vanished; scale is the max-abs coordinate."""
+    return (q < _TINY) & (scale > 0.0)
+
+
 def _build_neg_norm(dimension, params):
     def fn(pts):
         return -np.linalg.norm(pts, axis=1)
 
     def grad(pts):
-        r = np.linalg.norm(pts, axis=1)
+        q = np.add.reduce(pts * pts, axis=1)
+        scale = np.abs(pts).max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _nan_where_zero(-pts / r[:, None], r)
+            g = -pts / np.sqrt(q)[:, None]
+        low = _underflowed(q, scale)
+        if low.any():  # the same direction, from rows rescaled to max-abs 1
+            unit = pts[low] / scale[low, None]
+            g[low] = -unit / np.linalg.norm(unit, axis=1)[:, None]
+        return _nan_where_zero(g, scale)
 
     return fn, grad
 
@@ -132,12 +147,22 @@ def _build_neg_sqrt_x1p4_x2sq(dimension, params):
         return -np.sqrt(pts[:, 0] ** 4 + pts[:, 1] ** 2)
 
     def grad(pts):
-        s = np.sqrt(pts[:, 0] ** 4 + pts[:, 1] ** 2)
+        q = pts[:, 0] ** 4 + pts[:, 1] ** 2
+        s = np.sqrt(q)
+        scale = np.abs(pts).max(axis=1)
         g = np.empty_like(pts)
         with np.errstate(divide="ignore", invalid="ignore"):
             g[:, 0] = -2.0 * pts[:, 0] ** 3 / s
             g[:, 1] = -pts[:, 1] / s
-        return _nan_where_zero(g, s)
+        low = _underflowed(q, scale)
+        if low.any():
+            # (x1^2, x2) / s is the unit vector along (x1^2/c, x2/c), c = scale
+            x1, c = pts[low, 0], scale[low]
+            a, b = x1 * (x1 / c), pts[low, 1] / c
+            h = np.hypot(a, b)
+            g[low, 0] = -2.0 * x1 * (a / h)
+            g[low, 1] = -b / h
+        return _nan_where_zero(g, scale)
 
     return fn, grad
 

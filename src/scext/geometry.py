@@ -118,7 +118,11 @@ class DomainSpec:
             g = np.abs(pts - self.center) - self.half_widths
             cols.extend(g[:, j] for j in range(self.dimension))
         if self.kind in ("half-space", "capped-disk"):
-            cols.append(self.offset - pts @ self.normal)
+            # a coordinate sum, not ``pts @ normal``: BLAS rounds that by
+            # batch shape, so a point one rounding from a tilted face could
+            # be open in one batch and not in another
+            proj = sum(pts[:, j] * self.normal[j] for j in range(self.dimension))
+            cols.append(self.offset - proj)
         return np.column_stack(cols)
 
     def contains_many(self, points, where: str = "closure") -> np.ndarray:

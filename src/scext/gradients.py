@@ -5,6 +5,13 @@ annuli around x inside the open domain, keeping only points that look
 differentiable, and compressing the pooled samples to representatives that
 are pairwise more than eps_c apart.  Hulls and normal cones then feed the
 propagation-direction selection.
+
+Reachable sets are estimated for many base points in lockstep
+(``_reachable_sets``): the rings of all of them are sampled in one gradient
+call, their angular gaps refined with one call per round, and their samples
+clustered in one leader pass over all groups (``_cluster``, which the tracer
+also uses for all disc centres of a step).  Every value is computed by the
+expression that serves one base point alone.
 """
 
 from __future__ import annotations
@@ -81,20 +88,18 @@ class ReachableGradientSet:
 # -- gradient sampling -------------------------------------------------------
 
 
-def _annulus_candidates(x: np.ndarray, r: float, m: int, k: int) -> np.ndarray:
-    """Deterministic direction set on the sphere of radius r around x."""
-    d = x.size
+def _annulus_directions(d: int, m: int, k: int) -> np.ndarray:
+    """Deterministic unit directions of ring k (m of them; two in 1D)."""
     if d == 1:
-        return x + r * np.array([[-1.0], [1.0]])
+        return np.array([[-1.0], [1.0]])
     if d == 2:
         phi = 2.0 * math.pi * (np.arange(m) + math.modf(k * _GOLDEN)[0]) / m
-        return x + r * np.column_stack([np.cos(phi), np.sin(phi)])
+        return np.column_stack([np.cos(phi), np.sin(phi)])
     i = np.arange(m) + 0.5 + math.modf(k * _GOLDEN)[0]
     z = 1.0 - 2.0 * i / m
     rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    dirs = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-    return x + r * dirs
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
 def _gradient_samples(
@@ -136,85 +141,196 @@ def _gradient_samples(
     return mask, 0.5 * (fwd + bwd)[smooth]
 
 
-def _refine_ring(domain, x, r, base_pts, base_grads, budget, eps_c, sampler):
-    """Bisect angular gaps whose gradient jump exceeds eps_c (2D only).
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, rounded as for that row alone (a BLAS dot
+    product, which vecdot, new in numpy 2.0, calls row by row)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _refine_rings(domain, centres, radii, ring, pts, grads, budget, eps_c, sampler):
+    """Bisect angular gaps whose gradient jump exceeds eps_c, on every ring
+    at once (2D only).
 
     The reachable set can be a continuum traversed very unevenly in angle;
-    uniform rings miss narrow angular windows, so spend the leftover budget
-    where the gradient field moves fastest.  Returns the base gradients in
-    angular order followed by those at the accepted midpoints.
+    uniform rings miss narrow angular windows, so each ring spends up to
+    budget more samples where its gradient field moves fastest.  Ring h has
+    centre centres[h] and radius radii[h]; its samples are the rows of pts and
+    grads with ring == h, grouped by ring.  Every ring keeps its own heap of
+    gaps, keyed (-jump, phi_a, phi_b, a, b), and pops it in the order it
+    would alone; a round pops the top gap of every ring with budget left and
+    tests and samples all the midpoints at once.  Returns (grads, ring): each
+    ring's base gradients in angular order followed by those at its accepted
+    midpoints.
     """
-    if x.size != 2 or base_pts.shape[0] < 2 or budget <= 0:
-        return base_grads
-    rel = base_pts - x
+    if pts.shape[1] != 2 or budget <= 0:
+        return grads, ring
+    n_rings = centres.shape[0]
+    count = np.bincount(ring, minlength=n_rings)
+    rel = pts - centres[ring]
     angle = np.arctan2(rel[:, 1], rel[:, 0])
-    order = np.argsort(angle)
-    n = order.size
-    phi = np.empty(n + budget)
-    grads = np.empty((n + budget, 2))
-    phi[:n], grads[:n] = angle[order], base_grads[order]
-    heap = []
+    order = np.lexsort((angle, ring))
+    angle, grads = angle[order], grads[order]
+    slot = np.arange(ring.size) - (np.cumsum(count) - count)[ring]
+    phi = np.empty((n_rings, int(count.max(initial=0)) + budget))
+    ring_grads = np.empty(phi.shape + (2,))
+    phi[ring, slot], ring_grads[ring, slot] = angle, grads
 
-    def push(a, b):
-        jump = float(np.linalg.norm(grads[a] - grads[b]))
-        width = phi[b] - phi[a]
-        if jump > eps_c and width > 1e-7:
-            heapq.heappush(heap, (-jump, phi[a], phi[b], a, b))
+    heaps = [[] for _ in range(n_rings)]
+    jump = _row_norms(grads[:-1] - grads[1:])
+    width = angle[1:] - angle[:-1]
+    gap = np.flatnonzero((ring[:-1] == ring[1:]) & (jump > eps_c) & (width > 1e-7))
+    for i in gap.tolist():
+        heaps[ring[i]].append((-jump[i], angle[i], angle[i + 1], slot[i], slot[i] + 1))
+    for heap in heaps:
+        heapq.heapify(heap)
 
-    for i in range(n - 1):
-        push(i, i + 1)
-    while heap and budget > 0:
-        _, _, _, a, b = heapq.heappop(heap)
-        mid_phi = 0.5 * (phi[a] + phi[b])
-        cand = x + r * np.array([math.cos(mid_phi), math.sin(mid_phi)])
-        budget -= 1
-        if not domain.contains(cand, "open"):
-            continue
-        ok, g = sampler(cand[None, :])
-        if not ok[0]:
-            continue
-        phi[n], grads[n] = mid_phi, g[0]
-        push(a, n)
-        push(n, b)
-        n += 1
-    return grads[:n]
+    left = np.full(n_rings, budget)
+    live = [h for h in range(n_rings) if heaps[h]]
+    while live:
+        top = [heapq.heappop(heaps[h]) for h in live]
+        h = np.array(live)
+        left[h] -= 1
+        a = np.array([t[3] for t in top])
+        b = np.array([t[4] for t in top])
+        mid = 0.5 * (phi[h, a] + phi[h, b])
+        unit = np.array([(math.cos(t), math.sin(t)) for t in mid.tolist()])
+        cand = centres[h] + radii[h][:, None] * unit
+        inside = np.flatnonzero(domain.contains_many(cand, "open"))
+        ok, g = sampler(cand[inside])
+        acc = inside[ok]
+        h, a, b, mid = h[acc], a[acc], b[acc], mid[acc]
+        n = count[h]
+        phi[h, n], ring_grads[h, n] = mid, g
+        jump_a = _row_norms(ring_grads[h, a] - g)
+        jump_b = _row_norms(g - ring_grads[h, b])
+        width_a = mid - phi[h, a]
+        width_b = phi[h, b] - mid
+        for i, hi in enumerate(h.tolist()):
+            if jump_a[i] > eps_c and width_a[i] > 1e-7:
+                heapq.heappush(heaps[hi], (-jump_a[i], phi[hi, a[i]], mid[i], a[i], n[i]))
+            if jump_b[i] > eps_c and width_b[i] > 1e-7:
+                heapq.heappush(heaps[hi], (-jump_b[i], mid[i], phi[hi, b[i]], n[i], b[i]))
+        count[h] += 1
+        live = [hi for hi in live if left[hi] > 0 and heaps[hi]]
+    kept = np.arange(phi.shape[1]) < count[:, None]
+    return ring_grads[kept], np.repeat(np.arange(n_rings), count)
 
 
-def _cluster(samples: np.ndarray, eps_c: float):
-    """Leader pass over lexicographically sorted samples, then merge the
-    closest means until all are pairwise more than eps_c apart."""
-    order = np.lexsort(samples.T[::-1])
-    pts = samples[order]
-    means = np.empty_like(pts)
-    counts = np.zeros(pts.shape[0])
-    k = 0
-    for p in pts:
-        if k:
-            d = np.linalg.norm(means[:k] - p, axis=1)
-            j = int(np.argmin(d))
-            if d[j] <= 0.5 * eps_c:
-                counts[j] += 1
-                means[j] = means[j] + (p - means[j]) / counts[j]
-                continue
-        means[k] = p
-        counts[k] = 1
-        k += 1
-    mean_arr, count_arr = means[:k], counts[:k]
-    while mean_arr.shape[0] > 1:
-        diff = mean_arr[:, None, :] - mean_arr[None, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
-        np.fill_diagonal(dist, np.inf)
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+def _merge_closest(means: np.ndarray, counts: np.ndarray, eps_c: float) -> np.ndarray:
+    """Merge the closest pair of means, count-weighted, until all are pairwise
+    more than eps_c apart.  Merged-away slots stay in place at distance inf,
+    so the row-major argmin picks the pair the compacted matrix would."""
+    k = means.shape[0]
+    diff = means[:, None, :] - means[None, :, :]
+    dist = np.sqrt((diff**2).sum(-1))
+    np.fill_diagonal(dist, np.inf)
+    alive = np.ones(k, dtype=bool)
+    for _ in range(k - 1):
+        i, j = divmod(int(np.argmin(dist)), k)
         if dist[i, j] > eps_c:
             break
-        w = count_arr[i] + count_arr[j]
-        mean_arr[i] = (count_arr[i] * mean_arr[i] + count_arr[j] * mean_arr[j]) / w
-        count_arr[i] = w
-        keep = np.ones(mean_arr.shape[0], dtype=bool)
-        keep[j] = False
-        mean_arr, count_arr = mean_arr[keep], count_arr[keep]
-    final = mean_arr[np.lexsort(mean_arr.T[::-1])]
-    return final
+        w = counts[i] + counts[j]
+        means[i] = (counts[i] * means[i] + counts[j] * means[j]) / w
+        counts[i] = w
+        alive[j] = False
+        row = np.sqrt(((means[i] - means) ** 2).sum(-1))
+        row[~alive] = np.inf
+        row[i] = np.inf
+        dist[i], dist[:, i] = row, row
+        dist[j], dist[:, j] = np.inf, np.inf
+    return means[alive]
+
+
+def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
+    """Representatives of consecutive groups of samples, all groups at once.
+
+    The rows of samples form groups of the given sizes.  Each group gets a
+    leader pass over its lexicographically sorted rows: a row joins the
+    nearest running mean (first minimum) within 0.5*eps_c or starts a new
+    one.  The pass runs one sample index at a time over every group that
+    still has samples; groups go by decreasing size so those are a prefix.
+    Then each group merges its closest means until all are more than eps_c
+    apart.  Returns one lexicographically sorted (k, d) array per group.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    n_groups, d = sizes.size, samples.shape[1]
+    group = np.repeat(np.arange(n_groups), sizes)
+    pts = samples[np.lexsort((*samples.T[::-1], group))]
+    by_size = np.argsort(-sizes, kind="stable")
+    rank = np.empty(n_groups, dtype=np.intp)
+    rank[by_size] = np.arange(n_groups)
+    slot = np.arange(group.size) - (np.cumsum(sizes) - sizes)[group]
+    n_max = int(sizes.max(initial=0))
+    padded = np.empty((n_groups, n_max, d))
+    padded[rank[group], slot] = pts
+    n_live = (sizes[:, None] > np.arange(n_max)).sum(axis=0)
+    means = np.zeros_like(padded)  # unused slots enter the masked distances
+    counts = np.zeros((n_groups, n_max))
+    k = np.zeros(n_groups, dtype=np.intp)
+    for t in range(n_max):
+        live = int(n_live[t])
+        p = padded[:live, t]
+        k_live = k[:live]
+        top = int(k_live.max())
+        join = np.zeros(live, dtype=bool)
+        if top:
+            diff = means[:live, :top] - p[:, None, :]
+            dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+            dist[np.arange(top) >= k_live[:, None]] = np.inf
+            j = np.argmin(dist, axis=1)
+            join = dist[np.arange(live), j] <= 0.5 * eps_c
+            g, j = np.flatnonzero(join), j[join]
+            counts[g, j] += 1
+            means[g, j] = means[g, j] + (p[g] - means[g, j]) / counts[g, j][:, None]
+        g = np.flatnonzero(~join)
+        means[g, k[g]] = p[g]
+        counts[g, k[g]] = 1
+        k[g] += 1
+    reps = [None] * n_groups
+    for r, g in enumerate(by_size.tolist()):
+        m = _merge_closest(means[r, : k[r]], counts[r, : k[r]], eps_c)
+        reps[g] = m[np.lexsort(m.T[::-1])]
+    return reps
+
+
+def _reachable_sets(func, domain, anchors, r0, ratio, k_max, m_a, eps_c, h_fd):
+    """Reachable-gradient representatives at every anchor, in lockstep.
+
+    Ring k of every anchor has radius r0*ratio**k; all rings' candidates are
+    tested with one contains_many and sampled with one gradient call, their
+    gaps refined together (``_refine_rings``), and each anchor's pooled
+    samples, ring by ring, clustered as one group of ``_cluster``.  Returns
+    the representatives and the number of samples per anchor; an anchor
+    without samples raises IsolationError (the first one in anchor order).
+    """
+    n, d = anchors.shape
+    fd_domain = declared_domain(func)
+
+    def sampler(pts):
+        return _gradient_samples(func, pts, fd_domain, h_fd, eps_c)
+
+    base_budget = m_a if d != 2 else max(m_a // 2, 8)
+    radii = [r0 * ratio**k for k in range(k_max)]
+    offsets = np.array(
+        [r * _annulus_directions(d, base_budget, k) for k, r in enumerate(radii)]
+    ).reshape(k_max, 2 if d == 1 else base_budget, d)
+    cand = (anchors[:, None, None, :] + offsets[None]).reshape(-1, d)
+    ring = np.repeat(np.arange(n * k_max), offsets.shape[1])
+    inside = np.flatnonzero(domain.contains_many(cand, "open"))
+    ok, grads = sampler(cand[inside])
+    taken = inside[ok]
+    grads, ring = _refine_rings(
+        domain, np.repeat(anchors, k_max, axis=0), np.tile(radii, n),
+        ring[taken], cand[taken], grads, m_a - base_budget, eps_c, sampler,
+    )
+    sizes = np.bincount(ring // k_max, minlength=n)
+    if not sizes.all():
+        x = anchors[int(np.argmin(sizes))]
+        raise IsolationError(
+            f"no admissible differentiability point near {x.tolist()} "
+            f"within radius {r0:g}"
+        )
+    return _cluster(grads, sizes, eps_c), sizes
 
 
 def reachable_gradients(
@@ -246,45 +362,22 @@ def reachable_gradients(
         raise InputError("base point must lie in the closure of the domain")
     if h_fd is None:
         h_fd = DEFAULT_FD_FRACTION * r0
+    reps, sizes = _reachable_sets(
+        func, domain, x[None, :], r0, ratio, k_max, m_a, eps_c, h_fd
+    )
     analytic = getattr(func, "has_gradient", False)
-    fd_domain = declared_domain(func)
-
-    def sampler(pts):
-        return _gradient_samples(func, pts, fd_domain, h_fd, eps_c)
-
-    all_grads = []
-    n_samples = 0
     method_key = "analytic" if analytic else f"central-difference({h_fd:g})"
-    methods = {method_key: 0}
-    for k in range(k_max):
-        r = r0 * ratio**k
-        base_budget = m_a if x.size != 2 else max(m_a // 2, 8)
-        cand = _annulus_candidates(x, r, base_budget, k)
-        cand = cand[domain.contains_many(cand, "open")]
-        mask, grads = sampler(cand)
-        grads = _refine_ring(
-            domain, x, r, cand[mask], grads, m_a - base_budget, eps_c, sampler
-        )
-        if grads.shape[0]:
-            all_grads.append(grads)
-            n_samples += grads.shape[0]
-            methods[method_key] += grads.shape[0]
-    if not all_grads:
-        raise IsolationError(
-            f"no admissible differentiability point near {x.tolist()} "
-            f"within radius {r0:g}"
-        )
-    reps = _cluster(np.vstack(all_grads), eps_c)
+    n_samples = int(sizes[0])
     return ReachableGradientSet(
         base_point=x,
-        representatives=reps,
+        representatives=reps[0],
         r0=float(r0),
         ratio=float(ratio),
         k_max=int(k_max),
         eps_c=float(eps_c),
         m_a=int(m_a),
         n_samples=n_samples,
-        methods=methods,
+        methods={method_key: n_samples},
     )
 
 

@@ -108,8 +108,8 @@ def _indicator_values(
     ).reshape(n * m * 2 * d, d)
     vals = field.evaluate_many(stencil).reshape(n * m, 2 * d)
     grads = (vals[:, :d] - vals[:, d:]) / (2.0 * h_fd)
-    grads = grads.reshape(n, m, d)
-    return np.array([_diameter(_cluster(g, eps_c)) for g in grads])
+    reps = _cluster(grads, np.full(n, m), eps_c)
+    return np.array([_diameter(r) for r in reps])
 
 
 def singularity_indicator(

@@ -25,7 +25,10 @@ from scext import (
     partition_weights,
     summand_differentiability_probe,
 )
-from scext.extension import _FINE_PER_RADIUS
+from scext.extension import _FINE_PER_RADIUS, _node_index
+from scext.funcspace import FunctionSpec
+from scext.geometry import boundary_sample, capped_disk, closure_grid
+from scext.gradients import _gradient_samples, reachable_gradients
 from scext.scenarios import envelope_neg_abs_x2
 
 from conftest import ball_points
@@ -96,6 +99,27 @@ class TestHolderRatio:
         assert worst <= bound + 1e-9
 
 
+def _per_anchor_support(func, domain, ball, spacing, k_max, m_a, eps_c=0.01):
+    """Reference: build_support_set with one reachable_gradients call per
+    boundary or singular anchor, as first written."""
+    nodes = np.vstack([closure_grid(domain, ball, spacing),
+                       boundary_sample(domain, ball, spacing)])
+    anchors = nodes[_node_index(nodes)[0]]
+    interior = domain.contains_many(anchors, "open")
+    r0, h_fd = max(spacing, 1e-3 * ball.radius), 1e-5 * spacing
+    inner = anchors[interior]
+    mask, grads = _gradient_samples(func, inner, domain, h_fd, eps_c)
+    pts, gvecs, srcs = [inner[mask]], [grads], ["smooth"] * int(mask.sum())
+    for y in np.vstack([anchors[~interior], inner[~mask]]):
+        reps = reachable_gradients(
+            func, domain, y, r0=r0, k_max=k_max, m_a=m_a, eps_c=eps_c, h_fd=h_fd,
+        ).representatives
+        pts.append(np.broadcast_to(y, reps.shape).copy())
+        gvecs.append(reps)
+        srcs.extend(["reachable"] * reps.shape[0])
+    return np.vstack(pts), np.vstack(gvecs), srcs
+
+
 class TestSupportSet:
     def test_interior_node_carries_analytic_gradient(self, ex1):
         support = ex1["support"]
@@ -147,6 +171,53 @@ class TestSupportSet:
         assert np.allclose(ga, gf, atol=1e-6)
         assert np.array_equal(ma, mf)
         assert ma.shape[0] >= 5 and bool(np.all(ma[:, 1] == 0.0))  # the crease
+
+    @pytest.mark.parametrize("identifier, analytic, normal", [
+        ("neg-norm", True, (1.0, 0.0)), ("neg-abs-x2", True, (1.0, 0.0)),
+        ("neg-abs-x2", False, (1.0, 0.0)),
+        ("neg-norm", True, (0.6, 0.8)), ("neg-abs-x2", False, (0.6, 0.8)),
+    ], ids=["neg-norm-True", "neg-abs-x2-True", "neg-abs-x2-False",
+            "neg-norm-True-tilted", "neg-abs-x2-False-tilted"])
+    def test_matches_per_anchor_reachable_gradients(
+        self, unit_ball, identifier, analytic, normal
+    ):
+        # examples 1 and 2, example 2 through difference quotients, and a
+        # tilted face, where x . normal is inexact and the batched membership
+        # tests must round each point as the per-anchor ones do
+        domain = capped_disk(center=(0.0, 0.0), radius=1.0, normal=normal, offset=0.0)
+        func = named_function(identifier, dimension=2, domain=domain)
+        if not analytic:
+            func = dataclasses.replace(func, _grad=None)
+        knobs = dict(spacing=0.05, k_max=6, m_a=64)
+        support = build_support_set(func, domain, unit_ball, **knobs)
+        points, grads, sources = _per_anchor_support(func, domain, unit_ball, **knobs)
+        assert np.array_equal(support.points, points)
+        assert np.array_equal(support.gradients, grads)
+        assert support.sources == sources
+        assert sources.count("reachable") > 100
+
+    def test_gradient_calls_do_not_grow_with_the_anchors(
+        self, monkeypatch, half_disk, unit_ball
+    ):
+        # one call for the interior lattice, then at most one per ring and
+        # refinement round; a loop over anchors would make one per anchor
+        calls = []
+        gradient_many = FunctionSpec.gradient_many
+
+        def counted(self, points):
+            calls.append(len(points))
+            return gradient_many(self, points)
+
+        monkeypatch.setattr(FunctionSpec, "gradient_many", counted)
+        func = named_function("neg-norm", dimension=2, domain=half_disk)
+        k_max, m_a = 6, 64
+        support = build_support_set(
+            func, half_disk, unit_ball, spacing=0.02, k_max=k_max, m_a=m_a
+        )
+        bound = 1 + k_max * (1 + m_a - max(m_a // 2, 8))
+        reachable = support.points[np.array(support.sources) == "reachable"]
+        assert np.unique(reachable, axis=0).shape[0] > bound
+        assert len(calls) <= bound
 
     def test_empty_intersection_rejected(self, half_disk, ex1):
         with pytest.raises(InputError):

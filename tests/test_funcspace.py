@@ -41,6 +41,12 @@ _SINGULAR_SET = {
     "constant": _nowhere,
 }
 
+# gradients at the underflow rows 6-8 of the contract test's points
+_UNDERFLOW_GRADIENTS = {
+    "neg-norm": [(6, (-1.0, 0.0)), (7, (-0.6, -0.8)), (8, (-1.0, 0.0))],
+    "neg-sqrt-x1p4-x2sq": [(8, (-2e-100, 0.0))],
+}
+
 
 class _NoGradient:
     """Evaluation-only wrapper that forces the finite-difference path."""
@@ -107,12 +113,16 @@ class TestGradient:
         pts[:6] = [
             [0.0, 0.0], [0.5, 0.0], [-0.25, 0.0], [0.0, 0.3], [0.0, -1.0], [1e-3, 0.0],
         ]
+        # differentiable points whose squared terms leave the normal range
+        pts[6:9] = [[1e-200, 0.0], [3e-160, 4e-160], [1e-100, 0.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             grads = func.gradient_many(pts)
         singular = _SINGULAR_SET[identifier](pts)
         assert np.array_equal(np.isnan(grads).all(axis=1), singular)
         assert np.isfinite(grads[~singular]).all()
+        for row, want in _UNDERFLOW_GRADIENTS.get(identifier, []):
+            np.testing.assert_allclose(grads[row], want, rtol=1e-15, atol=0.0)
 
     def test_gradient_undefined_on_crease(self, functions):
         with pytest.raises(EvaluationError):

@@ -95,6 +95,26 @@ class TestContains:
         assert contains(d, (1.0, 2.9), "open")
 
 
+    @pytest.mark.parametrize("domain", [
+        half_space(normal=(0.6, 0.8), offset=0.0),
+        capped_disk(center=(0.0, 0.0), radius=1.0, normal=(0.6, 0.8), offset=0.0),
+        half_space(normal=(0.48, 0.64, 0.6), offset=0.1),
+    ], ids=["half-space", "capped-disk", "half-space-3d"])
+    def test_tilted_face_does_not_depend_on_the_batch(self, domain):
+        # points on a tilted face up to rounding: each must be open or not
+        # whatever other points share its batch
+        rng = np.random.default_rng(3)
+        n, d = domain.normal, domain.dimension
+        tangents = rng.standard_normal((20_001, d))
+        tangents -= (tangents @ n)[:, None] * n
+        pts = 0.5 * tangents / np.linalg.norm(tangents, axis=1)[:, None] + domain.offset * n
+        whole = domain.contains_many(pts, "open")
+        assert 0 < whole.sum() < whole.size
+        cuts = np.cumsum(rng.integers(1, 40, size=pts.shape[0]))
+        parts = [domain.contains_many(c, "open") for c in np.split(pts, cuts) if len(c)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
 class TestSegmentInClosure:
     def test_chord_of_convex_region(self, half_disk):
         assert segment_in_closure(half_disk, (0.2, 0.5), (0.5, -0.5))

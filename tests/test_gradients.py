@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import heapq
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from scext import (
     InputError,
+    IsolationError,
     ModulusParams,
     convex_hull,
     estimate_constant,
@@ -24,7 +26,14 @@ from scext import (
     supergradient_defect,
 )
 from scext.funcspace import _REGISTRY
-from scext.gradients import ReachableGradientSet, _cluster, _gradient_samples
+from scext.gradients import (
+    ReachableGradientSet,
+    _annulus_directions,
+    _cluster,
+    _gradient_samples,
+    _reachable_sets,
+    _refine_rings,
+)
 from scext.scenarios import hausdorff_to_reference
 
 from conftest import PROBE
@@ -167,7 +176,7 @@ class TestCluster:
         centres = rng.uniform(-1.0, 1.0, size=(5, d))
         noise = rng.uniform(-spread, spread, size=(n, d))
         samples = noise if spread == 1.0 else centres[rng.integers(0, 5, n)] + noise
-        assert np.array_equal(_cluster(samples, eps_c), _list_cluster(samples, eps_c))
+        assert np.array_equal(_cluster(samples, [n], eps_c)[0], _list_cluster(samples, eps_c))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_with_exact_duplicates(self, d):
@@ -175,7 +184,9 @@ class TestCluster:
         base = rng.uniform(-1.0, 1.0, size=(40, d))
         samples = base[rng.integers(0, 40, size=500)]
         for eps_c in (1e-9, 0.02, 0.3):
-            assert np.array_equal(_cluster(samples, eps_c), _list_cluster(samples, eps_c))
+            assert np.array_equal(
+                _cluster(samples, [500], eps_c)[0], _list_cluster(samples, eps_c)
+            )
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("offsets, n_reps", [
@@ -190,7 +201,7 @@ class TestCluster:
         # eps_c = 0.5 and the offsets 0.25, 0.5, 1.25, 1.75 are exact in binary
         samples = np.zeros((len(offsets), d))
         samples[:, 0] = offsets
-        got = _cluster(samples, 0.5)
+        got = _cluster(samples, [len(offsets)], 0.5)[0]
         assert np.array_equal(got, _list_cluster(samples, 0.5))
         assert got.shape[0] == n_reps
 
@@ -200,6 +211,129 @@ class TestCluster:
         rset = reachable_gradients(func, half_disk, x, **PROBE)
         digest = hashlib.sha256(rset.representatives.tobytes()).hexdigest()
         assert digest == _PINNED_REPRESENTATIVES[identifier, x]
+
+
+class TestLockstepCluster:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_groups_match_list_reference(self, d):
+        rng = np.random.default_rng(40 + d)
+        # eps_c = 0.5: rows exactly 0.5*eps_c and eps_c apart, and a chain of
+        # 20 leaders 0.3 apart that merges 11 times down to 9 means
+        thresholds, chain = np.zeros((4, d)), np.zeros((20, d))
+        thresholds[:, 0] = [0.0, 0.25, 0.45, 0.75]
+        chain[:, 0] = 0.3 * np.arange(20)
+        base = rng.uniform(-1.0, 1.0, size=(40, d))
+        groups = [
+            rng.uniform(-1.0, 1.0, size=(1, d)),
+            base[rng.integers(0, 40, size=300)],  # exact duplicates
+            thresholds,
+            chain,
+            10.0 * np.arange(6)[:, None] * np.ones(d),  # no merge
+            rng.uniform(-1.0, 1.0, size=(400, d)),
+            rng.uniform(-1.0, 1.0, size=(2, d)),
+        ]
+        sizes = [g.shape[0] for g in groups]
+        got = _cluster(np.vstack(groups), sizes, 0.5)
+        want = [_list_cluster(g, 0.5) for g in groups]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert want[3].shape[0] == 9 and want[4].shape[0] == 6
+
+    def test_row_order_inside_a_group_does_not_matter(self):
+        rng = np.random.default_rng(8)
+        samples = rng.uniform(-1.0, 1.0, size=(500, 2))
+        sizes = [120, 380]
+        perm = np.concatenate([rng.permutation(120), 120 + rng.permutation(380)])
+        for a, b in zip(_cluster(samples, sizes, 0.1), _cluster(samples[perm], sizes, 0.1)):
+            assert np.array_equal(a, b)
+
+
+def _sequential_refine_ring(domain, x, r, base_pts, base_grads, budget, eps_c, sampler):
+    """Reference: one ring at a time, one midpoint per gradient call, as
+    first written."""
+    if x.size != 2 or base_pts.shape[0] < 2 or budget <= 0:
+        return base_grads
+    rel = base_pts - x
+    angle = np.arctan2(rel[:, 1], rel[:, 0])
+    order = np.argsort(angle)
+    n = order.size
+    phi = np.empty(n + budget)
+    grads = np.empty((n + budget, 2))
+    phi[:n], grads[:n] = angle[order], base_grads[order]
+    heap = []
+
+    def push(a, b):
+        jump = float(np.linalg.norm(grads[a] - grads[b]))
+        width = phi[b] - phi[a]
+        if jump > eps_c and width > 1e-7:
+            heapq.heappush(heap, (-jump, phi[a], phi[b], a, b))
+
+    for i in range(n - 1):
+        push(i, i + 1)
+    while heap and budget > 0:
+        _, _, _, a, b = heapq.heappop(heap)
+        mid_phi = 0.5 * (phi[a] + phi[b])
+        cand = x + r * np.array([math.cos(mid_phi), math.sin(mid_phi)])
+        budget -= 1
+        if not domain.contains(cand, "open"):
+            continue
+        ok, g = sampler(cand[None, :])
+        if not ok[0]:
+            continue
+        phi[n], grads[n] = mid_phi, g[0]
+        push(a, n)
+        push(n, b)
+        n += 1
+    return grads[:n]
+
+
+class TestLockstepRefinement:
+    @pytest.mark.parametrize("identifier, analytic", [
+        ("neg-norm", True), ("neg-abs-x2", True), ("neg-abs-x2", False),
+        ("neg-sqrt-x1p4-x2sq", True),
+    ])
+    def test_rings_match_sequential_refinement(self, half_disk, identifier, analytic):
+        func = named_function(identifier, dimension=2, domain=half_disk)
+        if not analytic:
+            func = dataclasses.replace(func, _grad=None)
+        eps_c, h_fd, m_a, base = 0.01, 1e-7, 64, 32
+        anchors = np.array([
+            [0.0, 0.0], [0.0, 0.01], [0.004, -0.003], [0.3, 0.0], [0.0, -0.5],
+            [0.6, 0.2], [0.05, 0.0],
+        ])
+        radii = [0.02 * 0.5**k for k in range(4)]
+
+        def sampler(pts):
+            return _gradient_samples(func, pts, half_disk, h_fd, eps_c)
+
+        want, centres, ring_r, ring, pts, grads = [], [], [], [], [], []
+        for x in anchors:
+            for k, r in enumerate(radii):
+                cand = x + r * _annulus_directions(2, base, k)
+                cand = cand[half_disk.contains_many(cand, "open")]
+                ok, g = sampler(cand)
+                want.append(_sequential_refine_ring(
+                    half_disk, x, r, cand[ok], g, m_a - base, eps_c, sampler
+                ))
+                ring.extend([len(centres)] * int(ok.sum()))
+                centres.append(x)
+                ring_r.append(r)
+                pts.append(cand[ok])
+                grads.append(g)
+        got, got_ring = _refine_rings(
+            half_disk, np.array(centres), np.array(ring_r), np.array(ring),
+            np.vstack(pts), np.vstack(grads), m_a - base, eps_c, sampler,
+        )
+        for h, ref in enumerate(want):
+            assert np.array_equal(got[got_ring == h], ref)
+        refined = [h for h, ref in enumerate(want) if ref.shape[0] > pts[h].shape[0]]
+        assert len(refined) >= 4
+
+    def test_isolated_anchor_inside_a_batch(self, half_disk):
+        func = named_function("neg-norm", dimension=2, domain=half_disk)
+        # rings around the two far anchors miss the domain altogether
+        anchors = np.array([[0.0, 0.5], [3.0, 0.0], [0.5, 0.0], [0.0, 4.0]])
+        with pytest.raises(IsolationError, match=r"near \[3\.0, 0\.0\] within radius 0\.02"):
+            _reachable_sets(func, half_disk, anchors, 0.02, 0.5, 4, 64, 0.02, 1e-7)
 
 
 class TestSupergradientDefect:
