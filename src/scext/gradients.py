@@ -4,7 +4,9 @@ The reachable set at x is estimated by sampling gradients on shrinking
 annuli around x inside the open domain, keeping only points that look
 differentiable, and compressing the pooled samples to representatives that
 are pairwise more than eps_c apart.  Hulls and normal cones then feed the
-propagation-direction selection.
+propagation-direction selection; they are built in dimension <= 2 only and
+raise DimensionError otherwise, while the reachable sets work in any
+dimension the domains support.
 
 Reachable sets are estimated for many base points in lockstep
 (``_reachable_sets``): the rings of all of them are sampled in one gradient
@@ -30,7 +32,7 @@ from .errors import (
     IsolationError,
 )
 from .funcspace import declared_domain, evaluate_many
-from .geometry import DomainSpec, segment_in_closure
+from .geometry import DomainSpec, _vec, segment_in_closure
 from .semiconcavity import ModulusParams
 
 DEFAULT_RATIO = 0.5
@@ -438,24 +440,16 @@ def convex_hull(vectors) -> ConvexPolytope:
     pts = np.atleast_2d(np.asarray(vectors, dtype=float))
     if pts.shape[0] == 0:
         raise InputError("convex hull of an empty set")
-    d = pts.shape[1]
-    if d > 3:
-        raise DimensionError("hulls are supported in dimension <= 3 only")
+    if pts.shape[1] > 2:
+        raise DimensionError("hulls are supported in dimension <= 2 only")
     rank, center, basis = _affine_frame(pts)
     if rank == 0:
         return ConvexPolytope(center[None, :], 0)
     if rank == 1:
         t = (pts - center) @ basis[0]
         return ConvexPolytope(np.vstack([pts[np.argmin(t)], pts[np.argmax(t)]]), 1)
-    if rank == 2 and d == 2:
-        hull = ConvexHull(pts)
-        return ConvexPolytope(pts[hull.vertices], 2)  # scipy orders 2D CCW
-    if rank == 2:  # planar set in 3D: hull in the plane, mapped back
-        plane = (pts - center) @ basis.T
-        hull = ConvexHull(plane)
-        return ConvexPolytope(center + plane[hull.vertices] @ basis, 2)
     hull = ConvexHull(pts)
-    return ConvexPolytope(pts[hull.vertices], 3)
+    return ConvexPolytope(pts[hull.vertices], 2)  # scipy orders 2D CCW
 
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -465,71 +459,23 @@ def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> floa
     return float(np.linalg.norm(p - (a + t * ab)))
 
 
-def _point_triangle_distance(p, a, b, c) -> float:
-    # Ericson, Real-Time Collision Detection, closest point on triangle.
-    ab, ac, ap = b - a, c - a, p - a
-    d1, d2 = float(ab @ ap), float(ac @ ap)
-    if d1 <= 0.0 and d2 <= 0.0:
-        return float(np.linalg.norm(p - a))
-    bp = p - b
-    d3, d4 = float(ab @ bp), float(ac @ bp)
-    if d3 >= 0.0 and d4 <= d3:
-        return float(np.linalg.norm(p - b))
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0.0 <= d1 and d3 <= 0.0:
-        t = d1 / (d1 - d3)
-        return float(np.linalg.norm(p - (a + t * ab)))
-    cp = p - c
-    d5, d6 = float(ab @ cp), float(ac @ cp)
-    if d6 >= 0.0 and d5 <= d6:
-        return float(np.linalg.norm(p - c))
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0.0 <= d2 and d6 <= 0.0:
-        t = d2 / (d2 - d6)
-        return float(np.linalg.norm(p - (a + t * ac)))
-    va = d3 * d6 - d5 * d4
-    if va <= 0.0 and d4 - d3 >= 0.0 and d5 - d6 >= 0.0:
-        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return float(np.linalg.norm(p - (b + t * (c - b))))
-    denom = 1.0 / (va + vb + vc)
-    v = vb * denom
-    w = vc * denom
-    return float(np.linalg.norm(p - (a + v * ab + w * ac)))
-
-
 def polytope_distance(poly: ConvexPolytope, p) -> float:
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    p = _vec(p, poly.ambient_dimension)
     v = poly.vertices
     if poly.affine_dimension == 0:
         return float(np.linalg.norm(p - v[0]))
     if poly.affine_dimension == 1:
         return _point_segment_distance(p, v[0], v[1])
-    if poly.ambient_dimension == 2:
-        k = v.shape[0]
-        inside = True
-        best = math.inf
-        for i in range(k):
-            a, b = v[i], v[(i + 1) % k]
-            e = b - a
-            if e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0]) < 0.0:
-                inside = False
-            best = min(best, _point_segment_distance(p, a, b))
-        return 0.0 if inside else best
-    if poly.affine_dimension == 2:  # planar polygon in 3D
-        rank, center, basis = _affine_frame(v)
-        off = float(np.linalg.norm((p - center) - basis.T @ (basis @ (p - center))))
-        flat = ConvexPolytope((v - center) @ basis.T, 2)
-        in_plane = polytope_distance(flat, basis @ (p - center))
-        return math.hypot(off, in_plane)
-    hull = ConvexHull(v)
-    signed = hull.equations[:, :-1] @ p + hull.equations[:, -1]
-    if float(signed.max()) <= 1e-12:
-        return 0.0
+    k = v.shape[0]
+    inside = True
     best = math.inf
-    for simplex in hull.simplices:
-        a, b, c = v[simplex[0]], v[simplex[1]], v[simplex[2]]
-        best = min(best, _point_triangle_distance(p, a, b, c))
-    return best
+    for i in range(k):
+        a, b = v[i], v[(i + 1) % k]
+        e = b - a
+        if e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0]) < 0.0:
+            inside = False
+        best = min(best, _point_segment_distance(p, a, b))
+    return 0.0 if inside else best
 
 
 # -- hull boundary gap and normal cones --------------------------------------
@@ -546,42 +492,14 @@ def _boundary_samples(poly: ConvexPolytope, spacing: float) -> np.ndarray:
         n = max(1, int(math.ceil(np.linalg.norm(b - a) / spacing)))
         t = np.linspace(0.0, 1.0, n + 1)
         return a + t[:, None] * (b - a)
-    if poly.affine_dimension == 2 and d == 2:
-        chunks = []
-        k = v.shape[0]
-        for i in range(k):
-            a, b = v[i], v[(i + 1) % k]
-            n = max(1, int(math.ceil(np.linalg.norm(b - a) / spacing)))
-            t = np.arange(n) / n
-            chunks.append(a + t[:, None] * (b - a))
-        return np.vstack(chunks)
-    if poly.affine_dimension == 2:  # flat polygon in 3D: the whole sheet
-        rank, center, basis = _affine_frame(v)
-        flat = (v - center) @ basis.T
-        hull = ConvexHull(flat)
-        lo, hi = flat.min(axis=0), flat.max(axis=0)
-        g1 = np.arange(lo[0], hi[0] + spacing, spacing)
-        g2 = np.arange(lo[1], hi[1] + spacing, spacing)
-        tt, ss = np.meshgrid(g1, g2, indexing="ij")
-        grid = np.column_stack([tt.ravel(), ss.ravel()])
-        keep = (hull.equations[:, :2] @ grid.T + hull.equations[:, 2:]) <= 1e-9
-        return center + grid[keep.all(axis=0)] @ basis
     chunks = []
-    hull = ConvexHull(v)
-    for simplex in hull.simplices:
-        a, b, c = v[simplex[0]], v[simplex[1]], v[simplex[2]]
-        n = max(
-            1,
-            int(
-                math.ceil(
-                    max(np.linalg.norm(b - a), np.linalg.norm(c - a)) / spacing
-                )
-            ),
-        )
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                chunks.append(a + (i / n) * (b - a) + (j / n) * (c - a))
-    return np.array(chunks)
+    k = v.shape[0]
+    for i in range(k):
+        a, b = v[i], v[(i + 1) % k]
+        n = max(1, int(math.ceil(np.linalg.norm(b - a) / spacing)))
+        t = np.arange(n) / n
+        chunks.append(a + t[:, None] * (b - a))
+    return np.vstack(chunks)
 
 
 def hull_gap(
@@ -622,77 +540,45 @@ def normal_cone_directions(poly: ConvexPolytope, p0, n_dirs: int = 8) -> np.ndar
     Interior points get an empty output (the cone is {0}).  Propagation
     directions are theta = -nu for the returned rays.
     """
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
+    d = poly.ambient_dimension
+    p0 = _vec(p0, d)
     if n_dirs < 1:
         raise InputError("n_dirs must be positive")
     if polytope_distance(poly, p0) > 1e-9:
         raise InputError("p0 does not lie on the polytope")
     v = poly.vertices
-    d = poly.ambient_dimension
     if poly.affine_dimension == 0:
         return _even_directions(d, min(n_dirs, 8))
-    if poly.affine_dimension == 1 and d == 2:
+    if poly.affine_dimension == 1:
         a, b = v[0], v[1]
         u = (b - a) / np.linalg.norm(b - a)
-        perp = np.array([-u[1], u[0]])
-        rays = [perp, -perp]
+        # the perpendiculars in 2D; a 1D segment has none
+        rays = [np.array([-u[1], u[0]]), np.array([u[1], -u[0]])] if d == 2 else []
         if np.linalg.norm(p0 - a) <= 1e-9:
             rays.append(-u)
         elif np.linalg.norm(p0 - b) <= 1e-9:
             rays.append(u)
-        return _dedupe_rays(np.array(rays), n_dirs)
-    if d == 2:
-        k = v.shape[0]
-        active = []
-        for i in range(k):
-            a, b = v[i], v[(i + 1) % k]
-            if _point_segment_distance(p0, a, b) <= 1e-9:
-                e = b - a
-                n = np.array([e[1], -e[0]])
-                active.append(n / np.linalg.norm(n))
-        if not active:
-            return np.empty((0, 2))
-        if len(active) == 1:
-            return np.array(active)
-        return _dedupe_rays(_sector_rays(active[0], active[1], n_dirs), n_dirs)
-    if poly.affine_dimension == 3:
-        hull = ConvexHull(v)
-        signed = hull.equations[:, :-1] @ p0 + hull.equations[:, -1]
-        normals = hull.equations[np.abs(signed) <= 1e-9, :-1]
-        if normals.shape[0] == 0:
-            return np.empty((0, 3))
-        normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-        return _dedupe_rays(normals, n_dirs)
-    # degenerate 3D shapes: sample the cone's unit sphere trace
-    return _sampled_cone(v, p0, n_dirs)
+        return _dedupe_rays(np.array(rays).reshape(-1, d), n_dirs)
+    k = v.shape[0]
+    active = []
+    for i in range(k):
+        a, b = v[i], v[(i + 1) % k]
+        if _point_segment_distance(p0, a, b) <= 1e-9:
+            e = b - a
+            n = np.array([e[1], -e[0]])
+            active.append(n / np.linalg.norm(n))
+    if not active:
+        return np.empty((0, 2))
+    if len(active) == 1:
+        return np.array(active)
+    return _dedupe_rays(_sector_rays(active[0], active[1], n_dirs), n_dirs)
 
 
 def _even_directions(d: int, count: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])[:count]
-    if d == 2:
-        ang = 2.0 * math.pi * np.arange(count) / count
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    i = np.arange(count) + 0.5
-    z = 1.0 - 2.0 * i / count
-    rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-
-
-def _sampled_cone(vertices: np.ndarray, p0: np.ndarray, n_dirs: int) -> np.ndarray:
-    cand = _even_directions(vertices.shape[1], 4096)
-    ok = (cand @ (vertices - p0).T).max(axis=1) <= 1e-9
-    rays = cand[ok]
-    if rays.shape[0] <= n_dirs:
-        return rays
-    picked = [rays[0]]
-    for rseq in rays[1:]:
-        if len(picked) >= n_dirs:
-            break
-        if min(float(np.linalg.norm(rseq - q)) for q in picked) > 0.5:
-            picked.append(rseq)
-    return np.array(picked)
+    ang = 2.0 * math.pi * np.arange(count) / count
+    return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 def _dedupe_rays(rays: np.ndarray, n_dirs: int) -> np.ndarray:
@@ -702,7 +588,7 @@ def _dedupe_rays(rays: np.ndarray, n_dirs: int) -> np.ndarray:
             out.append(r)
         if len(out) >= n_dirs:
             break
-    return np.array(out)
+    return np.array(out).reshape(-1, rays.shape[1])
 
 
 def is_singular(

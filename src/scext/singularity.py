@@ -5,7 +5,8 @@ contains points that are not reachable gradients themselves, the envelope's
 singularity at x0 continues into the ball along x(s) = x0 + s*theta + o(s),
 where -theta generates the normal cone at such a hull point.  The tracer
 follows the arc by maximizing a nondifferentiability indicator on discs
-transverse to theta.
+transverse to theta.  Hulls, the indicator and the tracer work in dimension
+1 and 2 only and raise DimensionError otherwise.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import numpy as np
 
 from .errors import (
     DegenerateDirectionError,
+    DimensionError,
     InputError,
     PropagationLostError,
 )
+from .geometry import _vec
 from .gradients import (
     ReachableGradientSet,
     _cluster,
@@ -73,21 +76,23 @@ def propagation_directions(rset: ReachableGradientSet, p0, n_dirs: int = 8) -> n
 # -- nondifferentiability indicator -------------------------------------------
 
 
+def _ball_points(field, *vectors) -> list[np.ndarray]:
+    """The vectors as points of the field's ball, which must be 1D or 2D."""
+    d = field.ball.dimension
+    if d > 2:
+        raise DimensionError(
+            f"singularity analysis is supported in dimension <= 2 only, got {d}"
+        )
+    return [_vec(v, d) for v in vectors]
+
+
 def _unit_ball_pattern(dim: int, m: int) -> np.ndarray:
     """Deterministic low-discrepancy sample of the closed unit ball."""
-    i = np.arange(m) + 0.5
     if dim == 1:
         return np.linspace(-1.0, 1.0, m)[:, None]
-    if dim == 2:
-        r = np.sqrt(i / m)
-        phi = _GOLDEN_ANGLE * np.arange(m)
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
-    r = (i / m) ** (1.0 / 3.0)
-    z = 1.0 - 2.0 * i / m
-    rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    phi = _GOLDEN_ANGLE * i
-    dirs = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-    return r[:, None] * dirs
+    r = np.sqrt((np.arange(m) + 0.5) / m)
+    phi = _GOLDEN_ANGLE * np.arange(m)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
 def _indicator_values(
@@ -122,7 +127,7 @@ def singularity_indicator(
 ) -> float:
     """Diameter of clustered gradient samples on B_rho(x); near-zero at
     smooth points, about the gradient jump across a crease."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    (x,) = _ball_points(field, x)
     if not rho > 0.0:
         raise InputError("probe radius must be positive")
     if h_fd is None:
@@ -192,32 +197,18 @@ class SingularArc:
 
 
 def _transverse_basis(theta: np.ndarray) -> np.ndarray:
-    d = theta.size
-    if d == 1:
+    if theta.size == 1:
         return np.empty((0, 1))
-    if d == 2:
-        return np.array([[-theta[1], theta[0]]])
-    k = int(np.argmin(np.abs(theta)))
-    e = np.zeros(d)
-    e[k] = 1.0
-    u = e - (e @ theta) * theta
-    u /= np.linalg.norm(u)
-    return np.vstack([u, np.cross(theta, u)])
+    return np.array([[-theta[1], theta[0]]])
 
 
 def _disc_offsets(w: float, spacing: float, codim: int) -> np.ndarray:
     """Transverse offsets sorted center-outward, so the first maximizer of a
     plateaued indicator is the most central one."""
-    k = int(math.floor(w / spacing + 1e-9))
-    ticks = np.arange(-k, k + 1) * spacing
     if codim == 0:
         return np.zeros((1, 0))
-    if codim == 1:
-        offs = ticks[:, None]
-    else:
-        tt, ss = np.meshgrid(ticks, ticks, indexing="ij")
-        offs = np.column_stack([tt.ravel(), ss.ravel()])
-        offs = offs[np.linalg.norm(offs, axis=1) <= w * (1.0 + 1e-12)]
+    k = int(math.floor(w / spacing + 1e-9))
+    offs = (np.arange(-k, k + 1) * spacing)[:, None]
     order = np.lexsort((*offs.T[::-1], np.linalg.norm(offs, axis=1)))
     return offs[order]
 
@@ -245,8 +236,7 @@ def trace_singular_arc(
     the guaranteed horizon is not quantified, so running out of singularity
     is an expected stopping event rather than a failure of the tracer.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    x0, theta = _ball_points(field, x0, theta)
     nrm = float(np.linalg.norm(theta))
     if nrm == 0.0:
         raise InputError("theta must be a nonzero direction")

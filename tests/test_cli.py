@@ -1,5 +1,6 @@
 """Runner behavior: artifact formats, determinism, layering, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -189,6 +190,35 @@ class TestLayeringAndDeterminism:
         for name in runs[0]:
             if name != "timings.json":
                 assert runs[0][name] == runs[1][name], name
+
+    def test_three_dimensional_support_is_pinned(self, tmp_path, capsys):
+        # the reachable-gradient sampler stays dimension-generic: a 3D custom
+        # run goes through the sphere directions of the annuli
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "scenario": "custom",
+                    "domain": {
+                        "kind": "capped-disk",
+                        "center": [0.0, 0.0, 0.0],
+                        "radius": 1.0,
+                        "normal": [1.0, 0.0, 0.0],
+                        "offset": 0.0,
+                    },
+                    "function": {"identifier": "neg-norm"},
+                    "ball": {"center": [0.0, 0.0, 0.0], "radius": 0.5},
+                }
+            )
+        )
+        out = tmp_path / "artifacts"
+        argv = ["--config", str(cfg), "--stages", "support", "--spacing", "0.15"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "[pass] support" in capsys.readouterr().out
+        digest = hashlib.sha256((out / "support.json").read_bytes()).hexdigest()
+        assert digest == (
+            "d57b6a6c1d2aacb27e5e076d6e88e38386d424018df1da7861c2b9105a9d02e1"
+        )
 
     def test_example3_condition_records_false(self, tmp_path):
         out = tmp_path / "artifacts"

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scext import (
+    DimensionError,
     InputError,
     IsolationError,
     ModulusParams,
@@ -420,6 +421,18 @@ class TestConvexHull:
             np.sort(poly.vertices, axis=0), np.sort(again.vertices, axis=0), atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)],
+            [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+        ],
+        ids=["coplanar", "full-rank"],
+    )
+    def test_three_dimensional_points_rejected(self, pts):
+        with pytest.raises(DimensionError):
+            convex_hull(pts)
+
 
 @given(
     pts=st.lists(
@@ -510,6 +523,37 @@ class TestNormalCone:
         assert polytope_distance(poly, (2.0, 0.0)) > 1e-9
         with pytest.raises(InputError):
             normal_cone_directions(poly, (2.0, 0.0))
+
+    def test_one_dimensional_segment_cones_are_pinned(self):
+        poly = convex_hull([(0.0,), (1.0,)])
+        assert np.array_equal(normal_cone_directions(poly, (0.0,)), [[-1.0]])
+        assert np.array_equal(normal_cone_directions(poly, (1.0,)), [[1.0]])
+        assert normal_cone_directions(poly, (0.5,)).shape == (0, 1)
+
+    def test_single_point_cones_are_pinned(self):
+        rays = normal_cone_directions(convex_hull([(0.3,)]), (0.3,))
+        assert np.array_equal(rays, [[1.0], [-1.0]])
+        rays = normal_cone_directions(convex_hull([(0.3, -0.2)]), (0.3, -0.2))
+        assert rays.tolist() == [
+            [1.0, 0.0],
+            [0.7071067811865476, 0.7071067811865475],
+            [6.123233995736766e-17, 1.0],
+            [-0.7071067811865475, 0.7071067811865476],
+            [-1.0, 1.2246467991473532e-16],
+            [-0.7071067811865477, -0.7071067811865475],
+            [-1.8369701987210297e-16, -1.0],
+            [0.7071067811865474, -0.7071067811865477],
+        ]
+
+    def test_distance_rejects_a_point_of_the_wrong_size(self):
+        poly = convex_hull([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        with pytest.raises(DimensionError):
+            polytope_distance(poly, (0.5,))
+
+    def test_normal_cone_rejects_a_point_of_the_wrong_size(self):
+        poly = convex_hull([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        with pytest.raises(DimensionError):
+            normal_cone_directions(poly, (0.0, 0.0, 0.0))
 
 
 class TestIsSingular:

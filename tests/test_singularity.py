@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from scext import (
+    BallRegion,
     DegenerateDirectionError,
+    DimensionError,
     PropagationLostError,
     check_condition_h,
     propagation_directions,
@@ -111,6 +113,51 @@ class TestIndicator:
             func, half_disk, support, ModulusParams(1.0, 0.0), coefficient=1.0
         )
         assert singularity_indicator(field, (0.3, 0.1), rho=0.01) <= 1e-9
+
+
+class _StubField:
+    """A field on a ball given by a closed form; ``form=None`` forbids any
+    evaluation."""
+
+    def __init__(self, center, form=None):
+        self.ball = BallRegion(center, 1.0)
+        self.form = form
+
+    def evaluate_many(self, pts):
+        assert self.form is not None, "the field was evaluated"
+        return self.form(np.atleast_2d(pts))
+
+
+def _diagonal_crease(pts):
+    return -np.abs(pts[:, 0] - pts[:, 1])
+
+
+class TestDimensionGuard:
+    def test_three_dimensional_ball_rejected_before_evaluation(self):
+        field = _StubField((0.0, 0.0, 0.0))
+        with pytest.raises(DimensionError):
+            singularity_indicator(field, (0.0, 0.0, 0.0), rho=0.01)
+        with pytest.raises(DimensionError):
+            trace_singular_arc(field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.05, 0.2)
+
+    def test_indicator_rejects_a_point_of_the_wrong_size(self):
+        field = _StubField((0.0, 0.0), _diagonal_crease)
+        with pytest.raises(DimensionError):
+            singularity_indicator(field, (0.3,), rho=0.01)
+
+    def test_tracer_rejects_a_direction_of_the_wrong_size(self):
+        # a one-entry theta used to broadcast to the diagonal, which this
+        # field is creased on, and came back as a validated arc
+        field = _StubField((0.0, 0.0), _diagonal_crease)
+        with pytest.raises(DimensionError):
+            trace_singular_arc(field, (0.0, 0.0), (1.0,), 0.05, 0.2)
+        with pytest.raises(DimensionError):
+            trace_singular_arc(field, (0.0,), (1.0, 1.0), 0.05, 0.2)
+
+    def test_one_dimensional_kink_jump_detected(self):
+        field = _StubField((0.0,), lambda pts: -np.abs(pts[:, 0]))
+        v = singularity_indicator(field, (0.0,), rho=0.01)
+        assert v == pytest.approx(2.0, abs=1e-6)
 
 
 def _assert_arc_invariants(arc, x0):
