@@ -20,18 +20,20 @@ from dataclasses import dataclass, field as dc_field
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InputError, ScextError
 from .funcspace import named_function
-from .geometry import BallRegion, box, capped_disk, closure_grid, disk, half_space
+from .geometry import BallRegion, box, capped_disk, disk, half_space
 from .scenarios import (
+    GRID_FORMATS,
     SCENARIO_NAMES,
     STAGE_ORDER,
     STAGES,
     Scenario,
+    StageContext,
     build_scenario,
-    make_context,
+    emit_grid,  # re-exported: the grid writer stays part of the CLI API
+    resolve_knobs,
+    write_json,
 )
 
 try:
@@ -40,7 +42,6 @@ except PackageNotFoundError:  # running from a source tree
     VERSION = "0.0.0"
 
 _SCHEMA = 1
-_FORMATS = ("csv", "json")
 
 # knobs that have dedicated command-line flags
 _FLAG_KNOBS = ("alpha", "spacing", "triples", "seed")
@@ -70,7 +71,7 @@ class ScenarioConfig:
             "scenario": self.scenario,
             "schema": self.schema,
             "stages": list(self.stages) if self.stages else None,
-            "knobs": {k: _jsonable(v) for k, v in self.knobs.items()},
+            "knobs": dict(self.knobs),
             "delta": self.delta,
             "format": self.fmt,
             "custom": self.custom,
@@ -92,63 +93,16 @@ class RunReport:
     def any_error(self) -> bool:
         return any(s["status"] == "error" for s in self.stages)
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        stages = []
-        for s in self.stages:
-            entry = {k: v for k, v in s.items() if k != "wall_time"}
-            if include_timings:
-                entry["wall_time"] = s["wall_time"]
-            stages.append(entry)
+    def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,
             "version": self.version,
             "config": self.config,
-            "stages": stages,
+            "stages": [
+                {k: v for k, v in s.items() if k != "wall_time"} for s in self.stages
+            ],
             "all_passed": self.all_passed,
         }
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
-
-
-# -- grid emission -------------------------------------------------------------
-
-
-def emit_grid(field, region: BallRegion, spacing: float, fmt: str, path) -> Path:
-    """One row per lattice node of the region: coordinates then value,
-    rows in lexicographic node order."""
-    if fmt not in _FORMATS:
-        raise ConfigError(f"unknown grid format {fmt!r}; expected one of {_FORMATS}")
-    nodes = closure_grid(disk(region.center, region.radius), region, spacing)
-    order = np.lexsort(tuple(nodes[:, j] for j in range(nodes.shape[1] - 1, -1, -1)))
-    nodes = nodes[order]
-    values = np.asarray(field.evaluate_many(nodes), dtype=float)
-    names = [f"x{j + 1}" for j in range(nodes.shape[1])]
-    path = Path(path)
-    rows = np.column_stack([nodes, values])
-    if fmt == "csv":
-        header = ",".join(names + ["value"])
-        body = "\n".join(",".join("%.17g" % v for v in row) for row in rows)
-        path.write_text(header + "\n" + body + "\n")
-    else:
-        _write_json(
-            path,
-            {"columns": names + ["value"], "spacing": spacing, "rows": rows.tolist()},
-        )
-    return path
 
 
 # -- config assembly -----------------------------------------------------------
@@ -209,8 +163,8 @@ def merge_config(args: argparse.Namespace) -> ScenarioConfig:
                     f"unknown stages {unknown}; known: {list(STAGE_ORDER)}"
                 )
     fmt = args.format or raw.get("format", "csv")
-    if fmt not in _FORMATS:
-        raise ConfigError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
+    if fmt not in GRID_FORMATS:
+        raise ConfigError(f"unknown format {fmt!r}; expected one of {GRID_FORMATS}")
     custom = None
     if scenario == "custom":
         if "function" not in raw or "domain" not in raw or "ball" not in raw:
@@ -274,67 +228,21 @@ def resolve_scenario(config: ScenarioConfig) -> Scenario:
     return scenario
 
 
-# -- artifact writers ----------------------------------------------------------
-
-
-def _stage_artifacts(stage: str, ctx, outdir: Path, fmt: str, knobs: dict) -> list[str]:
-    written: list[Path] = []
-
-    def emit(name: str, payload) -> None:
-        path = outdir / name
-        _write_json(path, payload)
-        written.append(path)
-
-    obj = ctx.objects
-    if stage == "certify" and "certificate" in obj:
-        emit("certify.json", obj["certificate"].to_dict())
-    elif stage == "support" and "support" in obj:
-        emit("support.json", obj["support"].to_dict())
-    elif stage == "extend" and "field" in obj:
-        emit("field.json", obj["field"].to_dict())
-        grid = outdir / f"field_grid.{fmt}"
-        emit_grid(obj["field"], ctx.scenario.ball, knobs["sweep_spacing"], fmt, grid)
-        written.append(grid)
-    elif stage == "gradients":
-        emit(
-            "gradients.json",
-            {
-                "function": obj["rset_u"].to_dict(),
-                "envelope": obj["rset_env"].to_dict(),
-            },
-        )
-    elif stage == "condition" and "condition" in obj:
-        cond = obj["condition"]
-        emit(
-            "condition.json",
-            {
-                "holds": cond["holds"],
-                "p0": None if cond["p0"] is None else cond["p0"].tolist(),
-                "thetas": None if cond["thetas"] is None else np.asarray(cond["thetas"]).tolist(),
-            },
-        )
-    elif stage == "trace" and "arcs" in obj:
-        emit("arcs.json", [arc.to_dict() for arc in obj["arcs"]])
-    elif stage == "glue" and "glued" in obj:
-        emit(
-            "glue.json",
-            {
-                "n_cover": len(obj["glued"].cover),
-                "cover": [
-                    {"center": b.center.tolist(), "radius": b.radius}
-                    for b in obj["glued"].cover
-                ],
-            },
-        )
-    return [str(p.name) for p in written]
-
-
 # -- runner ---------------------------------------------------------------------
+
+
+def _write_artifacts(outdir: Path, artifacts: dict) -> list[str]:
+    for file_name, payload in artifacts.items():
+        if callable(payload):
+            payload(outdir / file_name)
+        else:
+            write_json(outdir / file_name, payload)
+    return list(artifacts)
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
     scenario = resolve_scenario(config)
-    ctx = make_context(scenario, config.knobs)
+    ctx = StageContext(scenario, resolve_knobs(scenario, config.knobs), config.fmt)
     stage_names = config.stages or scenario.default_stages
     stage_names = tuple(sorted(stage_names, key=STAGE_ORDER.index))
     outdir: Path | None = None
@@ -345,25 +253,23 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     for name in stage_names:
         t0 = time.perf_counter()
         entry = {"name": name, "artifacts": []}
+        artifacts: dict = {}
         try:
-            metrics = STAGES[name](ctx)
+            metrics, artifacts = STAGES[name](ctx)
             entry["status"] = "pass" if metrics.get("passed", True) else "fail"
             entry["metrics"] = metrics
         except ScextError as err:
             entry["status"] = "error"
             entry["error"] = f"{type(err).__name__}: {err}"
         entry["wall_time"] = time.perf_counter() - t0
-        if outdir is not None and entry["status"] != "error":
-            entry["artifacts"] = _stage_artifacts(name, ctx, outdir, config.fmt, ctx.knobs)
+        if outdir is not None:
+            entry["artifacts"] = _write_artifacts(outdir, artifacts)
         report.stages.append(entry)
         if entry["status"] == "error":
             break
     if outdir is not None:
-        _write_json(outdir / "report.json", report.to_dict(include_timings=False))
-        _write_json(
-            outdir / "timings.json",
-            {s["name"]: s["wall_time"] for s in report.stages},
-        )
+        write_json(outdir / "report.json", report.to_dict())
+        write_json(outdir / "timings.json", {s["name"]: s["wall_time"] for s in report.stages})
     return report
 
 
@@ -394,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--triples", type=int, help="sampled triples for certificates")
     parser.add_argument("--seed", type=int, help="base seed for all sampling")
-    parser.add_argument("--format", choices=_FORMATS, help="grid artifact format")
+    parser.add_argument("--format", choices=GRID_FORMATS, help="grid artifact format")
     return parser
 
 

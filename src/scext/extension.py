@@ -152,8 +152,7 @@ class SupportSet:
         """Distinct anchor points (pairs at one y share the node)."""
         return self.points[_node_index(self.points)[0]]
 
-    def to_dict(self, limit: int | None = None) -> dict:
-        k = self.size if limit is None else min(limit, self.size)
+    def to_dict(self) -> dict:
         return {
             "n_pairs": self.size,
             "ball": {"center": self.ball.center.tolist(), "radius": self.ball.radius},
@@ -165,7 +164,7 @@ class SupportSet:
                     "u": float(self.values[i]),
                     "source": self.sources[i],
                 }
-                for i in range(k)
+                for i in range(self.size)
             ],
         }
 
@@ -365,7 +364,7 @@ class ExtensionField:
         err += tol * c * (s * s + s**e) + c * (tol * s * s) ** (0.5 * e)
         return cand[lower <= upper.min() + 4.0 * err]
 
-    def to_dict(self, limit: int | None = None) -> dict:
+    def to_dict(self) -> dict:
         return {
             "identifier": self.identifier,
             "alpha": self.params.alpha,
@@ -373,7 +372,7 @@ class ExtensionField:
             "coefficient": self.coefficient,
             "constant_bound": self.constant,
             "n_pruned": self.n_pruned,
-            "support": self.support.to_dict(limit=limit),
+            "support": self.support.to_dict(),
         }
 
 
@@ -548,13 +547,12 @@ def glue_global(
     fields: list[ExtensionField],
     weights: list,
     func=None,
-    probe_spacing: float | None = None,
 ) -> GlobalExtension:
     """Glue local envelopes; the partition is checked on a probe grid first."""
     if func is None:
         func = fields[0].func
     glued = GlobalExtension(domain, list(cover), list(fields), list(weights), func)
-    probes = _partition_probes(domain, cover, probe_spacing)
+    probes = _partition_probes(domain, cover)
     w = np.column_stack([wf(probes) for wf in glued.weights])
     err = np.abs(w.sum(axis=1) - 1.0)
     if float(err.max()) > 1e-9:
@@ -566,16 +564,16 @@ def glue_global(
     return glued
 
 
-def _partition_probes(domain, cover, spacing: float | None) -> np.ndarray:
-    """Lattice over the open cover region with a 3% inset per element.
+def _partition_probes(domain, cover) -> np.ndarray:
+    """Lattice of pitch min radius / 8 over the open cover region, with a 3%
+    inset per element.
 
     The inset keeps every probe where at least one generating bump is
     representable (the bumps underflow to zero within ~0.1% of an element's
     edge), so a zero weight sum on a probe flags a genuine cover gap.
     """
-    if spacing is None:
-        spacing = min(b.radius for b in cover) / 8.0
     min_radius = min(b.radius for b in cover)
+    spacing = min_radius / 8.0
     chunks = []
     for b in cover:
         k = int(math.floor(b.radius / spacing + 1e-9))

@@ -395,7 +395,7 @@ def supergradient_defect(
     reachable gradient at x and C is a valid constant."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    p = _vec(p, domain.dimension)
     if not segment_in_closure(domain, x, y):
         raise HypothesisError("segment [x, y] leaves the closure of the domain")
     gap = float(np.linalg.norm(y - x))

@@ -4,21 +4,33 @@ A scenario bundles a domain, a function, a ball around a base point, and the
 reference answers known in closed form (envelope values, reachable-gradient
 sets, propagation directions).  Stage functions run one step each of the
 workflow -- certify, support, extend, gradients, condition, trace, mollify,
-glue -- against a shared context, returning plain dicts of metrics so the
-CLI and the test suite compute identical numbers.
+glue -- against a shared ``StageContext``.
+
+Stage contract: a stage returns ``(metrics, artifacts)``.  ``metrics`` is a
+plain dict with a ``passed`` verdict, so the CLI and the test suite compute
+identical numbers; ``artifacts`` maps each file the stage writes, in order,
+to a JSON payload or to a writer that takes the file path.  A stage that
+raises has no artifacts.  Objects several stages read (the modulus, the
+support set, the envelope, the gradient sets, condition (H)) are cached
+properties of the context, built on first use.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, PropagationLostError
 from .extension import (
+    ExtensionField,
     MollifiedApproximant,
+    SupportSet,
     build_extension,
     build_support_set,
     constant_bound,
@@ -34,7 +46,7 @@ from .geometry import (
     closure_grid,
     disk,
 )
-from .gradients import reachable_gradients
+from .gradients import ReachableGradientSet, reachable_gradients
 from .semiconcavity import ModulusParams, certify, estimate_constant
 from .singularity import (
     check_condition_h,
@@ -313,8 +325,6 @@ def default_knobs(scenario: Scenario) -> dict:
         "mollify_spacing": 0.05 * delta,
         "mollify_triples": 400,
         "mollify_lip": 2.0,
-        "mollify_certify": True,
-        "glue_probe_spacing": None,  # None: partition-check default
     }
 
 
@@ -328,18 +338,7 @@ def resolve_knobs(scenario: Scenario, overrides: dict | None = None) -> dict:
     return knobs
 
 
-@dataclass(eq=False)
-class StageContext:
-    scenario: Scenario
-    knobs: dict
-    objects: dict = dc_field(default_factory=dict)
-
-
-def make_context(scenario: Scenario, overrides: dict | None = None) -> StageContext:
-    return StageContext(scenario=scenario, knobs=resolve_knobs(scenario, overrides))
-
-
-# -- shared object builders ---------------------------------------------------
+# -- shared objects -------------------------------------------------------------
 
 
 def _round_up_2(value: float) -> float:
@@ -347,80 +346,137 @@ def _round_up_2(value: float) -> float:
     return math.ceil(value * 100.0 - 1e-6) / 100.0
 
 
-def ensure_params(ctx: StageContext) -> ModulusParams:
-    if "params" in ctx.objects:
-        return ctx.objects["params"]
-    sc, kn = ctx.scenario, ctx.knobs
-    estimated = estimate_constant(
-        sc.func, sc.domain, sc.ball, kn["alpha"], kn["triples"], kn["seed"]
-    )
-    ctx.objects["estimated_C"] = estimated
-    C = kn["C"] if kn["C"] is not None else _round_up_2(estimated)
-    params = ModulusParams(alpha=kn["alpha"], C=C)
-    ctx.objects["params"] = params
-    return params
+def _ball_lattice(ball: BallRegion, spacing: float) -> np.ndarray:
+    """Lattice of pitch ``spacing`` over the whole closed ball."""
+    return closure_grid(disk(ball.center, ball.radius), ball, spacing)
 
 
-def ensure_support(ctx: StageContext):
-    if "support" not in ctx.objects:
-        sc, kn = ctx.scenario, ctx.knobs
-        ctx.objects["support"] = build_support_set(
-            sc.func, sc.domain, sc.ball, spacing=kn["spacing"]
+@dataclass(eq=False)
+class StageContext:
+    """One run's scenario, resolved knobs and grid format.  The objects that
+    several stages read are built on first use and cached, so any stage list
+    builds each of them at most once."""
+
+    scenario: Scenario
+    knobs: dict
+    fmt: str = "csv"
+
+    @cached_property
+    def estimated_C(self) -> float:
+        sc, kn = self.scenario, self.knobs
+        return estimate_constant(
+            sc.func, sc.domain, sc.ball, kn["alpha"], kn["triples"], kn["seed"]
         )
-    return ctx.objects["support"]
 
+    @cached_property
+    def params(self) -> ModulusParams:
+        C = self.knobs["C"]
+        if C is None:
+            C = _round_up_2(self.estimated_C)
+        return ModulusParams(alpha=self.knobs["alpha"], C=C)
 
-def ensure_field(ctx: StageContext):
-    if "field" not in ctx.objects:
-        sc, kn = ctx.scenario, ctx.knobs
-        params = ensure_params(ctx)
-        support = ensure_support(ctx)
-        ctx.objects["field"] = build_extension(
-            sc.func, sc.domain, support, params, coefficient=kn["coefficient"]
+    @cached_property
+    def support(self) -> SupportSet:
+        sc = self.scenario
+        return build_support_set(sc.func, sc.domain, sc.ball, spacing=self.knobs["spacing"])
+
+    @cached_property
+    def field(self) -> ExtensionField:
+        sc = self.scenario
+        return build_extension(
+            sc.func, sc.domain, self.support, self.params, coefficient=self.knobs["coefficient"]
         )
-    return ctx.objects["field"]
 
-
-def ensure_u_set(ctx: StageContext):
-    if "rset_u" not in ctx.objects:
-        sc, kn = ctx.scenario, ctx.knobs
-        ctx.objects["rset_u"] = reachable_gradients(
-            sc.func, sc.domain, sc.x0,
+    def _reachable(self, func, domain: DomainSpec) -> ReachableGradientSet:
+        kn = self.knobs
+        return reachable_gradients(
+            func, domain, self.scenario.x0,
             r0=kn["r0"], k_max=kn["k_max"], m_a=kn["m_a"], eps_c=kn["eps_c"],
         )
-    return ctx.objects["rset_u"]
+
+    @cached_property
+    def rset_u(self) -> ReachableGradientSet:
+        return self._reachable(self.scenario.func, self.scenario.domain)
+
+    @cached_property
+    def rset_env(self) -> ReachableGradientSet:
+        ball = self.scenario.ball
+        return self._reachable(self.field, disk(ball.center, ball.radius))
+
+    @cached_property
+    def condition(self) -> dict:
+        """Condition (H) at x0: whether it holds, the candidate count, the
+        selected p0, and the directions to trace -- the scenario's fallback
+        directions when (H) fails, None when there are none."""
+        kn, rset = self.knobs, self.rset_u
+        holds, candidates = check_condition_h(rset, kn["eps_g"], kn["eps_s"])
+        p0 = thetas = None
+        if holds:
+            p0 = select_p0(rset, candidates)
+            thetas = propagation_directions(rset, p0)
+        elif self.scenario.fallback_thetas is not None:
+            thetas = np.atleast_2d(self.scenario.fallback_thetas)
+        return {
+            "holds": holds,
+            "n_candidates": int(candidates.shape[0]),
+            "p0": p0,
+            "thetas": thetas,
+        }
 
 
-def ensure_field_set(ctx: StageContext):
-    if "rset_env" not in ctx.objects:
-        sc, kn = ctx.scenario, ctx.knobs
-        field = ensure_field(ctx)
-        ball_domain = disk(sc.ball.center, sc.ball.radius)
-        ctx.objects["rset_env"] = reachable_gradients(
-            field, ball_domain, sc.x0,
-            r0=kn["r0"], k_max=kn["k_max"], m_a=kn["m_a"], eps_c=kn["eps_c"],
+# -- artifact writers -------------------------------------------------------------
+
+GRID_FORMATS = ("csv", "json")
+
+
+def _jsonable(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    return value
+
+
+def write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+
+
+def emit_grid(field, region: BallRegion, spacing: float, fmt: str, path) -> Path:
+    """One row per lattice node of the region: coordinates then value,
+    rows in lexicographic node order."""
+    if fmt not in GRID_FORMATS:
+        raise InputError(f"unknown grid format {fmt!r}; expected one of {GRID_FORMATS}")
+    nodes = _ball_lattice(region, spacing)
+    order = np.lexsort(tuple(nodes[:, j] for j in range(nodes.shape[1] - 1, -1, -1)))
+    nodes = nodes[order]
+    values = np.asarray(field.evaluate_many(nodes), dtype=float)
+    names = [f"x{j + 1}" for j in range(nodes.shape[1])]
+    path = Path(path)
+    rows = np.column_stack([nodes, values])
+    if fmt == "csv":
+        header = ",".join(names + ["value"])
+        body = "\n".join(",".join("%.17g" % v for v in row) for row in rows)
+        path.write_text(header + "\n" + body + "\n")
+    else:
+        write_json(
+            path,
+            {"columns": names + ["value"], "spacing": spacing, "rows": rows.tolist()},
         )
-    return ctx.objects["rset_env"]
-
-
-def _sweep_points(ctx: StageContext, spacing: float, radius_scale: float = 1.0):
-    """Lattice over the scenario ball (the whole evaluation region)."""
-    sc = ctx.scenario
-    ball = BallRegion(sc.ball.center, sc.ball.radius * radius_scale)
-    ball_domain = disk(ball.center, ball.radius)
-    return closure_grid(ball_domain, ball, spacing)
+    return path
 
 
 # -- stages --------------------------------------------------------------------
 
 
-def stage_certify(ctx: StageContext) -> dict:
-    sc, kn = ctx.scenario, ctx.knobs
-    params = ensure_params(ctx)
+def stage_certify(ctx: StageContext) -> tuple[dict, dict]:
+    sc, kn, params = ctx.scenario, ctx.knobs, ctx.params
     cert = certify(sc.func, sc.domain, sc.ball, params, kn["triples"], kn["seed"] + 1)
-    ctx.objects["certificate"] = cert
-    return {
-        "estimated_C": ctx.objects.get("estimated_C"),
+    metrics = {
+        "estimated_C": ctx.estimated_C,
         "C": params.C,
         "alpha": params.alpha,
         "max_defect": cert.max_defect,
@@ -428,12 +484,13 @@ def stage_certify(ctx: StageContext) -> dict:
         "n_triples": cert.n_triples,
         "passed": cert.passed,
     }
+    return metrics, {"certify.json": cert.to_dict()}
 
 
-def stage_support(ctx: StageContext) -> dict:
-    support = ensure_support(ctx)
+def stage_support(ctx: StageContext) -> tuple[dict, dict]:
+    support = ctx.support
     sources = [str(s) for s in support.sources]
-    return {
+    metrics = {
         "n_pairs": support.size,
         "n_nodes": int(support.node_points().shape[0]),
         "n_smooth": sources.count("smooth"),
@@ -441,11 +498,11 @@ def stage_support(ctx: StageContext) -> dict:
         "spacing": support.spacing,
         "passed": support.size > 0,
     }
+    return metrics, {"support.json": support.to_dict()}
 
 
-def stage_extend(ctx: StageContext) -> dict:
-    sc, kn = ctx.scenario, ctx.knobs
-    field = ensure_field(ctx)
+def stage_extend(ctx: StageContext) -> tuple[dict, dict]:
+    sc, kn, field = ctx.scenario, ctx.knobs, ctx.field
     nodes = field.support.node_points()
     u_nodes = evaluate_many(sc.func, nodes)
     identity_max = float(np.max(np.abs(field.evaluate_many(nodes) - u_nodes)))
@@ -458,20 +515,22 @@ def stage_extend(ctx: StageContext) -> dict:
         "raw_identity_max": raw_identity_max,
     }
     if sc.reference_envelope is not None:
-        pts = _sweep_points(ctx, kn["sweep_spacing"])
+        pts = _ball_lattice(sc.ball, kn["sweep_spacing"])
         err = np.abs(field.evaluate_many(pts) - sc.reference_envelope(pts))
         metrics["sup_error"] = float(np.max(err))
         metrics["n_sweep"] = int(pts.shape[0])
         metrics["passed"] = metrics["sup_error"] <= 0.02
     else:
         metrics["passed"] = identity_max <= 1e-9
-    return metrics
+
+    def write_grid(path):
+        emit_grid(field, sc.ball, kn["sweep_spacing"], ctx.fmt, path)
+
+    return metrics, {"field.json": field.to_dict(), f"field_grid.{ctx.fmt}": write_grid}
 
 
-def stage_gradients(ctx: StageContext) -> dict:
-    sc = ctx.scenario
-    rset_u = ensure_u_set(ctx)
-    rset_env = ensure_field_set(ctx)
+def stage_gradients(ctx: StageContext) -> tuple[dict, dict]:
+    sc, rset_u, rset_env = ctx.scenario, ctx.rset_u, ctx.rset_env
     metrics = {
         "n_reps_u": int(rset_u.representatives.shape[0]),
         "n_reps_envelope": int(rset_env.representatives.shape[0]),
@@ -490,7 +549,8 @@ def stage_gradients(ctx: StageContext) -> dict:
         )
     else:
         metrics["passed"] = True
-    return metrics
+    payload = {"function": rset_u.to_dict(), "envelope": rset_env.to_dict()}
+    return metrics, {"gradients.json": payload}
 
 
 def _angle_deg(a: np.ndarray, b: np.ndarray) -> float:
@@ -499,23 +559,16 @@ def _angle_deg(a: np.ndarray, b: np.ndarray) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, cosv))))
 
 
-def stage_condition(ctx: StageContext) -> dict:
-    sc, kn = ctx.scenario, ctx.knobs
-    rset = ensure_u_set(ctx)
-    holds, candidates = check_condition_h(rset, kn["eps_g"], kn["eps_s"])
-    record: dict = {"holds": holds, "n_candidates": int(candidates.shape[0])}
-    thetas = None
-    p0 = None
+def stage_condition(ctx: StageContext) -> tuple[dict, dict]:
+    sc, cond = ctx.scenario, ctx.condition
+    holds, p0, thetas = cond["holds"], cond["p0"], cond["thetas"]
+    record: dict = {"holds": holds, "n_candidates": cond["n_candidates"]}
     if holds:
-        p0 = select_p0(rset, candidates)
-        thetas = propagation_directions(rset, p0)
         record["p0"] = p0.tolist()
+    if thetas is not None:
         record["thetas"] = thetas.tolist()
-    elif sc.fallback_thetas is not None:
-        thetas = np.atleast_2d(sc.fallback_thetas)
-        record["thetas"] = thetas.tolist()
-        record["fallback"] = True
-    ctx.objects["condition"] = {"holds": holds, "p0": p0, "thetas": thetas}
+        if not holds:
+            record["fallback"] = True
     passed = True
     if sc.expected_condition is not None:
         passed = holds == sc.expected_condition
@@ -525,19 +578,15 @@ def stage_condition(ctx: StageContext) -> dict:
             record[f"angle_to_{want.tolist()}"] = best
             passed = passed and best <= 5.0
     record["passed"] = passed
-    return record
+    return record, {"condition.json": {"holds": holds, "p0": p0, "thetas": thetas}}
 
 
-def stage_trace(ctx: StageContext) -> dict:
-    sc, kn = ctx.scenario, ctx.knobs
-    field = ensure_field(ctx)
-    if "condition" not in ctx.objects:
-        stage_condition(ctx)
-    cond = ctx.objects["condition"]
+def stage_trace(ctx: StageContext) -> tuple[dict, dict]:
+    sc, kn, field, cond = ctx.scenario, ctx.knobs, ctx.field, ctx.condition
     thetas = cond["thetas"]
     if thetas is None:
-        ctx.objects["arcs"] = []
-        return {"n_arcs": 0, "passed": False, "note": "no direction to trace"}
+        metrics = {"n_arcs": 0, "passed": False, "note": "no direction to trace"}
+        return metrics, {"arcs.json": []}
     arcs = []
     records = []
     all_ok = True
@@ -569,8 +618,8 @@ def stage_trace(ctx: StageContext) -> dict:
                 else None,
             }
         )
-    ctx.objects["arcs"] = arcs
-    return {"n_arcs": len(arcs), "arcs": records, "passed": all_ok and len(arcs) > 0}
+    metrics = {"n_arcs": len(arcs), "arcs": records, "passed": all_ok and len(arcs) > 0}
+    return metrics, {"arcs.json": [arc.to_dict() for arc in arcs]}
 
 
 def fd_hessian_max(func, pts: np.ndarray, step: float) -> float:
@@ -603,37 +652,35 @@ def fd_hessian_max(func, pts: np.ndarray, step: float) -> float:
     return float(np.max(np.linalg.eigvalsh(H)))
 
 
-def stage_mollify(ctx: StageContext) -> dict:
-    sc, kn = ctx.scenario, ctx.knobs
-    field = ensure_field(ctx)
-    params = ensure_params(ctx)
+def stage_mollify(ctx: StageContext) -> tuple[dict, dict]:
+    sc, kn, field, params = ctx.scenario, ctx.knobs, ctx.field, ctx.params
     half = BallRegion(sc.ball.center, 0.5 * sc.ball.radius)
-    probes = closure_grid(disk(half.center, half.radius), half, kn["mollify_spacing"])
+    probes = _ball_lattice(half, kn["mollify_spacing"])
     field_vals = field.evaluate_many(probes)
     bound = constant_bound(params, field.coefficient)
-    approximants = []
     entries = []
     passed = True
     sups = []
     for h in kn["h_list"]:
         approx = MollifiedApproximant(field, int(h), m_q=kn["m_q"])
-        approximants.append(approx)
         sup = float(np.max(np.abs(approx.evaluate_many(probes) - field_vals)))
         sups.append(sup)
-        entry = {"h": int(h), "sup_error": sup, "bound": kn["mollify_lip"] / h}
-        passed = passed and sup <= entry["bound"]
-        if kn["mollify_certify"]:
-            cert = certify(
-                approx,
-                disk(half.center, half.radius),
-                half,
-                ModulusParams(alpha=params.alpha, C=bound + 0.05),
-                kn["mollify_triples"],
-                kn["seed"] + 2,
-            )
-            entry["certified"] = cert.passed
-            entry["max_defect"] = cert.max_defect
-            passed = passed and cert.passed
+        cert = certify(
+            approx,
+            disk(half.center, half.radius),
+            half,
+            ModulusParams(alpha=params.alpha, C=bound + 0.05),
+            kn["mollify_triples"],
+            kn["seed"] + 2,
+        )
+        entry = {
+            "h": int(h),
+            "sup_error": sup,
+            "bound": kn["mollify_lip"] / h,
+            "certified": cert.passed,
+            "max_defect": cert.max_defect,
+        }
+        passed = passed and sup <= entry["bound"] and cert.passed
         entries.append(entry)
     ratios = []
     for lo, hi in zip(sups[:-1], sups[1:]):
@@ -642,21 +689,21 @@ def stage_mollify(ctx: StageContext) -> dict:
         # rounding error that carry no decay information)
         ratios.append(hi / lo if lo > 1e-12 else 0.0)
     passed = passed and all(r <= 0.6 for r in ratios)
-    ctx.objects["mollified"] = approximants
-    return {
+    metrics = {
         "h_list": [int(h) for h in kn["h_list"]],
         "entries": entries,
         "ratios": ratios,
         "constant_bound": bound,
         "passed": passed,
     }
+    return metrics, {}
 
 
-def stage_glue(ctx: StageContext) -> dict:
+def stage_glue(ctx: StageContext) -> tuple[dict, dict]:
     sc, kn = ctx.scenario, ctx.knobs
     if sc.glue is None:
         raise InputError(f"scenario {sc.name!r} does not define a glue setup")
-    params = ensure_params(ctx)
+    params = ctx.params
     cover = sc.glue["cover"]
     fields = []
     for ball_j in cover:
@@ -667,12 +714,7 @@ def stage_glue(ctx: StageContext) -> dict:
             )
         )
     weights = partition_weights(sc.domain, cover)
-    glued = glue_global(
-        sc.domain, cover, fields, weights, func=sc.func,
-        probe_spacing=kn["glue_probe_spacing"],
-    )
-    ctx.objects["glued"] = glued
-    ctx.objects["glue_fields"] = fields
+    glued = glue_global(sc.domain, cover, fields, weights, func=sc.func)
     hub = _domain_hub(sc.domain)
     probes = closure_grid(sc.domain, hub, 0.01 * hub.radius * 2)
     sup_u = float(np.max(np.abs(glued.evaluate_many(probes) - evaluate_many(sc.func, probes))))
@@ -683,16 +725,19 @@ def stage_glue(ctx: StageContext) -> dict:
     }
     passed = sup_u <= 1e-9
     if sc.glue.get("check_field_identity"):
-        ball0 = cover[0]
-        inner = BallRegion(ball0.center, 0.95 * ball0.radius)
-        pts = closure_grid(disk(inner.center, inner.radius), inner, 0.05 * inner.radius)
+        inner = BallRegion(cover[0].center, 0.95 * cover[0].radius)
+        pts = _ball_lattice(inner, 0.05 * inner.radius)
         sup_f = float(
             np.max(np.abs(glued.evaluate_many(pts) - fields[0].evaluate_many(pts)))
         )
         metrics["sup_error_field"] = sup_f
         passed = passed and sup_f <= 1e-9
     metrics["passed"] = passed
-    return metrics
+    payload = {
+        "n_cover": len(glued.cover),
+        "cover": [{"center": b.center, "radius": b.radius} for b in glued.cover],
+    }
+    return metrics, {"glue.json": payload}
 
 
 def _domain_hub(domain: DomainSpec) -> BallRegion:
@@ -704,7 +749,7 @@ def _domain_hub(domain: DomainSpec) -> BallRegion:
     raise InputError("half-space domains have no bounding ball")
 
 
-STAGES: dict[str, Callable[[StageContext], dict]] = {
+STAGES: dict[str, Callable[[StageContext], tuple[dict, dict]]] = {
     "certify": stage_certify,
     "support": stage_support,
     "extend": stage_extend,

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +140,82 @@ class TestExitCodes:
         )
         assert code == 0
         assert "[pass] certify" in capsys.readouterr().out
+
+
+def _failing_certify_config(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "scenario": "custom",
+                "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+                "function": {"identifier": "sq-norm"},
+                "ball": {"center": [0.0, 0.0], "radius": 0.8},
+                "stages": ["certify"],
+                "knobs": {"C": 0.0, "triples": 800},
+            }
+        )
+    )
+    return cfg
+
+
+class TestArtifactContract:
+    """A failing stage still writes its artifacts, an erroring one writes none,
+    and report.json lists exactly the files each stage wrote, in order."""
+
+    def test_failing_stage_writes_its_artifacts(self, tmp_path):
+        out = tmp_path / "artifacts"
+        assert main(["--config", str(_failing_certify_config(tmp_path)), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        (stage,) = report["stages"]
+        assert stage["status"] == "fail"
+        assert stage["artifacts"] == ["certify.json"]
+        assert json.loads((out / "certify.json").read_text())["passed"] is False
+
+    def test_erroring_stage_writes_no_artifacts(self, tmp_path):
+        out = tmp_path / "artifacts"
+        assert main(["--scenario", "example2", "--stages", "glue", "--out", str(out)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "timings.json"]
+        report = json.loads((out / "report.json").read_text())
+        (stage,) = report["stages"]
+        assert stage["status"] == "error"
+        assert stage["artifacts"] == []
+
+    def test_report_lists_the_files_written_in_order(self, tmp_path):
+        out = tmp_path / "artifacts"
+        assert main(["--scenario", "glue-1d", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        listed = [(s["name"], s["artifacts"]) for s in report["stages"]]
+        assert listed == [("certify", ["certify.json"]), ("glue", ["glue.json"])]
+        written = {p.name for p in out.iterdir()} - {"report.json", "timings.json"}
+        assert written == {name for _, names in listed for name in names}
+
+
+class TestBenchmarkTracer:
+    def test_layer_tracer_installs_and_sees_the_grid_writer(self, tmp_path):
+        # run in a subprocess: the tracer monkeypatches scext module globals
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
+            "from layers import Tracer\n"
+            "from scext import cli\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "code = cli.main(['--scenario', 'example2', '--stages', 'certify,support,extend',\n"
+            "                 '--triples', '1500', '--spacing', '0.05', '--out', sys.argv[1]])\n"
+            "print(sorted({span.name for span in tracer.spans}))\n"
+            "sys.exit(code)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "artifacts")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        spans = proc.stdout.strip().splitlines()[-1]
+        for name in ("cli.emit_grid", "scenarios.extend", "extension.build_extension"):
+            assert repr(name) in spans
 
 
 class TestLayeringAndDeterminism:

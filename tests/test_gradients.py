@@ -356,6 +356,13 @@ class TestSupergradientDefect:
         )
         assert d == 0.0
 
+    def test_gradient_of_wrong_dimension_rejected(self, ex1, half_disk):
+        p0 = ModulusParams(alpha=1.0, C=0.0)
+        with pytest.raises(DimensionError):
+            supergradient_defect(
+                ex1["func"], half_disk, (0.0, 0.0), (1.0,), (0.5, 0.0), p0
+            )
+
     @pytest.mark.parametrize("bundle_name,set_name", [
         ("ex1", "ex1_u_set"), ("ex2", "ex2_u_set"), ("ex3", "ex3_u_set"),
     ])
