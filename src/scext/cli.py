@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
-from .errors import InputError, ScextError
+from .errors import ConfigError, InputError, ScextError
 from .funcspace import named_function
 from .geometry import BallRegion, box, capped_disk, disk, half_space
 from .scenarios import (
@@ -44,11 +44,7 @@ except PackageNotFoundError:  # running from a source tree
 _SCHEMA = 1
 
 # knobs that have dedicated command-line flags
-_FLAG_KNOBS = ("alpha", "spacing", "triples", "seed")
-
-
-class ConfigError(InputError):
-    """Bad scenario config or flags; maps to exit code 2."""
+_FLAG_KNOBS = ("alpha", "spacing", "triples", "seed", "h_list")
 
 
 @dataclass(eq=False)
@@ -149,8 +145,6 @@ def merge_config(args: argparse.Namespace) -> ScenarioConfig:
         value = getattr(args, name)
         if value is not None:
             knobs[name] = value
-    if args.h_list is not None:
-        knobs["h_list"] = args.h_list
     stages = args.stages if args.stages is not None else raw.get("stages")
     if stages is not None:
         stages = tuple(stages)
@@ -195,7 +189,7 @@ def _parse_domain(d: dict):
             return half_space(d["normal"], d["offset"])
         if kind == "capped-disk":
             return capped_disk(d["center"], d["radius"], d["normal"], d["offset"])
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, InputError) as err:
         raise ConfigError(f"bad domain spec {d!r}: {err}") from err
     raise ConfigError(f"unknown domain kind {d.get('kind')!r}")
 
@@ -212,7 +206,7 @@ def resolve_scenario(config: ScenarioConfig) -> Scenario:
             )
             ball_spec = config.custom["ball"]
             ball = BallRegion(ball_spec["center"], ball_spec["radius"])
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, InputError) as err:
             raise ConfigError(f"bad custom scenario: {err}") from err
         scenario = Scenario(
             name="custom",

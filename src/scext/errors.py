@@ -11,6 +11,10 @@ class InputError(ScextError, ValueError):
     """A caller-supplied value violates a documented precondition."""
 
 
+class ConfigError(InputError):
+    """Bad scenario config, knob or flag; the command line exits with 2."""
+
+
 class DimensionError(InputError):
     """Mismatched or unsupported dimension."""
 

@@ -60,11 +60,11 @@ from .errors import (
 )
 from .funcspace import evaluate_many
 from .geometry import BallRegion, DomainSpec, boundary_sample, closure_grid, disk
-from .gradients import _gradient_samples, _reachable_sets, _row_norms
+from .gradients import DEFAULT_RATIO, _gradient_samples, _reachable_sets, _row_norms
 from .semiconcavity import ModulusParams
 
 DEFAULT_SPACING_SCALE = 0.01  # support spacing as a fraction of the ball radius
-DEFAULT_M_Q = 21  # quadrature points per axis for the mollifier
+_M_Q = 21  # quadrature points per axis for the mollifier (odd: the grid holds 0)
 _PRUNE_TOL = 5e-13
 _FINE_PER_RADIUS = 12  # fine envelope cells per ball radius
 _NEST = 3  # fine cells per coarse cell edge, so coarse cells are radius/4
@@ -183,12 +183,8 @@ def build_support_set(
     domain: DomainSpec,
     ball: BallRegion,
     spacing: float | None = None,
-    r0: float | None = None,
-    ratio: float = 0.5,
     k_max: int = 6,
     m_a: int = 64,
-    eps_c: float = 0.01,
-    h_fd: float | None = None,
 ) -> SupportSet:
     """Anchor pairs on the lattice of A-bar plus parametric boundary points.
 
@@ -207,17 +203,15 @@ def build_support_set(
         nodes = np.vstack([nodes, bnd])
     anchors = nodes[_node_index(nodes)[0]]
     interior = domain.contains_many(anchors, "open")
-    if r0 is None:
-        r0 = max(spacing, 1e-3 * ball.radius)
-    if h_fd is None:
-        h_fd = 1e-5 * spacing
+    r0 = max(spacing, 1e-3 * ball.radius)
+    h_fd, eps_c = 1e-5 * spacing, 0.01
 
     inner = anchors[interior]
     mask, grads = _gradient_samples(func, inner, domain, h_fd, eps_c)
     smooth = inner[mask]
     multi = np.vstack([anchors[~interior], inner[~mask]])
 
-    reps, _ = _reachable_sets(func, domain, multi, r0, ratio, k_max, m_a, eps_c, h_fd)
+    reps, _ = _reachable_sets(func, domain, multi, r0, DEFAULT_RATIO, k_max, m_a, eps_c, h_fd)
     n_reps = [r.shape[0] for r in reps]
     points = np.vstack([smooth, np.repeat(multi, n_reps, axis=0)])
     gradients_arr = np.vstack([grads, *reps])
@@ -238,8 +232,6 @@ class ExtensionField:
     coefficient: float
     func: object
     domain: DomainSpec
-    constant: float = None  # envelope semiconcavity constant
-    identifier: str = ""
     n_pruned: int = 0
 
     def __post_init__(self):
@@ -247,11 +239,9 @@ class ExtensionField:
             raise InputError(
                 f"coefficient {self.coefficient} must exceed the constant {self.params.C}"
             )
-        if self.constant is None:
-            self.constant = constant_bound(self.params, self.coefficient)
-        if not self.identifier:
-            base = getattr(self.func, "identifier", type(self.func).__name__)
-            self.identifier = f"extension({base})"
+        self.constant = constant_bound(self.params, self.coefficient)
+        base = getattr(self.func, "identifier", type(self.func).__name__)
+        self.identifier = f"extension({base})"
         # cached affine parts: value_j(x) = offs_j + <p_j, x> + coeff*|x-y_j|^(1+a)
         self._offs = self.support.values - np.einsum(
             "ij,ij->i", self.support.gradients, self.support.points
@@ -456,21 +446,16 @@ def _ball_bump(center: np.ndarray, radius: float):
     return bump
 
 
-def partition_weights(
-    domain: DomainSpec,
-    cover: list[BallRegion],
-    width: float | None = None,
-) -> list:
+def partition_weights(domain: DomainSpec, cover: list[BallRegion]) -> list:
     """Normalized bump weights for the cover balls plus one for the domain.
 
-    The domain element ramps from 0 at the boundary to 1 at inner depth
-    ``width``, so its weight vanishes outside the open domain (the cover
-    balls must carry the boundary zone).
+    The domain element ramps from 0 at the boundary to 1 at inner depth a
+    quarter of the smallest cover radius, so its weight vanishes outside the
+    open domain (the cover balls must carry the boundary zone).
     """
     if not cover:
         raise InputError("cover must contain at least one ball")
-    if width is None:
-        width = 0.25 * min(b.radius for b in cover)
+    width = 0.25 * min(b.radius for b in cover)
     bumps = [_ball_bump(b.center, b.radius) for b in cover]
 
     def domain_bump(pts: np.ndarray) -> np.ndarray:
@@ -507,16 +492,14 @@ class GlobalExtension:
     fields: list
     weights: list  # len(cover) + 1, last one for the domain element
     func: object
-    identifier: str = ""
 
     def __post_init__(self):
         if len(self.fields) != len(self.cover):
             raise InputError("one local field per cover ball is required")
         if len(self.weights) != len(self.cover) + 1:
             raise InputError("need one weight per ball plus the domain weight")
-        if not self.identifier:
-            base = getattr(self.func, "identifier", type(self.func).__name__)
-            self.identifier = f"glued-extension({base})"
+        base = getattr(self.func, "identifier", type(self.func).__name__)
+        self.identifier = f"glued-extension({base})"
 
     def evaluate_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -546,11 +529,9 @@ def glue_global(
     cover: list[BallRegion],
     fields: list[ExtensionField],
     weights: list,
-    func=None,
+    func,
 ) -> GlobalExtension:
     """Glue local envelopes; the partition is checked on a probe grid first."""
-    if func is None:
-        func = fields[0].func
     glued = GlobalExtension(domain, list(cover), list(fields), list(weights), func)
     probes = _partition_probes(domain, cover)
     w = np.column_stack([wf(probes) for wf in glued.weights])
@@ -598,13 +579,11 @@ def _partition_probes(domain, cover) -> np.ndarray:
 # -- mollification -----------------------------------------------------------
 
 
-def _mollifier_grid(dimension: int, m_q: int):
-    """Tensor grid on [-1,1]^d with the even bump exp(1/(|y|^2-1)) weights,
-    renormalized so they sum to exactly 1 (the correction lands on the center
-    node to keep evenness bit-exact)."""
-    if m_q < 3 or m_q % 2 == 0:
-        raise InputError("m_q must be an odd integer >= 3")
-    half = (m_q - 1) // 2
+def _mollifier_grid(dimension: int):
+    """Tensor grid of _M_Q points per axis on [-1,1]^d with the even bump
+    exp(1/(|y|^2-1)) weights, renormalized so they sum to exactly 1 (the
+    correction lands on the center node to keep evenness bit-exact)."""
+    half = (_M_Q - 1) // 2
     # i/half negates exactly, so the node set is even bit for bit
     ticks = np.arange(-half, half + 1) / half
     mesh = np.meshgrid(*([ticks] * dimension), indexing="ij")
@@ -627,8 +606,6 @@ class MollifiedApproximant:
 
     field: object
     h: int
-    m_q: int = DEFAULT_M_Q
-    identifier: str = ""
 
     def __post_init__(self):
         ball = self.field.ball
@@ -640,10 +617,9 @@ class MollifiedApproximant:
                 f"h must exceed 2/delta = {2.0 / ball.radius:g} so the quadrature "
                 f"stencil stays inside the source ball"
             )
-        self.nodes, self.weights = _mollifier_grid(ball.dimension, self.m_q)
-        if not self.identifier:
-            base = getattr(self.field, "identifier", type(self.field).__name__)
-            self.identifier = f"mollified({base}, h={self.h})"
+        self.nodes, self.weights = _mollifier_grid(ball.dimension)
+        base = getattr(self.field, "identifier", type(self.field).__name__)
+        self.identifier = f"mollified({base}, h={self.h})"
 
     @property
     def ball(self) -> BallRegion:
@@ -657,9 +633,7 @@ class MollifiedApproximant:
 
     def evaluate_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        b = self.field.ball
-        dist = np.linalg.norm(pts - b.center, axis=1)
-        if np.any(dist > 0.5 * b.radius * (1.0 + 1e-12) + 1e-12):
+        if not np.all(self.ball.contains_many(pts)):
             raise InputError("mollified field is defined on the half-radius ball only")
         out = np.empty(pts.shape[0])
         L = self.nodes.shape[0]

@@ -60,10 +60,10 @@ class BallRegion:
     def dimension(self) -> int:
         return self.center.size
 
-    def contains_many(self, points: np.ndarray, tol: float = BOUNDARY_TOL) -> np.ndarray:
+    def contains_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         d = np.linalg.norm(pts - self.center, axis=1)
-        return d <= self.radius * (1.0 + 1e-12) + tol
+        return d <= self.radius * (1.0 + 1e-12) + BOUNDARY_TOL
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,6 +43,7 @@ DEFAULT_EPS_S = 0.05
 # h_fd as a fraction of r0: small enough that the one-sided-quotient filter
 # still passes points where the field merely bends at O(1/r**2) curvature.
 DEFAULT_FD_FRACTION = 5e-6
+_N_DIRS = 8  # most normal-cone generators returned
 
 _GOLDEN = 0.6180339887498949
 
@@ -340,7 +341,6 @@ def reachable_gradients(
     domain: DomainSpec,
     x,
     r0: float,
-    ratio: float = DEFAULT_RATIO,
     k_max: int = DEFAULT_K_MAX,
     m_a: int = DEFAULT_M_A,
     eps_c: float = DEFAULT_EPS_C,
@@ -348,8 +348,9 @@ def reachable_gradients(
 ) -> ReachableGradientSet:
     """Estimate the set of gradient limits at x from inside the open domain.
 
-    Each annulus r_{k+1} <= |y - x| <= r_k contributes at most m_a sample
-    points on the sphere of radius r_k.  Closed-form gradients are used when
+    Each annulus r_{k+1} <= |y - x| <= r_k, r_k = r0*DEFAULT_RATIO**k,
+    contributes at most m_a sample points on the sphere of radius r_k.
+    Closed-form gradients are used when
     the function declares them (every point where the form is not singular,
     i.e. where it returns no NaN row, is a differentiability point);
     otherwise central differences guarded by the one-sided-quotient filter,
@@ -358,14 +359,12 @@ def reachable_gradients(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not r0 > 0.0:
         raise InputError("r0 must be positive")
-    if not 0.0 < ratio < 1.0:
-        raise InputError("ratio must lie in (0, 1)")
     if not domain.contains(x, "closure"):
         raise InputError("base point must lie in the closure of the domain")
     if h_fd is None:
         h_fd = DEFAULT_FD_FRACTION * r0
     reps, sizes = _reachable_sets(
-        func, domain, x[None, :], r0, ratio, k_max, m_a, eps_c, h_fd
+        func, domain, x[None, :], r0, DEFAULT_RATIO, k_max, m_a, eps_c, h_fd
     )
     analytic = getattr(func, "has_gradient", False)
     method_key = "analytic" if analytic else f"central-difference({h_fd:g})"
@@ -374,7 +373,7 @@ def reachable_gradients(
         base_point=x,
         representatives=reps[0],
         r0=float(r0),
-        ratio=float(ratio),
+        ratio=DEFAULT_RATIO,
         k_max=int(k_max),
         eps_c=float(eps_c),
         m_a=int(m_a),
@@ -522,33 +521,32 @@ def hull_gap(
     return bnd[dist > gap]
 
 
-def _sector_rays(n1: np.ndarray, n2: np.ndarray, n_dirs: int) -> np.ndarray:
+def _sector_rays(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     a1 = math.atan2(n1[1], n1[0])
     a2 = math.atan2(n2[1], n2[0])
     sweep = (a2 - a1) % (2.0 * math.pi)
     if sweep > math.pi:  # take the short way round: normal cones open < pi
         a1, a2 = a2, a1
         sweep = 2.0 * math.pi - sweep
-    count = max(2, min(n_dirs, 2 + int(sweep / 0.2)))
+    count = max(2, min(_N_DIRS, 2 + int(sweep / 0.2)))
     ang = a1 + sweep * np.linspace(0.0, 1.0, count)
     return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
-def normal_cone_directions(poly: ConvexPolytope, p0, n_dirs: int = 8) -> np.ndarray:
-    """Unit generators of {nu : <nu, q - p0> <= 0 for all vertices q}.
+def normal_cone_directions(poly: ConvexPolytope, p0) -> np.ndarray:
+    """At most _N_DIRS unit generators of {nu : <nu, q - p0> <= 0 for all
+    vertices q}.
 
     Interior points get an empty output (the cone is {0}).  Propagation
     directions are theta = -nu for the returned rays.
     """
     d = poly.ambient_dimension
     p0 = _vec(p0, d)
-    if n_dirs < 1:
-        raise InputError("n_dirs must be positive")
     if polytope_distance(poly, p0) > 1e-9:
         raise InputError("p0 does not lie on the polytope")
     v = poly.vertices
     if poly.affine_dimension == 0:
-        return _even_directions(d, min(n_dirs, 8))
+        return _even_directions(d, _N_DIRS)
     if poly.affine_dimension == 1:
         a, b = v[0], v[1]
         u = (b - a) / np.linalg.norm(b - a)
@@ -558,7 +556,7 @@ def normal_cone_directions(poly: ConvexPolytope, p0, n_dirs: int = 8) -> np.ndar
             rays.append(-u)
         elif np.linalg.norm(p0 - b) <= 1e-9:
             rays.append(u)
-        return _dedupe_rays(np.array(rays).reshape(-1, d), n_dirs)
+        return _dedupe_rays(np.array(rays).reshape(-1, d))
     k = v.shape[0]
     active = []
     for i in range(k):
@@ -571,7 +569,7 @@ def normal_cone_directions(poly: ConvexPolytope, p0, n_dirs: int = 8) -> np.ndar
         return np.empty((0, 2))
     if len(active) == 1:
         return np.array(active)
-    return _dedupe_rays(_sector_rays(active[0], active[1], n_dirs), n_dirs)
+    return _dedupe_rays(_sector_rays(active[0], active[1]))
 
 
 def _even_directions(d: int, count: int) -> np.ndarray:
@@ -581,23 +579,16 @@ def _even_directions(d: int, count: int) -> np.ndarray:
     return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
-def _dedupe_rays(rays: np.ndarray, n_dirs: int) -> np.ndarray:
+def _dedupe_rays(rays: np.ndarray) -> np.ndarray:
     out: list[np.ndarray] = []
     for r in rays:
         if all(float(np.linalg.norm(r - q)) > 1e-12 for q in out):
             out.append(r)
-        if len(out) >= n_dirs:
-            break
     return np.array(out).reshape(-1, rays.shape[1])
 
 
-def is_singular(
-    func,
-    domain: DomainSpec,
-    x,
-    eps_s: float = DEFAULT_EPS_S,
-    **probe,
-) -> bool:
-    """True when the reachable-gradient representatives spread wider than eps_s."""
+def is_singular(func, domain: DomainSpec, x, **probe) -> bool:
+    """True when the reachable-gradient representatives spread wider than
+    DEFAULT_EPS_S; ``probe`` holds the reachable_gradients keywords."""
     rset = reachable_gradients(func, domain, x, **probe)
-    return rset.diameter() > eps_s
+    return rset.diameter() > DEFAULT_EPS_S

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,14 +27,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, PropagationLostError
+from .errors import ConfigError, InputError, PropagationLostError
 from .extension import (
     ExtensionField,
     MollifiedApproximant,
     SupportSet,
     build_extension,
     build_support_set,
-    constant_bound,
     glue_global,
     partition_weights,
 )
@@ -46,7 +46,7 @@ from .geometry import (
     closure_grid,
     disk,
 )
-from .gradients import ReachableGradientSet, reachable_gradients
+from .gradients import DEFAULT_EPS_S, ReachableGradientSet, reachable_gradients
 from .semiconcavity import ModulusParams, certify, estimate_constant
 from .singularity import (
     check_condition_h,
@@ -128,7 +128,7 @@ REFERENCE_SETS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def hausdorff_to_reference(kind: str, reps: np.ndarray, n_ref: int = 2048) -> float:
+def hausdorff_to_reference(kind: str, reps: np.ndarray) -> float:
     """Symmetric Hausdorff distance between representatives and a named set."""
     if kind not in REFERENCE_SETS:
         raise InputError(f"unknown reference set {kind!r}; known: {sorted(REFERENCE_SETS)}")
@@ -137,7 +137,7 @@ def hausdorff_to_reference(kind: str, reps: np.ndarray, n_ref: int = 2048) -> fl
     if reps.shape[0] == 0:
         return math.inf
     forward = float(np.max(dist_fn(reps)))
-    ref = pts_fn(n_ref)
+    ref = pts_fn(2048)
     gap = np.linalg.norm(ref[:, None, :] - reps[None, :, :], axis=2).min(axis=1)
     return max(forward, float(np.max(gap)))
 
@@ -153,7 +153,6 @@ class Scenario:
     domain: DomainSpec
     func: FunctionSpec
     ball: BallRegion
-    alpha: float = 1.0
     default_C: float | None = None  # None: estimate and round up
     support_spacing: float | None = None  # absolute; None = builder default
     reference_envelope: Callable | None = None
@@ -301,38 +300,47 @@ def build_scenario(name: str) -> Scenario:
 
 
 def default_knobs(scenario: Scenario) -> dict:
-    """Per-scenario tunables; every entry can be overridden by the caller."""
+    """The values that callers set, at this scenario's defaults; every other
+    numerical parameter is a constant of the function that uses it."""
     delta = scenario.delta
     return {
-        "alpha": scenario.alpha,
+        "alpha": 1.0,
         "C": scenario.default_C,  # None: estimate and round up to 2 decimals
-        "coefficient": None,  # None: C + 1
         "seed": 7,
         "triples": 10_000,
         "spacing": scenario.support_spacing,
         "sweep_spacing": 0.02 * delta,
-        "r0": 0.02 * delta,
-        "m_a": 200,
-        "k_max": 8,
-        "eps_c": 0.02,
-        "eps_g": 0.01,
-        "eps_s": 0.05,
-        "delta_s": 0.02 * delta,
-        "sigma": 0.4 * delta,
-        "rho_t": 0.25,
         "h_list": (10, 20, 40),
-        "m_q": 21,
         "mollify_spacing": 0.05 * delta,
         "mollify_triples": 400,
-        "mollify_lip": 2.0,
     }
 
 
-def resolve_knobs(scenario: Scenario, overrides: dict | None = None) -> dict:
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# type test of each knob's value; C and spacing may also be None (the default)
+_KNOB_TYPES = {
+    "alpha": _real, "C": _real, "seed": _int, "triples": _int, "spacing": _real,
+    "sweep_spacing": _real, "mollify_spacing": _real, "mollify_triples": _int,
+    "h_list": lambda v: isinstance(v, (list, tuple)) and all(map(_int, v)),
+}
+
+
+def resolve_knobs(scenario: Scenario, overrides: dict) -> dict:
+    """The scenario's knobs with the caller's overrides.  An unknown knob or a
+    value of the wrong type raises ConfigError; the stages check the ranges."""
     knobs = default_knobs(scenario)
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if key not in knobs:
-            raise InputError(f"unknown knob {key!r}; known: {sorted(knobs)}")
+            raise ConfigError(f"unknown knob {key!r}; known: {sorted(knobs)}")
+        if not (_KNOB_TYPES[key](value) or value is None and key in ("C", "spacing")):
+            raise ConfigError(f"knob {key!r} has the wrong type: {value!r}")
         if value is not None:
             knobs[key] = value
     return knobs
@@ -383,16 +391,11 @@ class StageContext:
     @cached_property
     def field(self) -> ExtensionField:
         sc = self.scenario
-        return build_extension(
-            sc.func, sc.domain, self.support, self.params, coefficient=self.knobs["coefficient"]
-        )
+        return build_extension(sc.func, sc.domain, self.support, self.params)
 
     def _reachable(self, func, domain: DomainSpec) -> ReachableGradientSet:
-        kn = self.knobs
-        return reachable_gradients(
-            func, domain, self.scenario.x0,
-            r0=kn["r0"], k_max=kn["k_max"], m_a=kn["m_a"], eps_c=kn["eps_c"],
-        )
+        sc = self.scenario
+        return reachable_gradients(func, domain, sc.x0, r0=0.02 * sc.delta)
 
     @cached_property
     def rset_u(self) -> ReachableGradientSet:
@@ -408,8 +411,9 @@ class StageContext:
         """Condition (H) at x0: whether it holds, the candidate count, the
         selected p0, and the directions to trace -- the scenario's fallback
         directions when (H) fails, None when there are none."""
-        kn, rset = self.knobs, self.rset_u
-        holds, candidates = check_condition_h(rset, kn["eps_g"], kn["eps_s"])
+        rset = self.rset_u
+        # hull boundary sampled at 0.01; a gap lies over eps_s from all representatives
+        holds, candidates = check_condition_h(rset, 0.01, DEFAULT_EPS_S)
         p0 = thetas = None
         if holds:
             p0 = select_p0(rset, candidates)
@@ -429,20 +433,19 @@ class StageContext:
 GRID_FORMATS = ("csv", "json")
 
 
-def _jsonable(value):
+def _json_default(value):
+    """Encoder hook for the numpy values the encoder cannot write itself (a
+    numpy float64 is a float, so it never gets here)."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    path.write_text(text + "\n")
 
 
 def emit_grid(field, region: BallRegion, spacing: float, fmt: str, path) -> Path:
@@ -521,7 +524,9 @@ def stage_extend(ctx: StageContext) -> tuple[dict, dict]:
         metrics["n_sweep"] = int(pts.shape[0])
         metrics["passed"] = metrics["sup_error"] <= 0.02
     else:
-        metrics["passed"] = identity_max <= 1e-9
+        # identity_max is 0 by construction (the field returns u on the data
+        # region), so only the raw envelope can show a pair undercutting u
+        metrics["passed"] = raw_identity_max <= 1e-9
 
     def write_grid(path):
         emit_grid(field, sc.ball, kn["sweep_spacing"], ctx.fmt, path)
@@ -582,7 +587,7 @@ def stage_condition(ctx: StageContext) -> tuple[dict, dict]:
 
 
 def stage_trace(ctx: StageContext) -> tuple[dict, dict]:
-    sc, kn, field, cond = ctx.scenario, ctx.knobs, ctx.field, ctx.condition
+    sc, field, cond = ctx.scenario, ctx.field, ctx.condition
     thetas = cond["thetas"]
     if thetas is None:
         metrics = {"n_arcs": 0, "passed": False, "note": "no direction to trace"}
@@ -595,9 +600,7 @@ def stage_trace(ctx: StageContext) -> tuple[dict, dict]:
         try:
             arc = trace_singular_arc(
                 field, sc.x0, theta,
-                delta_s=kn["delta_s"], sigma=kn["sigma"],
-                eps_s=kn["eps_s"], rho_t=kn["rho_t"], eps_c=kn["eps_c"],
-                p0=cond["p0"],
+                delta_s=0.02 * sc.delta, sigma=0.4 * sc.delta, p0=cond["p0"],
             )
         except PropagationLostError as err:
             arc = err.partial_arc
@@ -657,12 +660,12 @@ def stage_mollify(ctx: StageContext) -> tuple[dict, dict]:
     half = BallRegion(sc.ball.center, 0.5 * sc.ball.radius)
     probes = _ball_lattice(half, kn["mollify_spacing"])
     field_vals = field.evaluate_many(probes)
-    bound = constant_bound(params, field.coefficient)
+    bound = field.constant
     entries = []
     passed = True
     sups = []
     for h in kn["h_list"]:
-        approx = MollifiedApproximant(field, int(h), m_q=kn["m_q"])
+        approx = MollifiedApproximant(field, int(h))
         sup = float(np.max(np.abs(approx.evaluate_many(probes) - field_vals)))
         sups.append(sup)
         cert = certify(
@@ -676,7 +679,7 @@ def stage_mollify(ctx: StageContext) -> tuple[dict, dict]:
         entry = {
             "h": int(h),
             "sup_error": sup,
-            "bound": kn["mollify_lip"] / h,
+            "bound": 2.0 / h,  # Lipschitz bound 2 over h
             "certified": cert.passed,
             "max_defect": cert.max_defect,
         }
@@ -700,7 +703,7 @@ def stage_mollify(ctx: StageContext) -> tuple[dict, dict]:
 
 
 def stage_glue(ctx: StageContext) -> tuple[dict, dict]:
-    sc, kn = ctx.scenario, ctx.knobs
+    sc = ctx.scenario
     if sc.glue is None:
         raise InputError(f"scenario {sc.name!r} does not define a glue setup")
     params = ctx.params
@@ -708,11 +711,7 @@ def stage_glue(ctx: StageContext) -> tuple[dict, dict]:
     fields = []
     for ball_j in cover:
         support_j = build_support_set(sc.func, sc.domain, ball_j)
-        fields.append(
-            build_extension(
-                sc.func, sc.domain, support_j, params, coefficient=kn["coefficient"]
-            )
-        )
+        fields.append(build_extension(sc.func, sc.domain, support_j, params))
     weights = partition_weights(sc.domain, cover)
     glued = glue_global(sc.domain, cover, fields, weights, func=sc.func)
     hub = _domain_hub(sc.domain)

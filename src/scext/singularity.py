@@ -24,6 +24,8 @@ from .errors import (
 )
 from .geometry import _vec
 from .gradients import (
+    DEFAULT_EPS_C,
+    DEFAULT_EPS_S,
     ReachableGradientSet,
     _cluster,
     _diameter,
@@ -33,9 +35,7 @@ from .gradients import (
 )
 
 DEFAULT_RESIDUAL_TOL = 0.25
-DEFAULT_SEARCH_FACTOR = 3.0  # w = 3 * delta_s
-DEFAULT_DISC_FRACTION = 0.1  # disc grid spacing = delta_s / 10
-DEFAULT_EPS_S = 0.05
+_FD_STEP = 1e-4  # indicator central-difference step, as a fraction of rho
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -61,11 +61,11 @@ def select_p0(rset: ReachableGradientSet, candidates: np.ndarray) -> np.ndarray:
     return candidates[int(np.argmax(dist))]
 
 
-def propagation_directions(rset: ReachableGradientSet, p0, n_dirs: int = 8) -> np.ndarray:
+def propagation_directions(rset: ReachableGradientSet, p0) -> np.ndarray:
     """theta = -nu for each normal-cone generator nu at p0 on the hull."""
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     poly = convex_hull(rset.representatives)
-    nus = normal_cone_directions(poly, p0, n_dirs=n_dirs)
+    nus = normal_cone_directions(poly, p0)
     if nus.shape[0] == 0:
         raise DegenerateDirectionError(
             "normal cone at p0 is {0}; no propagation direction available"
@@ -95,16 +95,12 @@ def _unit_ball_pattern(dim: int, m: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
-def _indicator_values(
-    field,
-    centers: np.ndarray,
-    rho: float,
-    m: int,
-    h_fd: float,
-    eps_c: float,
-) -> np.ndarray:
-    """Gradient spread of the field on B_rho around each center, batched."""
+def _indicator_values(field, centers: np.ndarray, rho: float) -> np.ndarray:
+    """Gradient spread of the field on B_rho around each center, batched:
+    the diameter of the clustered central-difference gradients at m = 24
+    points of each ball."""
     n, d = centers.shape
+    m, h_fd = 24, _FD_STEP * rho
     pattern = rho * _unit_ball_pattern(d, m)
     pts = (centers[:, None, :] + pattern[None, :, :]).reshape(n * m, d)
     eye = h_fd * np.eye(d)
@@ -113,29 +109,21 @@ def _indicator_values(
     ).reshape(n * m * 2 * d, d)
     vals = field.evaluate_many(stencil).reshape(n * m, 2 * d)
     grads = (vals[:, :d] - vals[:, d:]) / (2.0 * h_fd)
-    reps = _cluster(grads, np.full(n, m), eps_c)
+    reps = _cluster(grads, np.full(n, m), DEFAULT_EPS_C)
     return np.array([_diameter(r) for r in reps])
 
 
-def singularity_indicator(
-    field,
-    x,
-    rho: float,
-    m: int = 24,
-    h_fd: float | None = None,
-    eps_c: float = 0.02,
-) -> float:
+def singularity_indicator(field, x, rho: float) -> float:
     """Diameter of clustered gradient samples on B_rho(x); near-zero at
     smooth points, about the gradient jump across a crease."""
     (x,) = _ball_points(field, x)
     if not rho > 0.0:
         raise InputError("probe radius must be positive")
-    if h_fd is None:
-        h_fd = 1e-4 * rho
+    h_fd = _FD_STEP * rho
     ball = field.ball
     if np.linalg.norm(x - ball.center) + rho + h_fd > ball.radius * (1.0 + 1e-12):
         raise InputError("probe ball escapes the field's ball")
-    return float(_indicator_values(field, x[None, :], rho, m, h_fd, eps_c)[0])
+    return float(_indicator_values(field, x[None, :], rho)[0])
 
 
 # -- arc tracing --------------------------------------------------------------
@@ -219,22 +207,17 @@ def trace_singular_arc(
     theta,
     delta_s: float,
     sigma: float,
-    w: float | None = None,
-    rho: float | None = None,
-    m: int = 24,
-    h_fd: float | None = None,
-    eps_s: float = DEFAULT_EPS_S,
-    rho_t: float = DEFAULT_RESIDUAL_TOL,
-    eps_c: float = 0.02,
     p0=None,
 ) -> SingularArc:
     """Follow the singularity from x0 in direction theta up to horizon sigma.
 
-    At each s_i = i*delta_s the tracer scans a transverse disc of radius w
-    around x0 + s_i*theta and records the indicator maximizer.  An indicator
-    at or below eps_s raises PropagationLostError carrying the partial arc:
-    the guaranteed horizon is not quantified, so running out of singularity
-    is an expected stopping event rather than a failure of the tracer.
+    At each s_i = i*delta_s the tracer scans a transverse disc of radius
+    w = 3*delta_s, on a grid of pitch delta_s/10, around x0 + s_i*theta and
+    records the maximizer of the indicator on probe balls of radius
+    0.2*delta_s.  An indicator at or below DEFAULT_EPS_S raises
+    PropagationLostError carrying the partial arc: the guaranteed horizon is
+    not quantified, so running out of singularity is an expected stopping
+    event rather than a failure of the tracer.
     """
     x0, theta = _ball_points(field, x0, theta)
     nrm = float(np.linalg.norm(theta))
@@ -243,12 +226,8 @@ def trace_singular_arc(
     theta = theta / nrm
     if not delta_s > 0.0 or not sigma >= delta_s:
         raise InputError("need 0 < delta_s <= sigma")
-    if w is None:
-        w = DEFAULT_SEARCH_FACTOR * delta_s
-    if rho is None:
-        rho = 0.2 * delta_s
-    if h_fd is None:
-        h_fd = 1e-4 * rho
+    w, rho = 3.0 * delta_s, 0.2 * delta_s
+    h_fd = _FD_STEP * rho
     ball = field.ball
     margin = float(np.linalg.norm(x0 - ball.center)) + sigma + w + rho + 2 * h_fd
     if margin > ball.radius * (1.0 + 1e-12):
@@ -257,12 +236,12 @@ def trace_singular_arc(
             f"(needs {margin:g} <= {ball.radius:g})"
         )
     basis = _transverse_basis(theta)
-    offsets = _disc_offsets(w, DEFAULT_DISC_FRACTION * delta_s, basis.shape[0])
+    offsets = _disc_offsets(w, 0.1 * delta_s, basis.shape[0])
     n_steps = int(math.floor(sigma / delta_s + 1e-9))
 
     s_list = [0.0]
     pts = [x0]
-    inds = [float(_indicator_values(field, x0[None, :], rho, m, h_fd, eps_c)[0])]
+    inds = [float(_indicator_values(field, x0[None, :], rho)[0])]
 
     def partial() -> SingularArc:
         return SingularArc(
@@ -273,8 +252,8 @@ def trace_singular_arc(
             s=np.array(s_list),
             points=np.array(pts),
             indicators=np.array(inds),
-            eps_s=float(eps_s),
-            rho_t=float(rho_t),
+            eps_s=DEFAULT_EPS_S,
+            rho_t=DEFAULT_RESIDUAL_TOL,
             p0=None if p0 is None else np.atleast_1d(np.asarray(p0, dtype=float)),
         )
 
@@ -282,12 +261,12 @@ def trace_singular_arc(
         s_i = i * delta_s
         center = x0 + s_i * theta
         disc = center + offsets @ basis
-        values = _indicator_values(field, disc, rho, m, h_fd, eps_c)
+        values = _indicator_values(field, disc, rho)
         j = int(np.argmax(values))  # first max in center-outward order
         s_list.append(s_i)
         pts.append(disc[j])
         inds.append(float(values[j]))
-        if values[j] <= eps_s:
+        if values[j] <= DEFAULT_EPS_S:
             raise PropagationLostError(
                 f"indicator {values[j]:g} <= eps_s at s = {s_i:g}; the arc "
                 f"ended before the requested horizon",

@@ -12,8 +12,16 @@ import pytest
 
 from scext.cli import ScenarioConfig, emit_grid, main, run_scenario
 from scext.errors import InputError
+from scext.extension import ExtensionField, SupportSet
 from scext.geometry import BallRegion
-from scext.scenarios import envelope_neg_norm
+from scext.scenarios import (
+    StageContext,
+    build_scenario,
+    default_knobs,
+    envelope_neg_norm,
+    resolve_knobs,
+    stage_extend,
+)
 from scext.semiconcavity import ModulusParams, certify
 
 
@@ -106,6 +114,37 @@ class TestExitCodes:
         assert main(["--config", str(cfg)]) == 2
         assert "knobs must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"knobs": {"eps_q": 1}}, "unknown knob"),
+        ({"knobs": {"triples": "many"}}, "'triples' has the wrong type"),
+        ({"knobs": {"alpha": True}}, "'alpha' has the wrong type"),
+        ({"knobs": {"h_list": [10, 2.5]}}, "'h_list' has the wrong type"),
+        ({"function": {"identifier": "nope"}}, "unknown function identifier"),
+        ({"domain": {"kind": "disk", "center": [0.0, 0.0], "radius": -1}}, "radius"),
+    ], ids=["unknown-knob", "text-triples", "bool-alpha", "float-h", "bad-function",
+            "negative-radius"])
+    def test_bad_knob_or_custom_spec_is_usage_error(self, extra, message, tmp_path, capsys):
+        config = {
+            "scenario": "custom",
+            "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+            "function": {"identifier": "sq-norm"},
+            "ball": {"center": [0.0, 0.0], "radius": 0.8},
+            "stages": ["certify"],
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**config, **extra}))
+        assert main(["--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_null_modulus_and_spacing_keep_their_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "scenario": "example2", "stages": ["certify"],
+            "knobs": {"C": None, "spacing": None, "triples": 1500},
+        }))
+        assert main(["--config", str(cfg)]) == 0
+        assert "[pass] certify" in capsys.readouterr().out
+
     def test_incomplete_custom_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"scenario": "custom"}))
@@ -140,6 +179,36 @@ class TestExitCodes:
         )
         assert code == 0
         assert "[pass] certify" in capsys.readouterr().out
+
+
+# SHA-256 of every artifact but timings.json of `scext --scenario S --out DIR`
+_PINNED_ARTIFACTS = {
+    "example2": {
+        "arcs.json": "5d467fd440f52368bcc70eaa82fc0bda8011235879e8b00fe739fe8a9935fc32",
+        "certify.json": "a729f05d17854cb7473f3900a82b9def83a50242a836fcb4bd34583cc37c1b72",
+        "condition.json": "15dcd2f0562c331d3bd098379624e880cdfd37180db2f801ec5f95e1767c98f3",
+        "field.json": "b0376fde8df3b5c3c16bed107409d817389c0169902d2b87c092ca6763820aa4",
+        "field_grid.csv": "e02db68dee548a5929516ab5cc77adef4a77ea44bb34a390cd0fc27439db50ee",
+        "gradients.json": "bd81b3cfe49d9807d73ddbc1f3e3d18ed4084bb70a7b5612fea2e4643f8c8614",
+        "report.json": "b944a4775a4b91fd5414f6fa7b030cf93c030be79e785d24fc44b0f40bcd8b9d",
+        "support.json": "cfb863df7115f0157d9de1cd230f0e49bb6d05eb07dcf44f9a70a189e18761d2",
+    },
+    "example3": {
+        "arcs.json": "748206c0a0ce9f954b1c6e54e0b4c7ff0d4ccecd015cf77167f17538d9abc827",
+        "certify.json": "5942c27142c62d49a98bae17a708df93c461f7f09f8fe696bf610dbfbb4bf8c3",
+        "condition.json": "b04a53ec1d3f150d1a7ee3b98596abc80e0877525af349e50aa83014e8a6aecf",
+        "field.json": "faee07b2767cc69af5cc8a588cd95bb83d26d6607c806c38b01d12c820798c23",
+        "field_grid.csv": "d2b901e5359444dbc37b0f8052345be7438ddba59ff3d8ac85bdd3136d82e291",
+        "gradients.json": "d30e81353055f55843bcc7614b34472c49eb9f8c40251bc94b79f171b2d0c046",
+        "report.json": "7e4f7121439432d51156c4dc6ddf8a7976c58788af2cf977486cf3081fb22be7",
+        "support.json": "fc6599de21af19971b455b11750d582e4b86fd2404bd5159f7b2153396165310",
+    },
+    "glue-1d": {
+        "certify.json": "6102fe2dc02081cccee6a939d7d51c867cbacf3acdf4bf2870ec9b1d7667be11",
+        "glue.json": "0eb9321b510147bc0e6cabb87eb15b6037dfcc96bdfe3e600a68a1772acb80c4",
+        "report.json": "abc338f30e246ab25076ca07ddffa0054e15b885e5d8417495bcc87bf90f284b",
+    },
+}
 
 
 def _failing_certify_config(tmp_path):
@@ -300,6 +369,18 @@ class TestLayeringAndDeterminism:
             "d57b6a6c1d2aacb27e5e076d6e88e38386d424018df1da7861c2b9105a9d02e1"
         )
 
+    @pytest.mark.parametrize("scenario", sorted(_PINNED_ARTIFACTS))
+    def test_default_run_artifacts_are_pinned(self, scenario, tmp_path, capsys):
+        # the built-in scenarios that perfbench/reference.json does not pin;
+        # example3 traces its fallback direction
+        assert main(["--scenario", scenario, "--out", str(tmp_path)]) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()
+            if p.name != "timings.json"
+        }
+        assert digests == _PINNED_ARTIFACTS[scenario]
+
     def test_example3_condition_records_false(self, tmp_path):
         out = tmp_path / "artifacts"
         code = main(
@@ -351,7 +432,33 @@ class TestReportRoundTrip:
         assert metrics["extend"]["sup_error"] <= 0.02
 
 
+def test_default_knobs_are_the_values_callers_set():
+    knobs = default_knobs(build_scenario("example2"))
+    assert sorted(knobs) == sorted([
+        "alpha", "C", "seed", "triples", "spacing", "sweep_spacing", "h_list",
+        "mollify_spacing", "mollify_triples",
+    ])
+
+
 class TestAffineSanity:
+    def test_extend_fails_when_the_field_undercuts_u(self):
+        # affine-sanity has no reference envelope, so the verdict rests on the
+        # raw envelope reproducing u at the support nodes
+        scenario = build_scenario("affine-sanity")
+        ctx = StageContext(scenario, resolve_knobs(scenario, {"spacing": 0.05}))
+        good = ctx.support
+        lowered = good.values.copy()
+        lowered[0] -= 1e-3
+        support = SupportSet(
+            good.points, good.gradients, lowered, good.sources, good.ball, good.spacing
+        )
+        ctx.__dict__["field"] = ExtensionField(
+            support, ctx.params, ctx.params.C + 1.0, scenario.func, scenario.domain
+        )
+        metrics, _ = stage_extend(ctx)
+        assert metrics["raw_identity_max"] == pytest.approx(1e-3, rel=1e-9)
+        assert metrics["passed"] is False
+
     def test_every_stage_is_exact(self):
         report = run_scenario(
             ScenarioConfig(

@@ -637,6 +637,14 @@ class TestMollify:
         with pytest.raises(InputError):
             approx.evaluate_many(np.array([[0.9, 0.0]]))
 
+    def test_half_ball_edge_carries_the_boundary_tolerance(self, ex2):
+        # the unit field ball halves to radius 0.5, widened by BOUNDARY_TOL
+        approx = MollifiedApproximant(ex2["field"], h=10)
+        edge = 0.5 * (1.0 + 1e-12) + 1e-12
+        assert np.isfinite(approx.evaluate_many(np.array([[edge, 0.0]]))).all()
+        with pytest.raises(InputError, match="half-radius ball"):
+            approx.evaluate_many(np.array([[np.nextafter(edge, 1.0), 0.0]]))
+
 
 class _Shim:
     def __init__(self, fn):
