@@ -19,17 +19,28 @@ group is scanned against its cell's candidate pairs only.
 
 * Bound: over a box with centre m and half-widths h, pair j lies between
   offs_j + <p_j, m> -/+ <|p_j|, h> + c*(nearest/farthest distance from y_j
-  to the box)^(1+alpha).  Candidates: lower_j <= min_i upper_i + slack.
-* Levels: coarse cells (radius/4) filter all pairs, fine cells (radius/12,
-  three per coarse edge) their parent's candidates, which hold a minimizer
-  for every point of the child; both are cached on the field on first use.
+  to the box)^(1+alpha), computed coordinate by coordinate on (cells x
+  candidates) arrays.  Candidates: lower_j <= min_i upper_i + slack.
+* Levels: coarse cells (radius/4) filter all pairs, fine cells (radius/12)
+  their coarse parent's candidates and finer cells (radius/36) their fine
+  parent's; a cell's parent is its key // 3.  Every query is keyed at the
+  finer level, so its three cells are nested boxes that all hold it.  The
+  missing children of one parent are filtered in one pass, and every cell is
+  cached on the field.  A call scans a fine cell's rows against its finer
+  children only when they outnumber what building the missing children
+  costs (``_pays_to_refine``), and against the fine cell otherwise.
 * Exactness: if every computed value in the cell is within e of the exact
   one and j* attains the computed minimum at x, then for every pair i
   lower_j* <= v_j*(x) <= v_i(x) + 2e <= upper_i + 2e.  So a slack of 2e keeps
   j*, and the minimum over the candidates is bit for bit the full one.  The
-  slack is derived per cell: |x|^2 + |y|^2 - 2<x, y> cancels with error up to
-  (d+4)eps(|x|+|y|)^2, which the power lifts to c((d+4)eps(|x|+|y|)^2)^((1+
-  alpha)/2): ~1e-11c at alpha = 0.5, ~1e-7c as alpha -> 0.
+  argument needs only that x lies in the cell's box and that the parent's
+  candidates hold j* for every point of the parent's box, which holds by
+  induction from the coarse level (whose parent is all pairs).  So every
+  level is exact, and so is any partition of the queries: which level scans
+  a query and which queries share its batch change no value (BLAS shape).
+  The slack is derived per cell: |x|^2 + |y|^2 - 2<x, y> cancels with error
+  up to (d+4)eps(|x|+|y|)^2, which the power lifts to c((d+4)eps(|x|+|y|)^2)^(
+  (1+alpha)/2): ~1e-11c at alpha = 0.5, ~1e-7c as alpha -> 0.
 * BLAS shape: OpenBLAS gemm rounds a 2-term dot product as fma(x1, p1, x0*p0),
   gemv (one row or column) as fma(x0, p0, x1*p1), and large gemm products
   round their last m mod 8 columns apart when m mod 8 >= 4.  A lone query row
@@ -43,6 +54,13 @@ group is scanned against its cell's candidate pairs only.
   whole gemm blocks) gives every prunable pair's worst violation exactly.
   At alpha = 1 the scan adds c|z|^2 to each value; rounding is monotone, so
   min_j fl(A_j + s) = fl(min_j A_j + s) and the two agree bit for bit.
+  The kept field inherits a cell of the full field, filtered to the kept
+  pairs, when it inherited the cell's parent (the coarse level's parent is
+  all pairs) and the pair b attaining the cell's smallest upper bound U is
+  kept.  Filtering the parent's kept candidates afresh would give U' = U (b
+  is among them, and they are a subset) and a slack no larger (its maxima
+  run over a subset), so a subset of the inherited list: the inherited list
+  holds the minimizer over the kept pairs.  Other cells are rebuilt on use.
 """
 
 from __future__ import annotations
@@ -67,9 +85,11 @@ DEFAULT_SPACING_SCALE = 0.01  # support spacing as a fraction of the ball radius
 _M_Q = 21  # quadrature points per axis for the mollifier (odd: the grid holds 0)
 _PRUNE_TOL = 5e-13
 _FINE_PER_RADIUS = 12  # fine envelope cells per ball radius
-_NEST = 3  # fine cells per coarse cell edge, so coarse cells are radius/4
+_NEST = 3  # child cells per parent edge: coarse radius/4, finer radius/36
 _LANES = 8  # candidate lists are padded to whole gemm column blocks
 _BLOCK = 1 << 20  # matrix entries per kernel block
+_SLICE = 8192  # rows per membership-test slice
+_BATCH = 1 << 17  # stencil rows per mollifier call to the field
 _EPS = float(np.finfo(float).eps)
 
 
@@ -124,6 +144,47 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[0] == 1:
         return (np.vstack([a, a]) @ b.T)[:1]
     return a @ b.T
+
+
+def _cell_runs(pts: np.ndarray, size: float):
+    """Sort the rows of ``pts`` by fine cell and, inside it, by finer cell of
+    edge ``size``.  Returns the order and, per fine cell, its key, its span
+    of sorted rows, and its finer cells' keys and spans.  Every key is
+    derived from the finer one, so the cells nest."""
+    finer = np.floor(pts / size).astype(np.int64)
+    fine = finer // _NEST
+    low, d = fine.min(axis=0), pts.shape[1]
+    code = np.ravel_multi_index((fine - low).T, fine.max(axis=0) - low + 1) * _NEST**d
+    code += np.ravel_multi_index((finer - _NEST * fine).T, (_NEST,) * d)
+    order = np.argsort(code)
+    code = code[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(code) != 0])
+    cuts = np.flatnonzero(np.r_[True, np.diff(code[starts] // _NEST**d) != 0])
+    heads, bounds = order[starts], np.r_[starts, code.size].tolist()
+    fine_keys, finer_keys = fine[heads].tolist(), list(map(tuple, finer[heads].tolist()))
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    return order, [
+        (tuple(fine_keys[lo]), (bounds[lo], bounds[hi]), finer_keys[lo:hi], spans[lo:hi])
+        for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [starts.size])
+    ]
+
+
+def _pays_to_refine(rows: int, missing: int, d: int, alpha: float) -> bool:
+    """Whether a call's rows in one fine cell pay for building its missing
+    finer children.  With K candidates in the cell, scanning the rows costs
+    rows * K * S array passes and the children's bound pass missing * K * B;
+    K cancels.  S and B are read off the code: ``_pair_values`` and the
+    minimum make 3 passes per (row, candidate) entry at alpha = 1 and 10 at
+    alpha < 1; ``_prune_cells`` makes 13 per coordinate and 9 more per (cell,
+    candidate) entry, 11 at alpha < 1."""
+    fractional = alpha != 1.0
+    scan, bound = (10, 13 * d + 11) if fractional else (3, 13 * d + 9)
+    return rows * scan > missing * bound
+
+
+def _pad(cand: np.ndarray) -> np.ndarray:
+    """Pad a candidate list to whole gemm column blocks by repeating its last pair."""
+    return np.pad(cand, (0, -cand.size % _LANES), "edge")
 
 
 # -- support sets ------------------------------------------------------------
@@ -254,10 +315,18 @@ class ExtensionField:
                 self.support.gradients - 2.0 * self.coefficient * self.support.points
             )
             self._lin_b = self._offs + self.coefficient * self._y_sq
-        # candidate index, built on first use: cell key -> pair indices
+        # per-pair rows of the bound pass (``_prune_cells``), gathered at once:
+        # y, p, offs, |y| and |p|
+        p_sq = np.einsum("ij,ij->i", self.support.gradients, self.support.gradients)
+        self._bound_cols = np.vstack(
+            [self.support.points.T, self.support.gradients.T, self._offs,
+             np.sqrt(self._y_sq), np.sqrt(p_sq)]
+        )
+        # candidate index, built on first use: per level (coarse, fine, finer),
+        # cell key -> (candidate pairs, the pair of the smallest upper bound)
         self._cell = self.ball.radius / _FINE_PER_RADIUS
-        self._coarse: dict[tuple, np.ndarray] = {}
-        self._fine: dict[tuple, np.ndarray] = {}
+        self._sizes = (_NEST * self._cell, self._cell, self._cell / _NEST)
+        self._index: tuple[dict, dict, dict] = ({}, {}, {})
 
     @property
     def ball(self) -> BallRegion:
@@ -278,19 +347,26 @@ class ExtensionField:
 
     def evaluate_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inside_ball = self.ball.contains_many(pts)
+        out = np.empty(pts.shape[0])
+        inside_ball = np.empty(pts.shape[0], dtype=bool)
+        off_data = np.empty(pts.shape[0], dtype=bool)
+        # the membership tests and u are elementwise; slices keep their
+        # temporaries in cache
+        for lo in range(0, pts.shape[0], _SLICE):
+            rows = slice(lo, lo + _SLICE)
+            inside_ball[rows] = self.ball.contains_many(pts[rows])
+            on_data = inside_ball[rows] & self.domain.contains_many(pts[rows], "closure")
+            off_data[rows] = ~on_data
+            if np.any(on_data):
+                # the envelope reproduces u there; return u itself so the
+                # identity is exact rather than spacing-limited
+                out[rows][on_data] = evaluate_many(self.func, pts[rows][on_data])
         if not np.all(inside_ball):
             raise InputError(
                 f"{int((~inside_ball).sum())} query point(s) outside the source ball"
             )
-        out = np.empty(pts.shape[0])
-        on_data = self.in_data_region(pts)
-        if np.any(on_data):
-            # the envelope reproduces u there; return u itself so the
-            # identity is exact rather than spacing-limited
-            out[on_data] = evaluate_many(self.func, pts[on_data])
-        if np.any(~on_data):
-            out[~on_data] = self._min_over_pairs(pts[~on_data])
+        if np.any(off_data):
+            out[off_data] = self._min_over_pairs(pts[off_data])
         return out
 
     def __call__(self, x) -> float:
@@ -299,60 +375,112 @@ class ExtensionField:
 
     def _min_over_pairs(self, pts: np.ndarray) -> np.ndarray:
         """The envelope kernel (module docstring): queries are grouped by fine
-        cell and each group is scanned against its cell's candidate pairs."""
+        cell, the rows of a crowded fine cell by finer cell, and each group is
+        scanned against its cell's candidate pairs."""
         c, a = self.coefficient, self.params.alpha
-        x_sq = np.einsum("ij,ij->i", pts, pts)
         out = np.empty(pts.shape[0])
-        keys = np.floor(pts / self._cell).astype(np.int64)
-        order = np.lexsort(keys.T[::-1])
-        starts = np.flatnonzero(np.any(np.diff(keys[order], axis=0) != 0, axis=1)) + 1
-        for group in np.split(order, starts) if pts.shape[0] else []:
-            cand = self._candidates(tuple(keys[group[0]]))
-            for idx in np.array_split(group, -(-group.size * cand.size // _BLOCK)):
-                out[idx] = self._pair_values(pts[idx], x_sq[idx], cand).min(axis=1)
-        return out + c * x_sq if a == 1.0 else out
+        if not pts.shape[0]:
+            return out
+        order, runs = _cell_runs(pts, self._sizes[2])
+        # rows sorted by cell, so every scanned group is a contiguous span
+        pts = pts[order]
+        x_sq = np.einsum("ij,ij->i", pts, pts)
+        mins = np.empty(pts.shape[0])
+        for (_, span, keys, spans), cand in zip(runs, self._candidates(1, [r[0] for r in runs])):
+            missing = sum(key not in self._index[2] for key in keys)
+            if _pays_to_refine(span[1] - span[0], missing, pts.shape[1], a):
+                for sub, sub_cand in zip(spans, self._candidates(2, keys)):
+                    self._scan(pts, x_sq, sub, sub_cand, mins)
+            else:
+                self._scan(pts, x_sq, span, cand, mins)
+        out[order] = mins + c * x_sq if a == 1.0 else mins
+        return out
+
+    def _scan(self, pts, x_sq, span, cand, out) -> None:
+        """out = the minimum over pairs ``cand`` on the rows ``span`` (start,
+        stop), in blocks of _BLOCK entries."""
+        step = max(1, _BLOCK // cand.size)
+        for lo in range(span[0], span[1], step):
+            rows = slice(lo, min(lo + step, span[1]))
+            out[rows] = self._pair_values(pts[rows], x_sq[rows], cand).min(axis=1)
 
     def _pair_values(self, x: np.ndarray, x_sq: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """Values of pairs ``cand`` at the rows of ``x`` (module docstring),
         without the shared c|x|^2 at alpha = 1."""
         c, a = self.coefficient, self.params.alpha
         if a == 1.0:
-            return _gemm(x, self._lin_q[cand]) + self._lin_b[cand]
+            vals = _gemm(x, self._lin_q[cand])
+            vals += self._lin_b[cand]
+            return vals
         xy2 = _gemm(2.0 * x, self.support.points[cand])
         d_sq = np.clip(x_sq[:, None] + self._y_sq[cand] - xy2, 0.0, None)
         vals = _gemm(x, self.support.gradients[cand]) + self._offs[cand]
         vals += c * d_sq ** (0.5 * (1.0 + a))
         return vals
 
-    def _candidates(self, key: tuple) -> np.ndarray:
-        """Cached candidate pairs of a fine cell, filtered from its coarse parent's."""
-        if key not in self._fine:
-            parent = tuple(k // _NEST for k in key)
-            if parent not in self._coarse:
-                every = np.arange(self.support.size)
-                self._coarse[parent] = self._prune_cell(every, parent, _NEST * self._cell)
-            cand = self._prune_cell(self._coarse[parent], key, self._cell)
-            # pad to whole gemm column blocks by repeating the last pair
-            self._fine[key] = np.r_[cand, np.full(-cand.size % _LANES, cand[-1])]
-        return self._fine[key]
+    def _candidates(self, level: int, keys: list) -> list:
+        """Candidate pairs of the cells ``keys`` at ``level`` (0 coarse, 1 fine,
+        2 finer).  A missing cell is filtered from its parent's candidates and
+        cached; the missing children of one parent share one bound pass."""
+        index = self._index[level]
+        siblings: dict[tuple, list] = {}
+        for key in keys:
+            if key not in index:
+                # each coarse cell is its own pass over all pairs
+                parent = tuple(k // _NEST for k in key) if level else key
+                siblings.setdefault(parent, []).append(key)
+        for parent, cells in siblings.items():
+            if level:
+                cand = self._candidates(level - 1, [parent])[0]
+            else:
+                cand = np.arange(self.support.size, dtype=np.int32)
+            lists, best = self._prune_cells(cand, np.array(cells), self._sizes[level])
+            for key, cell, b in zip(cells, lists, best.tolist()):
+                # scanned lists are padded to whole gemm column blocks
+                index[key] = (_pad(cell) if level else cell, b)
+        return [index[k][0] for k in keys]
 
-    def _prune_cell(self, cand: np.ndarray, key: tuple, size: float) -> np.ndarray:
-        """Pairs of ``cand`` whose lower bound over the cell is within the slack
-        of the smallest upper bound (module docstring)."""
-        c, e = self.coefficient, 1.0 + self.params.alpha
-        m = (np.asarray(key) + 0.5) * size
+    def _prune_cells(self, cand: np.ndarray, keys: np.ndarray, size: float):
+        """For each cell of ``keys`` (edge ``size``), the pairs of ``cand`` whose
+        lower bound over the cell is within the slack of the smallest upper
+        bound, and the pair attaining that bound (module docstring).  One
+        (cells x candidates) pass, coordinate by coordinate."""
+        c, e, d = self.coefficient, 1.0 + self.params.alpha, keys.shape[1]
+        cols = self._bound_cols[:, cand]
+        m = (keys + 0.5) * size
         # widened by the rounding of x/size: the box holds every point keyed to it
         h = 0.5 * size + 4.0 * _EPS * (np.abs(m) + size)
-        y, p, o = self.support.points[cand], self.support.gradients[cand], self._offs[cand]
-        gap, base, spread = np.abs(y - m), o + p @ m, np.abs(p) @ h
-        lower = base - spread + c * np.linalg.norm(np.maximum(gap - h, 0.0), axis=1) ** e
-        upper = base + spread + c * np.linalg.norm(gap + h, axis=1) ** e
-        # error bound of any pair's computed value in the cell
-        rx, ry = np.linalg.norm(np.abs(m) + h), np.linalg.norm(y, axis=1).max()
-        s, tol = rx + ry, (m.size + 4) * _EPS
-        err = tol * (rx * (np.linalg.norm(p, axis=1).max() + 2.0 * c * ry) + np.abs(o).max())
-        err += tol * c * (s * s + s**e) + c * (tol * s * s) ** (0.5 * e)
-        return cand[lower <= upper.min() + 4.0 * err]
+        base, spread, near, far = cols[2 * d], 0.0, 0.0, 0.0
+        for y_i, p_i, m_i, h_i in zip(cols[:d], cols[d : 2 * d], m.T[:, :, None], h.T[:, :, None]):
+            gap = np.abs(y_i - m_i)
+            base = base + p_i * m_i
+            spread = spread + np.abs(p_i) * h_i
+            near = near + np.maximum(gap - h_i, 0.0) ** 2
+            far = far + (gap + h_i) ** 2
+        if e != 2.0:
+            near, far = near ** (0.5 * e), far ** (0.5 * e)
+        lower = base - spread + c * near
+        upper = base + spread + c * far
+        # error bound of any pair's computed value in each cell
+        rx = np.sqrt(((np.abs(m) + h) ** 2).sum(axis=1))
+        ry, rp, ro = cols[2 * d + 1].max(), cols[2 * d + 2].max(), np.abs(cols[2 * d]).max()
+        s, tol = rx + ry, (d + 4) * _EPS
+        err = tol * (rx * (rp + 2.0 * c * ry) + ro) + tol * c * (s * s + s**e)
+        err += c * (tol * s * s) ** (0.5 * e)
+        best = upper.argmin(axis=1)
+        bound = upper[np.arange(best.size), best] + 4.0 * err
+        return [cand[row <= b] for row, b in zip(lower, bound.tolist())], cand[best]
+
+    def _inherit_index(self, full: ExtensionField, keep: np.ndarray) -> None:
+        """Take over the cells of ``full``'s index that stay exact for the
+        kept pairs ``keep`` (module docstring, Pruning), filtered to them."""
+        renum = (np.cumsum(keep) - 1).astype(np.int32)
+        for level, cells in enumerate(full._index):
+            for key, (cand, best) in cells.items():
+                parent_kept = level == 0 or tuple(k // _NEST for k in key) in self._index[level - 1]
+                if parent_kept and keep[best]:
+                    cand = renum[cand[keep[cand]]]
+                    self._index[level][key] = (_pad(cand) if level else cand, int(renum[best]))
 
     def to_dict(self) -> dict:
         return {
@@ -417,7 +545,9 @@ def build_extension(
         support.ball,
         support.spacing,
     )
-    return ExtensionField(kept, params, field.coefficient, func, domain, n_pruned=n_pruned)
+    pruned = ExtensionField(kept, params, field.coefficient, func, domain, n_pruned=n_pruned)
+    pruned._inherit_index(field, keep)
+    return pruned
 
 
 # -- glued covers ------------------------------------------------------------
@@ -637,13 +767,17 @@ class MollifiedApproximant:
             raise InputError("mollified field is defined on the half-radius ball only")
         out = np.empty(pts.shape[0])
         L = self.nodes.shape[0]
-        # keep roughly 8k stencil rows per inner evaluation
+        # the weighted sums run on blocks of 8192 // L points, whose gemv
+        # rounding every value keeps; the field gets whole blocks, ~2^17
+        # stencil rows per call
         step = max(1, 8192 // L)
-        for lo in range(0, pts.shape[0], step):
-            block = pts[lo : lo + step]
+        batch = step * max(1, _BATCH // (step * L))
+        for lo in range(0, pts.shape[0], batch):
+            block = pts[lo : lo + batch]
             stencil = (block[:, None, :] + self.nodes[None, :, :] / self.h).reshape(-1, block.shape[1])
             vals = self.field.evaluate_many(stencil).reshape(block.shape[0], L)
-            out[lo : lo + step] = vals @ self.weights
+            for b in range(0, block.shape[0], step):
+                out[lo + b : lo + b + step] = vals[b : b + step] @ self.weights
         return out
 
     def __call__(self, x) -> float:

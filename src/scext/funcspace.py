@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     DimensionError,
@@ -243,6 +242,9 @@ def sampled_function(
 ) -> FunctionSpec:
     """Multilinear interpolation on a node lattice (order 1; keeps Lipschitz
     and concavity bounds that higher orders would break)."""
+    # imported here: no scenario samples a grid, and the import is ~0.15 s
+    from scipy.interpolate import RegularGridInterpolator
+
     axes = [np.asarray(a, dtype=float) for a in axes]
     values = np.asarray(values, dtype=float)
     interp = RegularGridInterpolator(axes, values, method="linear", bounds_error=True)

@@ -1,6 +1,7 @@
 """Runner behavior: artifact formats, determinism, layering, exit codes."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -286,6 +287,19 @@ class TestBenchmarkTracer:
         for name in ("cli.emit_grid", "scenarios.extend", "extension.build_extension"):
             assert repr(name) in spans
 
+
+class TestBenchmarkReference:
+    @pytest.mark.parametrize("workload", ["example1", "affine-glue", "alpha-half"])
+    def test_workload_artifacts_match_reference(self, workload, tmp_path, monkeypatch, capsys):
+        # the benchmark's workloads at its recorded seed, hashed as its worker
+        # hashes them: every Tier-1 run checks byte-identity against
+        # perfbench/reference.json, which it only reads
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        bench, worker = importlib.import_module("run"), importlib.import_module("worker")
+        reference = json.loads(bench.REFERENCE.read_text())[workload]
+        argv = bench.WORKLOADS[workload] + ["--seed", str(reference["seed"])]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert worker.artifact_digests(tmp_path) == reference["digests"]
 
 class TestLayeringAndDeterminism:
     def test_flags_beat_config_and_reruns_are_byte_identical(self, tmp_path):

@@ -25,7 +25,7 @@ from scext import (
     partition_weights,
     summand_differentiability_probe,
 )
-from scext.extension import _FINE_PER_RADIUS, _node_index
+from scext.extension import _FINE_PER_RADIUS, _NEST, _node_index
 from scext.funcspace import FunctionSpec
 from scext.geometry import boundary_sample, capped_disk, closure_grid
 from scext.gradients import _gradient_samples, reachable_gradients
@@ -319,12 +319,13 @@ class TestEnvelope:
 
 
 def _dense_envelope(field, pts):
-    """All-pairs minimum with the kernel's per-pair expression for alpha < 1.
+    """All-pairs minimum with the kernel's per-pair expressions: x@q_j + b_j
+    plus c|x|^2 after the minimum at alpha = 1, the fractional one otherwise.
 
     The pairs are padded to a multiple of 8 by repeating the last one, so
     every product runs through gemm with whole column blocks, as the kernel's
     do (see the docstring of scext.extension)."""
-    s = field.support
+    s, c = field.support, field.coefficient
     pad = np.r_[np.arange(s.size), np.full(-s.size % 8, s.size - 1)]
     y, p = s.points[pad], s.gradients[pad]
     offs = s.values[pad] - np.einsum("ij,ij->i", p, y)
@@ -333,11 +334,23 @@ def _dense_envelope(field, pts):
     best = np.full(pts.shape[0], np.inf)
     for lo in range(0, pad.size, 1024):
         yb, pb, ob = y[lo : lo + 1024], p[lo : lo + 1024], offs[lo : lo + 1024]
-        d_sq = np.clip(x_sq[:, None] + y_sq[None, lo : lo + 1024] - 2.0 * pts @ yb.T, 0.0, None)
-        kernel = d_sq ** (0.5 * (1.0 + field.params.alpha))
-        vals = pts @ pb.T + ob[None, :] + field.coefficient * kernel
+        if field.params.alpha == 1.0:
+            vals = pts @ (pb - 2.0 * c * yb).T + (ob + c * y_sq[lo : lo + 1024])[None, :]
+        else:
+            d_sq = np.clip(x_sq[:, None] + y_sq[None, lo : lo + 1024] - 2.0 * pts @ yb.T, 0.0, None)
+            kernel = d_sq ** (0.5 * (1.0 + field.params.alpha))
+            vals = pts @ pb.T + ob[None, :] + c * kernel
         best = np.minimum(best, vals.min(axis=1))
-    return best
+    return best + c * x_sq if field.params.alpha == 1.0 else best
+
+
+def _stencil_cloud(field, n_centres, h, seed):
+    """Mollifier stencils (the 21-point quadrature grid scaled by 1/h) around
+    random centres: a few hundred rows per fine cell, so the finer level is
+    built where they fall."""
+    nodes = MollifiedApproximant(field, h).nodes / h
+    centres = ball_points(n_centres, seed=seed, radius=0.9)
+    return (centres[:, None, :] + nodes[None, :, :]).reshape(-1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -361,8 +374,9 @@ def _kernel_queries(field, n, seed):
 
 
 def _assert_candidates_sound(ball, y, p, u, alpha, x):
-    """Each query's cell candidates hold a pair whose value at the query,
-    computed elementwise without BLAS, equals the minimum over all pairs."""
+    """At every level (coarse, fine, finer), each query's cell candidates hold
+    a pair whose value at the query, computed elementwise without BLAS, equals
+    the minimum over all pairs.  Cells are keyed as the kernel keys them."""
     support = SupportSet(y, p, u, ["smooth"] * u.size, ball, 0.05)
     field = ExtensionField(support, ModulusParams(alpha, 0.0), 3.0, None, None)
     offs = u - (y * p).sum(axis=1)
@@ -371,10 +385,12 @@ def _assert_candidates_sound(ball, y, p, u, alpha, x):
         - 2.0 * (x[:, None, :] * y[None, :, :]).sum(axis=2), 0.0, None
     )
     vals = (x[:, None, :] * p[None, :, :]).sum(axis=2) + offs + 3.0 * d_sq ** (0.5 * (1.0 + alpha))
-    keys = np.floor(x / field._cell).astype(np.int64)
-    for i in range(x.shape[0]):
-        cand = field._candidates(tuple(keys[i]))
-        assert vals[i, cand].min() == vals[i].min(), (i, x[i])
+    finer = np.floor(x / field._sizes[2]).astype(np.int64)
+    for level in (0, 1, 2):
+        keys = finer // _NEST ** (2 - level)
+        for i in range(x.shape[0]):
+            cand = field._candidates(level, [tuple(keys[i].tolist())])[0]
+            assert vals[i, cand].min() == vals[i].min(), (level, i, x[i])
 
 
 class TestEnvelopeKernel:
@@ -419,15 +435,17 @@ class TestEnvelopeKernel:
         x = y[:, None, :] + steps[None, :, None] * rng.standard_normal((y.shape[0], 5, dim))
         _assert_candidates_sound(ball, y, p, -np.linalg.norm(y, axis=1), alpha, x.reshape(-1, dim))
         # two pairs with p = 0 whose bounds are both tight at a cell corner x
-        # (1e-13 inside): x is the cell point nearest to y_near and farthest
-        # from y_far.  Pair far is below pair near at x by less than the
-        # rounding error of the |x|^2 + |y|^2 - 2<x, y> cancellation at
-        # |x - y_near| = t, so the computed minimizer can be either, and only
-        # the slack keeps both
+        # (1e-13 inside), of a fine cell and then of a finer one: x is the
+        # cell point nearest to y_near and farthest from y_far.  Pair far is
+        # below pair near at x by less than the rounding error of the |x|^2 +
+        # |y|^2 - 2<x, y> cancellation at |x - y_near| = t, so the computed
+        # minimizer can be either, and only the slack keeps both
         cell = ball.radius / _FINE_PER_RADIUS
         diag = np.ones(dim) / math.sqrt(dim)
-        for k in rng.integers(-8, 8, size=(12, dim)):
-            x0 = k * cell + 1e-13
+        fine = rng.integers(-8, 8, size=(12, dim)) * cell
+        finer = rng.integers(-24, 24, size=(12, dim)) * (cell / _NEST)
+        for corner in np.vstack([fine, finer]):
+            x0 = corner + 1e-13
             for t in (3e-9, 1e-8, 3e-8):
                 v_near = 3.0 * t ** (1.0 + alpha)
                 for frac in (0.01, 0.03, 0.1, 0.3):
@@ -435,6 +453,26 @@ class TestEnvelopeKernel:
                     u2 = np.array([0.0, v_near * (1.0 - frac) - 3.0 * 0.3 ** (1.0 + alpha)])
                     _assert_candidates_sound(ball, y2, np.zeros_like(y2), u2, alpha, x0[None, :])
 
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_crowded_cells_equal_dense_scan(self, ex2, half_disk, alpha):
+        # dense stencil clouds build the finer level; the values must not
+        # depend on it, on the batch, or on which cells earlier calls built
+        support, params = ex2["support"], ModulusParams(alpha, 0.0)
+        pts = _stencil_cloud(ex2["field"], 40, 20, seed=41)
+        field = ExtensionField(support, params, 1.0, ex2["func"], half_disk)
+        whole = field.envelope_values(pts)
+        assert field._index[2], "the finer level was not built"
+        assert np.array_equal(whole, _dense_envelope(field, pts))
+        perm = np.random.default_rng(42).permutation(pts.shape[0])
+        for cold in (True, False):
+            f = ExtensionField(support, params, 1.0, ex2["func"], half_disk) if cold else field
+            chunks = np.array_split(perm, 29)
+            shuffled = np.concatenate([f.envelope_values(pts[idx]) for idx in chunks])
+            assert np.array_equal(shuffled, whole[np.concatenate(chunks)])
+        single = perm[:300]
+        rows = np.concatenate([field.envelope_values(pts[i : i + 1]) for i in single])
+        assert np.array_equal(rows, whole[single])
 
 def _dense_prune(support, params, coefficient):
     """Reference pruning: every pair checked against every node, O(K^2).
@@ -513,6 +551,32 @@ class TestPruning:
         want[[flat.size, flat.size + 1, flat.size + 3]] = False
         assert np.array_equal(keep, want)
 
+
+    def test_kept_field_rebuilds_cells_whose_minimizer_is_pruned(self, unit_ball):
+        # u = 0 on a lattice, one flat pair per node, plus a steep pair at a
+        # whose values fall fast to its right: it attains the smallest upper
+        # bound of the cells there, and it undercuts u at their nodes
+        ticks = 0.1 * np.arange(-9, 10)
+        nodes = np.column_stack([g.ravel() for g in np.meshgrid(ticks, ticks)])
+        nodes = nodes[np.linalg.norm(nodes, axis=1) <= 0.95]
+        a = int(np.flatnonzero((np.abs(nodes - [-0.5, 0.0]) < 1e-9).all(axis=1))[0])
+        y = np.vstack([nodes, nodes[a]])
+        p = np.vstack([np.zeros_like(nodes), [-10.0, 0.0]])
+        support = SupportSet(y, p, np.zeros(y.shape[0]), ["smooth"] * y.shape[0], unit_ball, 0.1)
+        params = ModulusParams(1.0, 0.0)
+        keep = _dense_prune(support, params, 1.0)
+        assert not keep[-1] and keep[:-1].all()
+        # the full field's index after the node call that pruning makes
+        full = ExtensionField(support, params, 1.0, None, None)
+        full.envelope_values(support.node_points())
+        lost = [key for key, (_, best) in full._index[0].items() if not keep[best]]
+        assert lost and len(lost) < len(full._index[0])
+        field = build_extension(None, None, support, params, coefficient=1.0)
+        _assert_kept(field, support, keep)
+        assert field._index[0] and not any(key in field._index[0] for key in lost)
+        fresh = ExtensionField(field.support, params, 1.0, None, None)
+        pts = np.vstack([ball_points(3000, seed=3, radius=0.999), nodes])
+        assert np.array_equal(field.envelope_values(pts), fresh.envelope_values(pts))
 
 class TestGlue:
     def test_two_ball_cover_reproduces_u_in_1d(self):
@@ -614,6 +678,24 @@ class TestMollify:
         for h in (10, 20, 40):
             approx = MollifiedApproximant(field, h=h)
             assert abs(approx.evaluate_many(x)[0] - exact) <= 2.0 / h
+
+    @pytest.mark.parametrize("h", [10, 40])
+    def test_batches_equal_per_point_stencils(self, ex2, h):
+        # the field takes several points' stencils per call; each field value
+        # must be the one the point's stencil gets alone, and the weighted
+        # sums run on blocks of 8192 // L points (per-point approx(x) sums one
+        # row, which BLAS rounds differently)
+        approx = MollifiedApproximant(ex2["field"], h=h)
+        pts = ball_points(500, seed=17, radius=0.49)
+        step = 8192 // approx.nodes.shape[0]
+        per_point = np.vstack(
+            [ex2["field"].evaluate_many(x + approx.nodes / h) for x in pts]
+        )
+        want = np.concatenate(
+            [per_point[lo : lo + step] @ approx.weights for lo in range(0, pts.shape[0], step)]
+        )
+        assert np.array_equal(approx.evaluate_many(pts), want)
+        assert np.array_equal(approx.evaluate_many(pts[:step]), want[:step])
 
     def test_quadrature_weights_normalized_and_even(self, ex2):
         approx = MollifiedApproximant(ex2["field"], h=10)
