@@ -76,7 +76,7 @@ from .errors import (
     PartitionError,
     StencilError,
 )
-from .funcspace import evaluate_many
+from .funcspace import _gemm, evaluate_many
 from .geometry import BallRegion, DomainSpec, boundary_sample, closure_grid, disk
 from .gradients import DEFAULT_RATIO, _gradient_samples, _reachable_sets, _row_norms
 from .semiconcavity import ModulusParams
@@ -137,13 +137,6 @@ def _kernel_grad(w: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     nz = n != 0.0
     out[nz] = ((1.0 + alpha) * _pow(n[nz], alpha - 1.0))[:, None] * r[nz]
     return out
-
-
-def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b.T, with a lone row doubled so the product never runs as gemv."""
-    if a.shape[0] == 1:
-        return (np.vstack([a, a]) @ b.T)[:1]
-    return a @ b.T
 
 
 def _cell_runs(pts: np.ndarray, size: float):

@@ -8,6 +8,7 @@ points), so built fields and analytic functions are handled uniformly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,6 +88,14 @@ def register_function(identifier: str, builder: Callable) -> None:
     if identifier in _REGISTRY:
         raise InputError(f"function identifier {identifier!r} already registered")
     _REGISTRY[identifier] = builder
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T (a @ b for a vector b), with a lone row of a doubled: BLAS
+    rounds a one-row product differently from the same row in a batch."""
+    if a.shape[0] == 1:
+        return (np.vstack([a, a]) @ b.T)[:1]
+    return a @ b.T
 
 
 def _nan_where_zero(g: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -171,7 +180,7 @@ def _build_affine(dimension, params):
     if p.size != dimension:
         raise DimensionError("affine coefficient vector has the wrong length")
     b = float(params.get("b", 0.0))
-    return (lambda pts: pts @ p + b), (lambda pts: np.broadcast_to(p, pts.shape).copy())
+    return (lambda pts: _gemm(pts, p) + b), (lambda pts: np.broadcast_to(p, pts.shape).copy())
 
 
 def _build_sq_norm(dimension, params):
@@ -193,7 +202,7 @@ def _build_quadratic(dimension, params):
         raise DimensionError("quadratic linear coefficient has the wrong length")
     c = float(params.get("c", 0.0))
     return (
-        lambda pts: a * np.einsum("ij,ij->i", pts, pts) + pts @ b + c,
+        lambda pts: a * np.einsum("ij,ij->i", pts, pts) + _gemm(pts, b) + c,
         lambda pts: 2.0 * a * pts + b,
     )
 
@@ -241,19 +250,37 @@ def sampled_function(
     identifier: str = "sampled-grid",
 ) -> FunctionSpec:
     """Multilinear interpolation on a node lattice (order 1; keeps Lipschitz
-    and concavity bounds that higher orders would break)."""
-    # imported here: no scenario samples a grid, and the import is ~0.15 s
-    from scipy.interpolate import RegularGridInterpolator
+    and concavity bounds that higher orders would break).
 
+    ``axes`` holds the strictly increasing nodes of each axis, at least two
+    per axis, and ``values`` the data at the lattice nodes.  A point outside
+    the lattice's box raises EvaluationError; a point on the last node of an
+    axis belongs to that axis's last interval.
+    """
     axes = [np.asarray(a, dtype=float) for a in axes]
     values = np.asarray(values, dtype=float)
-    interp = RegularGridInterpolator(axes, values, method="linear", bounds_error=True)
+    if values.shape != tuple(a.size for a in axes):
+        raise InputError(f"values have shape {values.shape}, the axes need "
+                         f"{tuple(a.size for a in axes)}")
+    if any(a.size < 2 or not np.all(np.diff(a) > 0.0) for a in axes):
+        raise InputError("each axis needs at least two strictly increasing nodes")
 
     def fn(pts):
-        try:
-            return interp(pts)
-        except ValueError as exc:
-            raise EvaluationError(f"point outside the sampled hull: {exc}") from exc
+        lo, t = [], []
+        for j, a in enumerate(axes):
+            x = pts[:, j]
+            if not np.all((x >= a[0]) & (x <= a[-1])):
+                raise EvaluationError(f"point outside the sampled grid in axis {j}")
+            i = np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2)
+            lo.append(i)
+            t.append((x - a[i]) / (a[i + 1] - a[i]))
+        out = np.zeros(pts.shape[0])
+        for corner in itertools.product((0, 1), repeat=len(axes)):
+            w = np.ones(pts.shape[0])
+            for tj, c in zip(t, corner):
+                w *= tj if c else 1.0 - tj
+            out += w * values[tuple(i + c for i, c in zip(lo, corner))]
+        return out
 
     return FunctionSpec(identifier, "sampled-grid", len(axes), fn, None, domain)
 

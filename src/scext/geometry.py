@@ -18,6 +18,7 @@ a segment lies in the closure exactly when both of its endpoints do
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,15 @@ def _vec(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _column_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1) for d <= 3, bit for bit: numpy adds the
+    squares of a short row in order, and so does this sum over columns."""
+    sq = v[:, 0] * v[:, 0]
+    for j in range(1, v.shape[1]):
+        sq += v[:, j] * v[:, j]
+    return np.sqrt(sq)
+
+
 @dataclass(frozen=True, eq=False)
 class BallRegion:
     """Closed ball used to localize every construction."""
@@ -62,7 +72,7 @@ class BallRegion:
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = np.linalg.norm(pts - self.center, axis=1)
+        d = _column_norms(pts - self.center)
         return d <= self.radius * (1.0 + 1e-12) + BOUNDARY_TOL
 
 
@@ -109,11 +119,13 @@ class DomainSpec:
 
     # -- membership -------------------------------------------------------
 
-    def _constraints(self, pts: np.ndarray) -> np.ndarray:
-        """Per-point constraint values g_i; the open domain is {all g_i < 0}."""
+    def _worst(self, pts: np.ndarray) -> np.ndarray:
+        """Per-point max_i g_i over the constraint values g_i; the open domain
+        is {max_i g_i < 0}.  Computed column by column, so every row gets the
+        bits it gets alone."""
         cols = []
         if self.kind in ("disk", "capped-disk"):
-            cols.append(np.linalg.norm(pts - self.center, axis=1) - self.radius)
+            cols.append(_column_norms(pts - self.center) - self.radius)
         if self.kind == "box":
             g = np.abs(pts - self.center) - self.half_widths
             cols.extend(g[:, j] for j in range(self.dimension))
@@ -123,7 +135,7 @@ class DomainSpec:
             # be open in one batch and not in another
             proj = sum(pts[:, j] * self.normal[j] for j in range(self.dimension))
             cols.append(self.offset - proj)
-        return np.column_stack(cols)
+        return functools.reduce(np.maximum, cols)
 
     def contains_many(self, points, where: str = "closure") -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -131,8 +143,7 @@ class DomainSpec:
             raise DimensionError(
                 f"points have dimension {pts.shape[1]}, domain has {self.dimension}"
             )
-        g = self._constraints(pts)
-        worst = g.max(axis=1)
+        worst = self._worst(pts)
         if where == "open":
             return worst < 0.0
         if where == "closure":
@@ -147,7 +158,7 @@ class DomainSpec:
     def interior_distance(self, points) -> np.ndarray:
         """Distance to the boundary for interior points, clipped to 0 outside."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.clip(-self._constraints(pts).max(axis=1), 0.0, None)
+        return np.clip(-self._worst(pts), 0.0, None)
 
     # -- boundary parametrizations ----------------------------------------
 

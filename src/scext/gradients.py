@@ -21,9 +21,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import (
     DimensionError,
@@ -407,7 +407,8 @@ def supergradient_defect(
 
 @dataclass(eq=False)
 class ConvexPolytope:
-    """Extreme points of a hull; 2D full-dimensional vertices are CCW."""
+    """Extreme points of a hull; 2D full-dimensional vertices are CCW
+    (``convex_hull`` states where the cycle starts)."""
 
     vertices: np.ndarray  # (k, d)
     affine_dimension: int
@@ -435,7 +436,49 @@ def _affine_frame(pts: np.ndarray):
     return rank, center, vt[:rank]
 
 
+# Shewchuk's bound on the rounding error of a 2D orientation determinant
+_CCW_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
+
+def _cross(o, a, b) -> float:
+    """z-component of (a - o) x (b - o), positive when o, a, b turn left,
+    with the sign of the exact value: where rounding could flip the sign,
+    the sign alone is computed in rational arithmetic and returned."""
+    left = (a[0] - o[0]) * (b[1] - o[1])
+    right = (a[1] - o[1]) * (b[0] - o[0])
+    det = left - right
+    if abs(det) > _CCW_BOUND * (abs(left) + abs(right)):
+        return det
+    o, a, b = ([Fraction(t) for t in v] for v in (o, a, b))
+    exact = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    return float((exact > 0) - (exact < 0))
+
+
+def _monotone_chain(pts: np.ndarray) -> np.ndarray:
+    """Indices of the 2D hull vertices by Andrew's monotone chain."""
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    rows = pts.tolist()
+    chains = []
+    for seq in (order, order[::-1]):  # lower chain, then upper chain
+        chain: list[int] = []
+        for i in seq:
+            while len(chain) > 1 and _cross(rows[chain[-2]], rows[chain[-1]], rows[i]) <= 0:
+                chain.pop()
+            chain.append(i)
+        chains.append(chain[:-1])  # each chain's last point starts the other
+    return np.array(chains[0] + chains[1])
+
+
 def convex_hull(vectors) -> ConvexPolytope:
+    """Hull of the rows of vectors (dimension <= 2), as its extreme points.
+
+    A full-dimensional 2D hull lists its vertices counter-clockwise, starting
+    at the lexicographically smallest point (least x1, then least x2).  A
+    point on an edge between two vertices (a zero cross product, decided in
+    exact arithmetic) is not a vertex, and duplicate points count once.  A
+    segment lists its two ends, the extremes along the affine hull's
+    direction, and a single point the mean of its copies.
+    """
     pts = np.atleast_2d(np.asarray(vectors, dtype=float))
     if pts.shape[0] == 0:
         raise InputError("convex hull of an empty set")
@@ -447,8 +490,7 @@ def convex_hull(vectors) -> ConvexPolytope:
     if rank == 1:
         t = (pts - center) @ basis[0]
         return ConvexPolytope(np.vstack([pts[np.argmin(t)], pts[np.argmax(t)]]), 1)
-    hull = ConvexHull(pts)
-    return ConvexPolytope(pts[hull.vertices], 2)  # scipy orders 2D CCW
+    return ConvexPolytope(pts[_monotone_chain(pts)], 2)
 
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -558,18 +600,21 @@ def normal_cone_directions(poly: ConvexPolytope, p0) -> np.ndarray:
             rays.append(u)
         return _dedupe_rays(np.array(rays).reshape(-1, d))
     k = v.shape[0]
-    active = []
-    for i in range(k):
-        a, b = v[i], v[(i + 1) % k]
-        if _point_segment_distance(p0, a, b) <= 1e-9:
-            e = b - a
-            n = np.array([e[1], -e[0]])
-            active.append(n / np.linalg.norm(n))
-    if not active:
+    near = [_point_segment_distance(p0, v[i], v[(i + 1) % k]) <= 1e-9 for i in range(k)]
+    if not any(near):
         return np.empty((0, 2))
-    if len(active) == 1:
-        return np.array(active)
-    return _dedupe_rays(_sector_rays(active[0], active[1]))
+    # edge i runs from v[i] to v[i+1]; the edges near p0 form one run of the
+    # cycle, read from its first edge whatever vertex the cycle starts at
+    start = near.index(False) if not all(near) else 0
+    run = [(start + j) % k for j in range(k) if near[(start + j) % k]]
+    normals = []
+    for i in (run[0], run[-1]):
+        e = v[(i + 1) % k] - v[i]
+        n = np.array([e[1], -e[0]])
+        normals.append(n / np.linalg.norm(n))
+    if len(run) == 1:
+        return np.array(normals[:1])
+    return _dedupe_rays(_sector_rays(normals[0], normals[1]))
 
 
 def _even_directions(d: int, count: int) -> np.ndarray:

@@ -51,14 +51,17 @@ def check_condition_h(rset: ReachableGradientSet, eps_g: float, eps_c: float):
 
 
 def select_p0(rset: ReachableGradientSet, candidates: np.ndarray) -> np.ndarray:
-    """Deepest-gap candidate: maximizes the distance to the representatives."""
+    """Deepest-gap candidate: maximizes the distance to the representatives,
+    the lexicographically smallest among equals, so the candidates' order
+    does not matter."""
     if candidates.shape[0] == 0:
         raise InputError("no candidate hull points to select from")
     reps = rset.representatives
     dist = np.linalg.norm(
         candidates[:, None, :] - reps[None, :, :], axis=2
     ).min(axis=1)
-    return candidates[int(np.argmax(dist))]
+    deepest = candidates[dist == dist.max()]
+    return deepest[np.lexsort(deepest.T[::-1])[0]]
 
 
 def propagation_directions(rset: ReachableGradientSet, p0) -> np.ndarray:

@@ -288,6 +288,17 @@ class TestBenchmarkTracer:
             assert repr(name) in spans
 
 
+def test_cli_import_loads_no_scipy():
+    # a fresh process: this one may have imported scipy for other tests
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, scext.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestBenchmarkReference:
     @pytest.mark.parametrize("workload", ["example1", "affine-glue", "alpha-half"])
     def test_workload_artifacts_match_reference(self, workload, tmp_path, monkeypatch, capsys):

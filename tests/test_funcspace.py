@@ -7,6 +7,7 @@ import pytest
 
 from scext import (
     BallRegion,
+    DimensionError,
     EvaluationError,
     InputError,
     declared_domain,
@@ -169,7 +170,50 @@ class TestLipschitz:
             lipschitz_estimate(functions["neg-norm"], half_disk, unit_ball, 0, seed=3)
 
 
+# parameters that make each named form depend on every coordinate
+_LONE_ROW_PARAMS = {
+    "affine": {"p": [0.3, -0.7, 1.9], "b": 0.1},
+    "quadratic": {"a": 0.7, "b": [-1.3, 0.45, 2.2], "c": -0.3},
+}
+
+
+def _lone_row_form(identifier, d):
+    params = {k: v[:d] if isinstance(v, list) else v
+              for k, v in _LONE_ROW_PARAMS.get(identifier, {}).items()}
+    try:
+        return named_function(identifier, dimension=d, params=params)
+    except DimensionError:
+        return None
+
+
+class TestLoneRows:
+    @pytest.mark.parametrize("identifier, d", [
+        (name, d) for name in sorted(_REGISTRY) for d in (1, 2, 3)
+        if _lone_row_form(name, d) is not None
+    ])
+    def test_row_alone_has_its_batch_bits(self, identifier, d):
+        # BLAS rounds a one-row product apart from a batch; every named form
+        # must give a row the same bits alone as in any batch
+        f = _lone_row_form(identifier, d)
+        pts = np.random.default_rng(5).standard_normal((1000, d))
+        batch = f.evaluate_many(pts)
+        alone = np.array([f.evaluate_many(pts[i : i + 1])[0] for i in range(1000)])
+        assert np.array_equal(alone.view(np.int64), batch.view(np.int64))
+
+
+def _trilinear(pts):
+    x, y, z = pts.T
+    return (0.5 - 1.25 * x + 2.0 * y + 0.75 * z
+            + 3.0 * x * y - 1.5 * x * z + 0.25 * y * z - 2.5 * x * y * z)
+
+
 class TestSampledGrid:
+    _AXES = [np.array([0.0, 0.25, 0.6, 1.0]), np.array([-1.0, 0.5, 2.0])]
+
+    def _grid_function(self):
+        g1, g2 = np.meshgrid(*self._AXES, indexing="ij")
+        return sampled_function(self._AXES, np.sin(3.0 * g1) * np.cos(g2))
+
     def test_interpolation_reproduces_linear_data(self):
         axes = [np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11)]
         g1, g2 = np.meshgrid(*axes, indexing="ij")
@@ -178,6 +222,56 @@ class TestSampledGrid:
         pts = np.array([[0.13, 0.77], [0.5, 0.5], [0.99, 0.01]])
         want = 2.0 * pts[:, 0] - 0.5 * pts[:, 1] + 0.25
         assert np.allclose(f.evaluate_many(pts), want, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("side", [0, -1])
+    def test_just_outside_each_face_raises(self, axis, side):
+        f = self._grid_function()
+        a = self._AXES[axis]
+        pt = [0.5, 0.5]
+        pt[axis] = np.nextafter(a[side], -np.inf if side == 0 else np.inf)
+        with pytest.raises(EvaluationError):
+            f.evaluate_many([pt])
+        pt[axis] = a[side]  # the face itself belongs to the grid
+        assert np.isfinite(f.evaluate_many([pt])).all()
+
+    def test_last_node_of_each_axis_gives_the_node_value(self):
+        f = self._grid_function()
+        a1, a2 = self._AXES
+        g1, g2 = np.meshgrid(a1, a2, indexing="ij")
+        values = np.sin(3.0 * g1) * np.cos(g2)
+        last = [(a1[-1], y) for y in a2] + [(x, a2[-1]) for x in a1]
+        want = np.concatenate([values[-1, :], values[:, -1]])
+        assert np.array_equal(f.evaluate_many(last), want)
+
+    def test_trilinear_function_reproduced(self):
+        axes = [np.array([-1.0, -0.2, 0.3, 1.0]), np.array([0.0, 0.5, 2.0]),
+                np.array([-2.0, -1.0, 0.0, 0.7, 1.5])]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        nodes = np.column_stack([m.ravel() for m in mesh])
+        f = sampled_function(axes, _trilinear(nodes).reshape(mesh[0].shape))
+        rng = np.random.default_rng(8)
+        pts = np.column_stack([rng.uniform(a[0], a[-1], 2000) for a in axes])
+        assert np.abs(f.evaluate_many(pts) - _trilinear(pts)).max() <= 1e-12
+
+    def test_rejects_malformed_axes(self):
+        with pytest.raises(InputError):
+            sampled_function([np.array([0.0, 1.0, 0.5])], np.zeros(3))
+        with pytest.raises(InputError):
+            sampled_function([np.array([0.0])], np.zeros(1))
+        with pytest.raises(InputError):
+            sampled_function([np.array([0.0, 1.0])], np.zeros(3))
+
+    def test_matches_scipy_regular_grid_interpolator(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(9)
+        axes = [np.sort(rng.uniform(-1.0, 1.0, 7)), np.sort(rng.uniform(0.0, 3.0, 9)),
+                np.sort(rng.uniform(-2.0, 0.0, 5))]
+        values = rng.standard_normal((7, 9, 5))
+        f = sampled_function(axes, values)
+        pts = np.column_stack([rng.uniform(a[0], a[-1], 10_000) for a in axes])
+        want = interpolate.RegularGridInterpolator(axes, values)(pts)
+        assert np.allclose(f.evaluate_many(pts), want, rtol=0.0, atol=1e-12)
 
     def test_declared_domain_present(self, functions, half_disk):
         assert declared_domain(functions["neg-norm"]) is half_disk

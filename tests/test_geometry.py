@@ -22,7 +22,7 @@ from scext import (
     sample_closure_points,
     segment_in_closure,
 )
-from scext.geometry import _KINDS
+from scext.geometry import _KINDS, _column_norms
 from scext.semiconcavity import _sample_triples
 
 from conftest import ball_points
@@ -113,6 +113,49 @@ class TestContains:
         cuts = np.cumsum(rng.integers(1, 40, size=pts.shape[0]))
         parts = [domain.contains_many(c, "open") for c in np.split(pts, cuts) if len(c)]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _rowwise_worst(domain, pts):
+    """max_i g_i as the rows were reduced before the column form: the disk
+    constraint through np.linalg.norm(axis=1), the maximum through
+    max(axis=1) over the stacked constraint columns."""
+    cols = []
+    if domain.kind in ("disk", "capped-disk"):
+        cols.append(np.linalg.norm(pts - domain.center, axis=1) - domain.radius)
+    if domain.kind == "box":
+        g = np.abs(pts - domain.center) - domain.half_widths
+        cols.extend(g[:, j] for j in range(domain.dimension))
+    if domain.kind in ("half-space", "capped-disk"):
+        proj = sum(pts[:, j] * domain.normal[j] for j in range(domain.dimension))
+        cols.append(domain.offset - proj)
+    return np.column_stack(cols).max(axis=1)
+
+
+class TestColumnMembership:
+    """The column-by-column membership tests give the row reductions' bits."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_row_reductions_bit_for_bit(self, kind, d):
+        domain = _domain(kind, d)
+        pts = np.random.default_rng(11).uniform(-1.2, 1.2, size=(1_000_000, d))
+        worst = _rowwise_worst(domain, pts)
+        assert np.array_equal(domain._worst(pts).view(np.int64), worst.view(np.int64))
+        assert np.array_equal(
+            domain.interior_distance(pts).view(np.int64),
+            np.clip(-worst, 0.0, None).view(np.int64),
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball_norms_match_linalg_norm_bit_for_bit(self, d):
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal((1_000_000, d)) * rng.uniform(1e-3, 1e3, size=(1, d))
+        want = np.linalg.norm(v, axis=1)
+        assert np.array_equal(_column_norms(v).view(np.int64), want.view(np.int64))
+        region = BallRegion(np.zeros(d), 1.0)
+        assert np.array_equal(
+            region.contains_many(v), want <= region.radius * (1.0 + 1e-12) + 1e-12
+        )
 
 
 class TestSegmentInClosure:

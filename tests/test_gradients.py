@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scext import (
     InputError,
     IsolationError,
     ModulusParams,
+    check_condition_h,
     convex_hull,
     estimate_constant,
     hull_gap,
@@ -22,12 +24,17 @@ from scext import (
     named_function,
     normal_cone_directions,
     polytope_distance,
+    propagation_directions,
     reachable_gradients,
     sample_closure_points,
+    select_p0,
     supergradient_defect,
 )
+from scext import gradients, singularity
 from scext.funcspace import _REGISTRY
 from scext.gradients import (
+    DEFAULT_EPS_S,
+    ConvexPolytope,
     ReachableGradientSet,
     _annulus_directions,
     _cluster,
@@ -455,6 +462,89 @@ def test_hull_idempotent_on_random_clouds(pts):
     assert np.allclose(
         np.sort(poly.vertices, axis=0), np.sort(again.vertices, axis=0), atol=1e-9
     )
+
+
+def _brute_force_hull(pts) -> set:
+    """Vertices of the 2D hull in exact arithmetic, O(n^3): the ends of every
+    edge ab with no point to its right and every point on its line inside
+    the closed segment [a, b]."""
+    q = sorted({(Fraction(x), Fraction(y)) for x, y in pts})
+    out = set()
+    for a in q:
+        for b in q:
+            if a == b:
+                continue
+            ok = True
+            for c in q:
+                cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+                dot_a = (c[0] - a[0]) * (b[0] - a[0]) + (c[1] - a[1]) * (b[1] - a[1])
+                dot_b = (c[0] - b[0]) * (a[0] - b[0]) + (c[1] - b[1]) * (a[1] - b[1])
+                if cross < 0 or (cross == 0 and (dot_a < 0 or dot_b < 0)):
+                    ok = False
+                    break
+            if ok:
+                out |= {a, b}
+    return {(float(x), float(y)) for x, y in out}
+
+
+def _hull_point_sets():
+    rng = np.random.default_rng(21)
+    sets = [rng.uniform(-1.0, 1.0, (n, 2)) for n in (3, 4, 7, 12, 25) for _ in range(4)]
+    sets += [np.round(rng.uniform(-1.0, 1.0, (n, 2)), 1)
+             for n in (6, 15, 30) for _ in range(4)]
+    # collinear points on every edge of a square, interior points, duplicates
+    t, o = np.linspace(0.0, 1.0, 5), np.zeros(5)
+    square = np.vstack([np.column_stack(c) for c in ((t, o), (o + 1, t), (t, o + 1), (o, t))])
+    sets.append(np.vstack([square, square[::3], [[0.5, 0.5], [0.25, 0.75]]]))
+    arc = np.linspace(0.0, np.pi, 9)
+    sets.append(np.vstack([np.column_stack([np.cos(arc), np.sin(arc)]), [[0.0, 0.0]] * 3]))
+    return sets
+
+
+class TestMonotoneChain:
+    @pytest.mark.parametrize("pts", _hull_point_sets())
+    def test_matches_brute_force_hull(self, pts):
+        poly = convex_hull(pts)
+        assert poly.affine_dimension == 2
+        v = poly.vertices
+        assert {tuple(r) for r in v.tolist()} == _brute_force_hull(pts.tolist())
+        assert len({tuple(r) for r in v.tolist()}) == v.shape[0]
+        # counter-clockwise, and no vertex collinear with its neighbours
+        q = [(Fraction(x), Fraction(y)) for x, y in v.tolist()]
+        for o, a, b in zip(q, q[1:] + q[:1], q[2:] + q[:2]):
+            assert (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) > 0
+        # the cycle starts at the lexicographically smallest point
+        assert np.array_equal(v[0], pts[np.lexsort((pts[:, 1], pts[:, 0]))[0]])
+        assert max(polytope_distance(poly, p) for p in pts) <= 1e-12
+
+
+def _row_set(rays):
+    return rays[np.lexsort(rays.T[::-1])]
+
+
+def test_cycle_start_does_not_change_the_selection(ex1_u_set, monkeypatch):
+    """check_condition_h, select_p0 and the normal cones give the same bits
+    from every rotation of example 1's vertex cycle."""
+    poly = convex_hull(ex1_u_set.representatives)
+    holds, cands = check_condition_h(ex1_u_set, 0.01, DEFAULT_EPS_S)
+    p0 = select_p0(ex1_u_set, cands)
+    thetas = propagation_directions(ex1_u_set, p0)
+    k = poly.vertices.shape[0]
+    vertex_cones = [_row_set(normal_cone_directions(poly, q)) for q in poly.vertices]
+    assert holds and k > 3
+    for shift in range(1, k):
+        rolled = ConvexPolytope(np.roll(poly.vertices, shift, axis=0), 2)
+        monkeypatch.setattr(gradients, "convex_hull", lambda reps: rolled)
+        monkeypatch.setattr(singularity, "convex_hull", lambda reps: rolled)
+        holds_r, cands_r = check_condition_h(ex1_u_set, 0.01, DEFAULT_EPS_S)
+        assert holds_r and np.array_equal(_row_set(cands_r), _row_set(cands))
+        assert np.array_equal(select_p0(ex1_u_set, cands_r), p0)
+        thetas_r = propagation_directions(ex1_u_set, p0)
+        assert np.array_equal(_row_set(thetas_r), _row_set(thetas))
+        # the cone at the vertex that now starts the cycle, and at its neighbours
+        for i in (-shift - 1, -shift, 1 - shift):
+            got = normal_cone_directions(rolled, poly.vertices[i % k])
+            assert np.array_equal(_row_set(got), vertex_cones[i % k])
 
 
 def _dense_segment_set() -> ReachableGradientSet:
