@@ -65,12 +65,12 @@ group is scanned against its cell's candidate pairs only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DimensionError,
     EvaluationError,
     InputError,
     PartitionError,
@@ -558,19 +558,18 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
     return f / (f + g)
 
 
-def _ball_bump(center: np.ndarray, radius: float):
-    def bump(pts: np.ndarray) -> np.ndarray:
-        s2 = np.einsum("ij,ij->i", pts - center, pts - center) / radius**2
-        out = np.zeros(pts.shape[0])
-        inside = s2 < 1.0
-        out[inside] = np.exp(1.0 / (s2[inside] - 1.0))
-        return out
-
-    return bump
+def _ball_bump(ball: BallRegion, pts: np.ndarray) -> np.ndarray:
+    s2 = np.einsum("ij,ij->i", pts - ball.center, pts - ball.center) / ball.radius**2
+    out = np.zeros(pts.shape[0])
+    inside = s2 < 1.0
+    out[inside] = np.exp(1.0 / (s2[inside] - 1.0))
+    return out
 
 
-def partition_weights(domain: DomainSpec, cover: list[BallRegion]) -> list:
-    """Normalized bump weights for the cover balls plus one for the domain.
+def partition_weights(domain: DomainSpec, cover: list[BallRegion]):
+    """Normalized bump weights for the cover balls plus one for the domain,
+    as a map from (N, d) points to an (N, len(cover) + 1) matrix whose last
+    column is the domain element.
 
     The domain element ramps from 0 at the boundary to 1 at inner depth a
     quarter of the smallest cover radius, so its weight vanishes outside the
@@ -578,32 +577,21 @@ def partition_weights(domain: DomainSpec, cover: list[BallRegion]) -> list:
     """
     if not cover:
         raise InputError("cover must contain at least one ball")
+    if any(b.dimension != domain.dimension for b in cover):
+        raise DimensionError("cover ball and domain dimensions differ")
     width = 0.25 * min(b.radius for b in cover)
-    bumps = [_ball_bump(b.center, b.radius) for b in cover]
 
-    def domain_bump(pts: np.ndarray) -> np.ndarray:
-        return _smooth_step(domain.interior_distance(pts) / width)
+    def weights(pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        raw = [_ball_bump(b, pts) for b in cover]
+        raw.append(_smooth_step(domain.interior_distance(pts) / width))
+        total = sum(raw)  # left to right: the cover balls, then the domain
+        out = np.zeros((pts.shape[0], len(raw)))
+        ok = total > 0.0
+        out[ok] = np.column_stack(raw)[ok] / total[ok, None]
+        return out
 
-    raw = bumps + [domain_bump]
-
-    def make_weight(j):
-        def weight(pts: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            total = np.zeros(pts.shape[0])
-            mine = None
-            for i, b in enumerate(raw):
-                v = b(pts)
-                total += v
-                if i == j:
-                    mine = v
-            out = np.zeros(pts.shape[0])
-            ok = total > 0.0
-            out[ok] = mine[ok] / total[ok]
-            return out
-
-        return weight
-
-    return [make_weight(j) for j in range(len(raw))]
+    return weights
 
 
 @dataclass(eq=False)
@@ -613,33 +601,28 @@ class GlobalExtension:
     domain: DomainSpec
     cover: list
     fields: list
-    weights: list  # len(cover) + 1, last one for the domain element
     func: object
 
     def __post_init__(self):
         if len(self.fields) != len(self.cover):
             raise InputError("one local field per cover ball is required")
-        if len(self.weights) != len(self.cover) + 1:
-            raise InputError("need one weight per ball plus the domain weight")
+        self.weights = partition_weights(self.domain, self.cover)
         base = getattr(self.func, "identifier", type(self.func).__name__)
         self.identifier = f"glued-extension({base})"
 
     def evaluate_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        w = np.column_stack([wf(pts) for wf in self.weights])
+        w = self.weights(pts)
         total = w.sum(axis=1)
         if np.any(np.abs(total - 1.0) > 1e-9):
             raise EvaluationError(
                 "query point outside the covered set (weights do not sum to 1)"
             )
         out = np.zeros(pts.shape[0])
-        for j, fld in enumerate(self.fields):
+        for j, term in enumerate(self.fields + [self.func]):
             mask = w[:, j] > 0.0
             if np.any(mask):
-                out[mask] += w[mask, j] * fld.evaluate_many(pts[mask])
-        mask = w[:, -1] > 0.0
-        if np.any(mask):
-            out[mask] += w[mask, -1] * evaluate_many(self.func, pts[mask])
+                out[mask] += w[mask, j] * evaluate_many(term, pts[mask])
         return out
 
     def __call__(self, x) -> float:
@@ -648,16 +631,11 @@ class GlobalExtension:
 
 
 def glue_global(
-    domain: DomainSpec,
-    cover: list[BallRegion],
-    fields: list[ExtensionField],
-    weights: list,
-    func,
+    domain: DomainSpec, cover: list[BallRegion], fields: list[ExtensionField], func
 ) -> GlobalExtension:
     """Glue local envelopes; the partition is checked on a probe grid first."""
-    glued = GlobalExtension(domain, list(cover), list(fields), list(weights), func)
-    probes = _partition_probes(domain, cover)
-    w = np.column_stack([wf(probes) for wf in glued.weights])
+    glued = GlobalExtension(domain, list(cover), list(fields), func)
+    w = glued.weights(_partition_probes(domain, cover))
     err = np.abs(w.sum(axis=1) - 1.0)
     if float(err.max()) > 1e-9:
         raise PartitionError(
@@ -680,11 +658,7 @@ def _partition_probes(domain, cover) -> np.ndarray:
     spacing = min_radius / 8.0
     chunks = []
     for b in cover:
-        k = int(math.floor(b.radius / spacing + 1e-9))
-        ticks = np.arange(-k, k + 1) * spacing
-        axes = [b.center[j] + ticks for j in range(b.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
+        pts = closure_grid(disk(b.center, b.radius), b, spacing)
         d = np.linalg.norm(pts - b.center, axis=1)
         chunks.append(pts[d <= 0.97 * b.radius])
     centers = np.array([b.center for b in cover])
@@ -793,17 +767,11 @@ def summand_differentiability_probe(fields: list, x, h_fd: float, eps_c: float) 
     eye = h_fd * np.eye(d)
     stencil = np.vstack([x[None, :], x[None, :] + eye, x[None, :] - eye])
 
-    def wobble(f) -> float:
-        vals = evaluate_many(f, stencil)
+    def wobble(vals) -> float:
         fwd = (vals[1 : d + 1] - vals[0]) / h_fd
         bwd = (vals[0] - vals[d + 1 :]) / h_fd
         return float(np.abs(fwd - bwd).max())
 
-    total = np.zeros(stencil.shape[0])
-    for f in fields:
-        total += evaluate_many(f, stencil)
-    fwd = (total[1 : d + 1] - total[0]) / h_fd
-    bwd = (total[0] - total[d + 1 :]) / h_fd
-    if float(np.abs(fwd - bwd).max()) > eps_c:
-        return True
-    return all(wobble(f) <= eps_c for f in fields)
+    parts = [evaluate_many(f, stencil) for f in fields]
+    total = sum(parts, np.zeros(stencil.shape[0]))
+    return wobble(total) > eps_c or all(wobble(vals) <= eps_c for vals in parts)

@@ -76,20 +76,6 @@ class FunctionSpec:
 
 # -- named analytic forms ---------------------------------------------------
 
-_REGISTRY: dict[str, Callable] = {}
-
-
-def register_function(identifier: str, builder: Callable) -> None:
-    """Register a named form.  ``builder(dimension, params)`` must return a
-    pair ``(fn, grad_or_None)`` of vectorized evaluators on (N, d) arrays.
-
-    A gradient evaluator returns a NaN row at each point where the form is
-    singular and a finite row everywhere else, without raising or warning."""
-    if identifier in _REGISTRY:
-        raise InputError(f"function identifier {identifier!r} already registered")
-    _REGISTRY[identifier] = builder
-
-
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b.T (a @ b for a vector b), with a lone row of a doubled: BLAS
     rounds a one-row product differently from the same row in a batch."""
@@ -215,17 +201,20 @@ def _build_constant(dimension, params):
     )
 
 
-for _name, _builder in [
-    ("neg-norm", _build_neg_norm),
-    ("neg-abs-x2", _build_neg_abs_x2),
-    ("neg-sqrt-x1p4-x2sq", _build_neg_sqrt_x1p4_x2sq),
-    ("affine", _build_affine),
-    ("sq-norm", _build_sq_norm),
-    ("neg-sq-norm", _build_neg_sq_norm),
-    ("quadratic", _build_quadratic),
-    ("constant", _build_constant),
-]:
-    register_function(_name, _builder)
+# Each builder(dimension, params) returns a pair (fn, grad_or_None) of
+# vectorized evaluators on (N, d) arrays.  A gradient evaluator returns a NaN
+# row at each point where the form is singular and a finite row everywhere
+# else, without raising or warning.
+_REGISTRY: dict[str, Callable] = {
+    "neg-norm": _build_neg_norm,
+    "neg-abs-x2": _build_neg_abs_x2,
+    "neg-sqrt-x1p4-x2sq": _build_neg_sqrt_x1p4_x2sq,
+    "affine": _build_affine,
+    "sq-norm": _build_sq_norm,
+    "neg-sq-norm": _build_neg_sq_norm,
+    "quadratic": _build_quadratic,
+    "constant": _build_constant,
+}
 
 
 def named_function(

@@ -48,12 +48,17 @@ _N_DIRS = 8  # most normal-cone generators returned
 _GOLDEN = 0.6180339887498949
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) matrix of distances between rows, with the bits of
+    np.linalg.norm(a[:, None] - b[None], axis=-1)."""
+    return np.sqrt(np.add.reduce((a[:, None] - b[None]) ** 2, axis=-1))
+
+
 def _diameter(reps: np.ndarray) -> float:
     """Largest distance between two rows of reps; 0 for fewer than two."""
     if reps.shape[0] < 2:
         return 0.0
-    diff = reps[:, None, :] - reps[None, :, :]
-    return float(np.sqrt((diff**2).sum(-1)).max())
+    return float(_distances(reps, reps).max())
 
 
 @dataclass(eq=False)
@@ -224,8 +229,7 @@ def _merge_closest(means: np.ndarray, counts: np.ndarray, eps_c: float) -> np.nd
     more than eps_c apart.  Merged-away slots stay in place at distance inf,
     so the row-major argmin picks the pair the compacted matrix would."""
     k = means.shape[0]
-    diff = means[:, None, :] - means[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1))
+    dist = _distances(means, means)
     np.fill_diagonal(dist, np.inf)
     alive = np.ones(k, dtype=bool)
     for _ in range(k - 1):
@@ -236,7 +240,7 @@ def _merge_closest(means: np.ndarray, counts: np.ndarray, eps_c: float) -> np.nd
         means[i] = (counts[i] * means[i] + counts[j] * means[j]) / w
         counts[i] = w
         alive[j] = False
-        row = np.sqrt(((means[i] - means) ** 2).sum(-1))
+        row = _distances(means[i : i + 1], means)[0]
         row[~alive] = np.inf
         row[i] = np.inf
         dist[i], dist[:, i] = row, row
@@ -559,8 +563,7 @@ def hull_gap(
     bnd = _boundary_samples(poly, eps_g)
     if bnd.shape[0] == 0:
         return bnd
-    dist = np.linalg.norm(bnd[:, None, :] - reps[None, :, :], axis=2).min(axis=1)
-    return bnd[dist > gap]
+    return bnd[_distances(bnd, reps).min(axis=1) > gap]
 
 
 def _sector_rays(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:

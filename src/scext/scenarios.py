@@ -35,7 +35,6 @@ from .extension import (
     build_extension,
     build_support_set,
     glue_global,
-    partition_weights,
 )
 from .funcspace import FunctionSpec, evaluate_many, named_function
 from .geometry import (
@@ -46,7 +45,7 @@ from .geometry import (
     closure_grid,
     disk,
 )
-from .gradients import DEFAULT_EPS_S, ReachableGradientSet, reachable_gradients
+from .gradients import DEFAULT_EPS_S, ReachableGradientSet, _distances, reachable_gradients
 from .semiconcavity import ModulusParams, certify, estimate_constant
 from .singularity import (
     check_condition_h,
@@ -137,8 +136,7 @@ def hausdorff_to_reference(kind: str, reps: np.ndarray) -> float:
     if reps.shape[0] == 0:
         return math.inf
     forward = float(np.max(dist_fn(reps)))
-    ref = pts_fn(2048)
-    gap = np.linalg.norm(ref[:, None, :] - reps[None, :, :], axis=2).min(axis=1)
+    gap = _distances(pts_fn(2048), reps).min(axis=1)
     return max(forward, float(np.max(gap)))
 
 
@@ -328,7 +326,7 @@ def _int(value) -> bool:
 _KNOB_TYPES = {
     "alpha": _real, "C": _real, "seed": _int, "triples": _int, "spacing": _real,
     "sweep_spacing": _real, "mollify_spacing": _real, "mollify_triples": _int,
-    "h_list": lambda v: isinstance(v, (list, tuple)) and all(map(_int, v)),
+    "h_list": lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_int, v)),
 }
 
 
@@ -712,8 +710,7 @@ def stage_glue(ctx: StageContext) -> tuple[dict, dict]:
     for ball_j in cover:
         support_j = build_support_set(sc.func, sc.domain, ball_j)
         fields.append(build_extension(sc.func, sc.domain, support_j, params))
-    weights = partition_weights(sc.domain, cover)
-    glued = glue_global(sc.domain, cover, fields, weights, func=sc.func)
+    glued = glue_global(sc.domain, cover, fields, func=sc.func)
     hub = _domain_hub(sc.domain)
     probes = closure_grid(sc.domain, hub, 0.01 * hub.radius * 2)
     sup_u = float(np.max(np.abs(glued.evaluate_many(probes) - evaluate_many(sc.func, probes))))

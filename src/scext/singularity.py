@@ -29,6 +29,7 @@ from .gradients import (
     ReachableGradientSet,
     _cluster,
     _diameter,
+    _distances,
     convex_hull,
     hull_gap,
     normal_cone_directions,
@@ -56,10 +57,7 @@ def select_p0(rset: ReachableGradientSet, candidates: np.ndarray) -> np.ndarray:
     does not matter."""
     if candidates.shape[0] == 0:
         raise InputError("no candidate hull points to select from")
-    reps = rset.representatives
-    dist = np.linalg.norm(
-        candidates[:, None, :] - reps[None, :, :], axis=2
-    ).min(axis=1)
+    dist = _distances(candidates, rset.representatives).min(axis=1)
     deepest = candidates[dist == dist.max()]
     return deepest[np.lexsort(deepest.T[::-1])[0]]
 

@@ -225,8 +225,7 @@ def test_criterion_10_affine_and_quadratic_sanity(ball_domain, unit_ball):
     cover = [BallRegion((0.0, 0.0), 1.2)]
     wide_support = build_support_set(func, ball_domain, cover[0], spacing=0.1)
     wide_field = build_extension(func, ball_domain, wide_support, params, coefficient=1.0)
-    weights = partition_weights(ball_domain, cover)
-    glued = glue_global(ball_domain, cover, [wide_field], weights, func=func)
+    glued = glue_global(ball_domain, cover, [wide_field], func=func)
     assert float(np.max(np.abs(glued.evaluate_many(probes) - truth))) <= 1e-9
 
     inner = ball_points(300, seed=23, radius=0.45)
@@ -255,7 +254,7 @@ def test_criterion_11_partition_and_one_dimensional_glue():
     ]
     weights = partition_weights(dom, cover)
     probes = np.linspace(-0.3, 1.3, 1002)[1:-1][:, None]
-    w = np.column_stack([wf(probes) for wf in weights])
+    w = weights(probes)
     assert w.shape == (1000, 3)
     assert float(w.min()) >= 0.0
     assert float(w.max()) <= 1.0 + 1e-12
@@ -265,7 +264,7 @@ def test_criterion_11_partition_and_one_dimensional_glue():
     assert np.all(w[outside, 2] == 0.0)
     assert float(np.max(np.abs(w.sum(axis=1) - 1.0))) <= 1e-12
 
-    glued = glue_global(dom, cover, fields, weights, func=func)
+    glued = glue_global(dom, cover, fields, func=func)
     on_domain = probes[(probes[:, 0] >= 0.0) & (probes[:, 0] <= 1.0)]
     want = on_domain[:, 0] * (1.0 - on_domain[:, 0])
     assert float(np.max(np.abs(glued.evaluate_many(on_domain) - want))) <= 1e-9

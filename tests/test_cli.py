@@ -105,6 +105,11 @@ class TestExitCodes:
         assert main(["--config", str(cfg)]) == 2
         assert "schema" in capsys.readouterr().err
 
+    def test_empty_h_list_is_usage_error(self, capsys):
+        argv = ["--scenario", "affine-sanity", "--stages", "mollify", "--h-list", ""]
+        assert main(argv) == 2
+        assert "'h_list' has the wrong type" in capsys.readouterr().err
+
     def test_unknown_stage_is_usage_error(self, capsys):
         assert main(["--scenario", "example2", "--stages", "polish"]) == 2
         assert "unknown stages" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Envelope construction, gluing, mollification, and their exactness cases."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from scext import (
     BallRegion,
+    DimensionError,
     ExtensionField,
     InputError,
     ModulusParams,
@@ -595,8 +597,7 @@ class TestGlue:
             )
             for b in cover
         ]
-        weights = partition_weights(dom, cover)
-        glued = glue_global(dom, cover, fields, weights, func=func)
+        glued = glue_global(dom, cover, fields, func=func)
         probes = np.linspace(0.0, 1.0, 501)[:, None]
         want = probes[:, 0] * (1.0 - probes[:, 0])
         assert float(np.abs(glued.evaluate_many(probes) - want).max()) <= 1e-12
@@ -607,8 +608,7 @@ class TestGlue:
         dom = affine_bundle["domain"]
         support = build_support_set(func, dom, cover[0], spacing=0.1)
         field = build_extension(func, dom, support, affine_bundle["params"], coefficient=1.0)
-        weights = partition_weights(dom, cover)
-        glued = glue_global(dom, cover, [field], weights, func=func)
+        glued = glue_global(dom, cover, [field], func=func)
         pts = ball_points(200, seed=11, radius=1.1)
         assert float(np.abs(glued.evaluate_many(pts) - field.evaluate_many(pts)).max()) <= 1e-9
 
@@ -623,10 +623,9 @@ class TestGlue:
             )
             for b in cover
         ]
-        weights = partition_weights(half_disk, cover)
-        glued = glue_global(half_disk, cover, fields, weights, func=func)
+        glued = glue_global(half_disk, cover, fields, func=func)
         pts = np.array([[0.1, 0.0], [0.05, 0.1], [0.02, -0.05]])
-        w = np.column_stack([wf(pts) for wf in weights])
+        w = glued.weights(pts)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
         manual = (
             w[:, 0] * fields[0].evaluate_many(pts)
@@ -639,7 +638,7 @@ class TestGlue:
         cover = [BallRegion((0.0, 0.3), 0.5), BallRegion((0.0, -0.3), 0.5)]
         weights = partition_weights(half_disk, cover)
         pts = ball_points(500, seed=13, radius=0.78)
-        w = np.column_stack([wf(pts) for wf in weights])
+        w = weights(pts)
         covered = np.zeros(pts.shape[0], dtype=bool)
         for b in cover:
             covered |= np.linalg.norm(pts - b.center, axis=1) < 0.97 * b.radius
@@ -653,6 +652,39 @@ class TestGlue:
             assert np.all(w[outside, j] == 0.0)
         outside_domain = ~half_disk.contains_many(pts, "open")
         assert np.all(w[outside_domain, -1] == 0.0)
+
+    def test_cover_ball_of_another_dimension_is_rejected(self, half_disk):
+        with pytest.raises(DimensionError):
+            partition_weights(half_disk, [BallRegion((0.0,), 0.5)])
+
+    def test_two_ball_cover_in_2d_is_pinned(self, ex2, half_disk):
+        # digests of the weight matrix and of the glued values on 1,000
+        # seeded points near the overlap cover; the domain weight is live on
+        # about half of them and both ball weights on 178
+        func = ex2["func"]
+        cover = [BallRegion((0.0, 0.3), 0.5), BallRegion((0.0, -0.3), 0.5)]
+        fields = [
+            build_extension(
+                func, half_disk, build_support_set(func, half_disk, b, spacing=0.05),
+                ex2["params"], coefficient=1.0,
+            )
+            for b in cover
+        ]
+        rng = np.random.default_rng(31)
+        cand = rng.uniform((-0.45, -0.75), (0.45, 0.75), size=(3000, 2))
+        near = np.zeros(cand.shape[0], dtype=bool)
+        for b in cover:
+            near |= np.linalg.norm(cand - b.center, axis=1) < 0.95 * b.radius
+        pts = cand[near][:1000]
+        assert pts.shape == (1000, 2)
+        glued = glue_global(half_disk, cover, fields, func=func)
+        w = glued.weights(pts)
+        assert hashlib.sha256(w.tobytes()).hexdigest() == (
+            "c93bffa74fed8e24fc39cf24ba3d4c4292cf8cc5fc7d4cb19b7a63d110a96106"
+        )
+        assert hashlib.sha256(glued.evaluate_many(pts).tobytes()).hexdigest() == (
+            "b32bc20b5a3ad0282111cf96343031305e97a572c4ac242a7d56f05aa8ae52c7"
+        )
 
 
 class TestMollify:
@@ -760,12 +792,12 @@ class TestSummandProbe:
         ]
         weights = partition_weights(half_disk, cover)
 
-        def masked_term(w, f):
+        def masked_term(j, f):
             # local fields are only evaluable on their own balls, so skip
             # the points their weight already zeroes out
             def term(p):
                 p = np.atleast_2d(p)
-                wv = w(p)
+                wv = weights(p)[:, j]
                 out = np.zeros(p.shape[0])
                 m = wv > 0.0
                 if np.any(m):
@@ -774,8 +806,8 @@ class TestSummandProbe:
 
             return _Shim(term)
 
-        parts = [masked_term(w, f) for w, f in zip(weights[:-1], fields)]
-        parts.append(_Shim(lambda p, w=weights[-1]: w(p) * func.evaluate_many(p)))
+        parts = [masked_term(j, f) for j, f in enumerate(fields)]
+        parts.append(_Shim(lambda p: weights(p)[:, -1] * func.evaluate_many(p)))
         rng = np.random.default_rng(19)
         n_checked = 0
         while n_checked < 200:
