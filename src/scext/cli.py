@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -31,6 +32,7 @@ from .scenarios import (
     Scenario,
     StageContext,
     build_scenario,
+    _real,
     emit_grid,  # re-exported: the grid writer stays part of the CLI API
     resolve_knobs,
     write_json,
@@ -147,11 +149,13 @@ def merge_config(args: argparse.Namespace) -> ScenarioConfig:
             knobs[name] = value
     stages = args.stages if args.stages is not None else raw.get("stages")
     if stages is not None:
+        if not isinstance(stages, (list, tuple)) or not stages:
+            raise ConfigError(f"stages must be a nonempty list of stage names, got {stages!r}")
         stages = tuple(stages)
         if stages == ("all",):
             stages = None
         else:
-            unknown = [s for s in stages if s not in STAGES]
+            unknown = [s for s in stages if not isinstance(s, str) or s not in STAGES]
             if unknown:
                 raise ConfigError(
                     f"unknown stages {unknown}; known: {list(STAGE_ORDER)}"
@@ -167,12 +171,17 @@ def merge_config(args: argparse.Namespace) -> ScenarioConfig:
             )
         custom = {k: raw[k] for k in ("domain", "function", "ball")}
     delta = args.delta if args.delta is not None else raw.get("delta")
+    if delta is not None and not _real(delta):
+        raise ConfigError(f"delta must be a number, got {delta!r}")
+    out = args.out or raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a directory path string, got {out!r}")
     return ScenarioConfig(
         scenario=scenario,
         stages=stages,
         knobs=knobs,
         delta=delta,
-        out=args.out or raw.get("out"),
+        out=out,
         fmt=fmt,
         custom=custom,
     )
@@ -216,8 +225,8 @@ def resolve_scenario(config: ScenarioConfig) -> Scenario:
             default_stages=("certify", "support", "extend"),
         )
     if config.delta is not None:
-        if not config.delta > 0:
-            raise ConfigError("delta must be positive")
+        if not 0 < config.delta < math.inf:
+            raise ConfigError("delta must be positive and finite")
         scenario.ball = BallRegion(scenario.ball.center, config.delta)
     return scenario
 

@@ -45,14 +45,3 @@ class PartitionError(ScextError):
 
 class DegenerateDirectionError(ScextError):
     """The normal cone at the chosen point is degenerate ({0})."""
-
-
-class PropagationLostError(ScextError):
-    """Arc tracing lost the singularity before the requested horizon.
-
-    Carries the partial arc traced so far in ``partial_arc``.
-    """
-
-    def __init__(self, message: str, partial_arc=None):
-        super().__init__(message)
-        self.partial_arc = partial_arc

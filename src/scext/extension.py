@@ -76,7 +76,7 @@ from .errors import (
     PartitionError,
     StencilError,
 )
-from .funcspace import _gemm, evaluate_many
+from .funcspace import _gemm, _stencil
 from .geometry import BallRegion, DomainSpec, boundary_sample, closure_grid, disk
 from .gradients import DEFAULT_RATIO, _gradient_samples, _reachable_sets, _row_norms
 from .semiconcavity import ModulusParams
@@ -270,7 +270,7 @@ def build_support_set(
     points = np.vstack([smooth, np.repeat(multi, n_reps, axis=0)])
     gradients_arr = np.vstack([grads, *reps])
     srcs = ["smooth"] * smooth.shape[0] + ["reachable"] * sum(n_reps)
-    values = evaluate_many(func, points)
+    values = func.evaluate_many(points)
     return SupportSet(points, gradients_arr, values, srcs, ball, float(spacing))
 
 
@@ -353,7 +353,7 @@ class ExtensionField:
             if np.any(on_data):
                 # the envelope reproduces u there; return u itself so the
                 # identity is exact rather than spacing-limited
-                out[rows][on_data] = evaluate_many(self.func, pts[rows][on_data])
+                out[rows][on_data] = self.func.evaluate_many(pts[rows][on_data])
         if not np.all(inside_ball):
             raise InputError(
                 f"{int((~inside_ball).sum())} query point(s) outside the source ball"
@@ -602,6 +602,7 @@ class GlobalExtension:
     cover: list
     fields: list
     func: object
+    evaluation_domain = None  # no DomainSpec describes a covered set
 
     def __post_init__(self):
         if len(self.fields) != len(self.cover):
@@ -622,7 +623,7 @@ class GlobalExtension:
         for j, term in enumerate(self.fields + [self.func]):
             mask = w[:, j] > 0.0
             if np.any(mask):
-                out[mask] += w[mask, j] * evaluate_many(term, pts[mask])
+                out[mask] += w[mask, j] * term.evaluate_many(pts[mask])
         return out
 
     def __call__(self, x) -> float:
@@ -764,14 +765,13 @@ def summand_differentiability_probe(fields: list, x, h_fd: float, eps_c: float) 
     if not h_fd > 0.0:
         raise StencilError("h_fd must be positive")
     d = x.size
-    eye = h_fd * np.eye(d)
-    stencil = np.vstack([x[None, :], x[None, :] + eye, x[None, :] - eye])
+    stencil = _stencil(x[None, :], h_fd, centre=True)
 
     def wobble(vals) -> float:
         fwd = (vals[1 : d + 1] - vals[0]) / h_fd
         bwd = (vals[0] - vals[d + 1 :]) / h_fd
         return float(np.abs(fwd - bwd).max())
 
-    parts = [evaluate_many(f, stencil) for f in fields]
+    parts = [f.evaluate_many(stencil) for f in fields]
     total = sum(parts, np.zeros(stencil.shape[0]))
     return wobble(total) > eps_c or all(wobble(vals) <= eps_c for vals in parts)

@@ -2,25 +2,19 @@
 
 A FunctionSpec bundles a vectorized evaluator with an optional closed-form
 gradient and an optional declared domain.  Downstream code accepts anything
-function-like (an object with ``evaluate_many`` or a plain callable on
-points), so built fields and analytic functions are handled uniformly.
+function-like (an object with ``evaluate_many`` and ``evaluation_domain``),
+so built fields and analytic functions are handled uniformly.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    EvaluationError,
-    InputError,
-    SamplingError,
-    StencilError,
-)
+from .errors import DimensionError, EvaluationError, InputError, StencilError
 from .geometry import BallRegion, DomainSpec, closure_grid, sample_closure_points
 
 _Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -31,15 +25,15 @@ class FunctionSpec:
     """A function on the closure of its (optional) declared domain."""
 
     identifier: str
-    form: str  # "analytic-named" or "sampled-grid"
     dimension: int
     _fn: _Evaluator
     _grad: _Evaluator | None = None
     domain: DomainSpec | None = None
-    params: dict = field(default_factory=dict)
 
     @property
     def evaluation_domain(self) -> DomainSpec | None:
+        """Region outside which evaluation is refused, if declared; also where
+        finite-difference stencils may be placed."""
         return self.domain
 
     def evaluate_many(self, points) -> np.ndarray:
@@ -229,7 +223,7 @@ def named_function(
         )
     params = dict(params or {})
     fn, grad = _REGISTRY[identifier](dimension, params)
-    return FunctionSpec(identifier, "analytic-named", dimension, fn, grad, domain, params)
+    return FunctionSpec(identifier, dimension, fn, grad, domain)
 
 
 def sampled_function(
@@ -271,33 +265,20 @@ def sampled_function(
             out += w * values[tuple(i + c for i, c in zip(lo, corner))]
         return out
 
-    return FunctionSpec(identifier, "sampled-grid", len(axes), fn, None, domain)
+    return FunctionSpec(identifier, len(axes), fn, None, domain)
 
 
-# -- generic evaluation protocol --------------------------------------------
+# -- finite differences -----------------------------------------------------
 
 
-def evaluate_many(func, points) -> np.ndarray:
-    """Vectorized evaluation for FunctionSpec, built fields, or callables."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if hasattr(func, "evaluate_many"):
-        return np.asarray(func.evaluate_many(pts), dtype=float)
-    return np.array([float(func(p)) for p in pts])
-
-
-def evaluate(func, x) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(evaluate_many(func, x[None, :])[0])
-
-
-def declared_domain(func) -> DomainSpec | None:
-    """Region outside which evaluation is refused, if the object declares one.
-
-    This is the evaluation guard (where finite-difference stencils may be
-    placed), not the construction domain of derived objects like extension
-    fields, which evaluate on their whole ball.
-    """
-    return getattr(func, "evaluation_domain", None)
+def _stencil(pts: np.ndarray, h: float, centre: bool = False) -> np.ndarray:
+    """Central-difference rows of the (n, d) points, point by point: p itself
+    when centre, then p + h e_i for each i, then p - h e_i for each i."""
+    eye = h * np.eye(pts.shape[1])
+    rows = [pts[:, None, :] + eye[None], pts[:, None, :] - eye[None]]
+    if centre:
+        rows.insert(0, pts[:, None, :])
+    return np.concatenate(rows, axis=1).reshape(-1, pts.shape[1])
 
 
 def gradient(func, x, h_fd: float | None = None) -> np.ndarray:
@@ -316,20 +297,15 @@ def gradient(func, x, h_fd: float | None = None) -> np.ndarray:
         return g
     if h_fd is None or not h_fd > 0.0:
         raise InputError("central differences need a positive step h_fd")
-    stencil = _central_stencil(x, h_fd)
-    dom = declared_domain(func)
+    stencil = _stencil(x[None, :], h_fd)
+    dom = func.evaluation_domain
     if dom is not None and not np.all(dom.contains_many(stencil, "closure")):
         raise StencilError(
             f"stencil of radius {h_fd:g} leaves the domain at {x.tolist()}"
         )
-    vals = evaluate_many(func, stencil)
+    vals = func.evaluate_many(stencil)
     d = x.size
     return (vals[:d] - vals[d:]) / (2.0 * h_fd)
-
-
-def _central_stencil(x: np.ndarray, h: float) -> np.ndarray:
-    eye = h * np.eye(x.size)
-    return np.vstack([x + eye, x - eye])
 
 
 def lipschitz_estimate(
@@ -355,8 +331,8 @@ def lipschitz_estimate(
     keep = gap > 1e-12
     if not np.any(keep):
         return 0.0
-    fx = evaluate_many(func, x[keep])
-    fy = evaluate_many(func, y[keep])
+    fx = func.evaluate_many(x[keep])
+    fy = func.evaluate_many(y[keep])
     return float(np.max(np.abs(fx - fy) / gap[keep]))
 
 

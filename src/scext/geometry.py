@@ -63,8 +63,8 @@ class BallRegion:
     def __post_init__(self):
         object.__setattr__(self, "center", _vec(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0.0:
-            raise InputError(f"ball radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise InputError(f"ball radius must be positive and finite, got {self.radius}")
 
     @property
     def dimension(self) -> int:
@@ -153,6 +153,7 @@ class DomainSpec:
         raise InputError(f"where must be 'open', 'closure' or 'boundary', got {where!r}")
 
     def contains(self, x, where: str = "closure") -> bool:
+        """Exact membership test against the domain's defining inequalities."""
         return bool(self.contains_many(_vec(x, self.dimension)[None, :], where)[0])
 
     def interior_distance(self, points) -> np.ndarray:
@@ -355,11 +356,6 @@ def capped_disk(center, radius: float, normal, offset: float) -> DomainSpec:
 
 
 # -- operations -----------------------------------------------------------
-
-
-def contains(domain: DomainSpec, x, where: str = "closure") -> bool:
-    """Exact membership test against the domain's defining inequalities."""
-    return domain.contains(x, where)
 
 
 def segment_in_closure(domain: DomainSpec, a, b) -> bool:

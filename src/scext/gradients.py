@@ -31,7 +31,7 @@ from .errors import (
     InputError,
     IsolationError,
 )
-from .funcspace import declared_domain, evaluate_many
+from .funcspace import _stencil
 from .geometry import DomainSpec, _vec, segment_in_closure
 from .semiconcavity import ModulusParams
 
@@ -126,12 +126,7 @@ def _gradient_samples(
         mask = ~np.isnan(grads).any(axis=1)
         return mask, grads[mask]
     mask = np.zeros(m, dtype=bool)
-    eye = h_fd * np.eye(d)
-    # rows: [p, p+h e_1, p-h e_1, p+h e_2, ...] per point
-    rows = np.concatenate(
-        [pts[:, None, :], pts[:, None, :] + eye[None], pts[:, None, :] - eye[None]],
-        axis=1,
-    ).reshape(m * (2 * d + 1), d)
+    rows = _stencil(pts, h_fd, centre=True)
     if fd_domain is not None:
         ok_rows = fd_domain.contains_many(rows, "closure").reshape(m, 2 * d + 1)
         fit = ok_rows.all(axis=1)
@@ -140,7 +135,7 @@ def _gradient_samples(
     if not fit.any():
         return mask, np.empty((0, d))
     rows = rows.reshape(m, 2 * d + 1, d)[fit].reshape(-1, d)
-    vals = evaluate_many(func, rows).reshape(-1, 2 * d + 1)
+    vals = func.evaluate_many(rows).reshape(-1, 2 * d + 1)
     u0 = vals[:, 0]
     fwd = (vals[:, 1 : d + 1] - u0[:, None]) / h_fd
     bwd = (u0[:, None] - vals[:, d + 1 :]) / h_fd
@@ -311,7 +306,7 @@ def _reachable_sets(func, domain, anchors, r0, ratio, k_max, m_a, eps_c, h_fd):
     without samples raises IsolationError (the first one in anchor order).
     """
     n, d = anchors.shape
-    fd_domain = declared_domain(func)
+    fd_domain = func.evaluation_domain
 
     def sampler(pts):
         return _gradient_samples(func, pts, fd_domain, h_fd, eps_c)
@@ -402,7 +397,7 @@ def supergradient_defect(
     if not segment_in_closure(domain, x, y):
         raise HypothesisError("segment [x, y] leaves the closure of the domain")
     gap = float(np.linalg.norm(y - x))
-    vals = evaluate_many(func, np.vstack([y, x]))
+    vals = func.evaluate_many(np.vstack([y, x]))
     return float(vals[0] - vals[1] - p @ (y - x) - params.C * gap ** (1.0 + params.alpha))
 
 
@@ -420,12 +415,6 @@ class ConvexPolytope:
     @property
     def ambient_dimension(self) -> int:
         return self.vertices.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "vertices": self.vertices.tolist(),
-            "affine_dimension": self.affine_dimension,
-        }
 
 
 def _affine_frame(pts: np.ndarray):

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InputError, PropagationLostError
+from .errors import ConfigError, InputError
 from .extension import (
     ExtensionField,
     MollifiedApproximant,
@@ -36,7 +36,7 @@ from .extension import (
     build_support_set,
     glue_global,
 )
-from .funcspace import FunctionSpec, evaluate_many, named_function
+from .funcspace import FunctionSpec, named_function
 from .geometry import (
     BallRegion,
     DomainSpec,
@@ -505,7 +505,7 @@ def stage_support(ctx: StageContext) -> tuple[dict, dict]:
 def stage_extend(ctx: StageContext) -> tuple[dict, dict]:
     sc, kn, field = ctx.scenario, ctx.knobs, ctx.field
     nodes = field.support.node_points()
-    u_nodes = evaluate_many(sc.func, nodes)
+    u_nodes = sc.func.evaluate_many(nodes)
     identity_max = float(np.max(np.abs(field.evaluate_many(nodes) - u_nodes)))
     raw_identity_max = float(np.max(np.abs(field.envelope_values(nodes) - u_nodes)))
     metrics = {
@@ -594,25 +594,20 @@ def stage_trace(ctx: StageContext) -> tuple[dict, dict]:
     records = []
     all_ok = True
     for theta in np.atleast_2d(thetas):
-        lost = False
-        try:
-            arc = trace_singular_arc(
-                field, sc.x0, theta,
-                delta_s=0.02 * sc.delta, sigma=0.4 * sc.delta, p0=cond["p0"],
-            )
-        except PropagationLostError as err:
-            arc = err.partial_arc
-            lost = True
+        arc = trace_singular_arc(
+            field, sc.x0, theta,
+            delta_s=0.02 * sc.delta, sigma=0.4 * sc.delta, p0=cond["p0"],
+        )
         arcs.append(arc)
         drift = float(np.max(np.abs(arc.points - sc.x0 - arc.s[:, None] * arc.theta)))
-        ok = arc.validated and not lost
+        ok = arc.validated and not arc.lost
         all_ok = all_ok and ok
         records.append(
             {
                 "theta": arc.theta.tolist(),
                 "n_steps": int(arc.s.size),
                 "validated": arc.validated,
-                "lost": lost,
+                "lost": arc.lost,
                 "max_drift": drift,
                 "min_indicator": float(np.min(arc.indicators[1:]))
                 if arc.s.size > 1
@@ -636,7 +631,7 @@ def fd_hessian_max(func, pts: np.ndarray, step: float) -> float:
             for si in (1.0, -1.0):
                 for sj in (1.0, -1.0):
                     rows.append(pts + step * (si * eye[i] + sj * eye[j]))
-    vals = evaluate_many(func, np.vstack(rows))
+    vals = func.evaluate_many(np.vstack(rows))
     blocks = vals.reshape(-1, n)
     f0 = blocks[0]
     H = np.empty((n, d, d))
@@ -713,7 +708,7 @@ def stage_glue(ctx: StageContext) -> tuple[dict, dict]:
     glued = glue_global(sc.domain, cover, fields, func=sc.func)
     hub = _domain_hub(sc.domain)
     probes = closure_grid(sc.domain, hub, 0.01 * hub.radius * 2)
-    sup_u = float(np.max(np.abs(glued.evaluate_many(probes) - evaluate_many(sc.func, probes))))
+    sup_u = float(np.max(np.abs(glued.evaluate_many(probes) - sc.func.evaluate_many(probes))))
     metrics = {
         "n_cover": len(cover),
         "n_probes": int(probes.shape[0]),

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, InputError, SamplingError
-from .funcspace import declared_domain, evaluate_many
 from .geometry import BallRegion, DomainSpec, sample_closure_points, segment_in_closure
 
 # Chunk size of the triple sampler; part of the deterministic draw order.
@@ -104,7 +103,7 @@ def defect(
     When a domain is given (or the function declares one) the segment [x, y]
     must lie in its closure.
     """
-    dom = domain if domain is not None else declared_domain(func)
+    dom = domain if domain is not None else func.evaluation_domain
     if dom is not None and not segment_in_closure(dom, triple.x, triple.y):
         raise HypothesisError("segment [x, y] leaves the closure of the domain")
     vals = _defect_batch(
@@ -119,9 +118,9 @@ def defect(
 
 def _defect_batch(func, X, Y, lam, params: ModulusParams) -> np.ndarray:
     mid = lam[:, None] * X + (1.0 - lam[:, None]) * Y
-    ux = evaluate_many(func, X)
-    uy = evaluate_many(func, Y)
-    um = evaluate_many(func, mid)
+    ux = func.evaluate_many(X)
+    uy = func.evaluate_many(Y)
+    um = func.evaluate_many(mid)
     gap = np.linalg.norm(X - Y, axis=1)
     return lam * ux + (1.0 - lam) * uy - um - params.modulus(gap, lam)
 

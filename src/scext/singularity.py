@@ -16,12 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    DimensionError,
-    InputError,
-    PropagationLostError,
-)
+from .errors import DegenerateDirectionError, DimensionError, InputError
+from .funcspace import _stencil
 from .geometry import _vec
 from .gradients import (
     DEFAULT_EPS_C,
@@ -104,11 +100,7 @@ def _indicator_values(field, centers: np.ndarray, rho: float) -> np.ndarray:
     m, h_fd = 24, _FD_STEP * rho
     pattern = rho * _unit_ball_pattern(d, m)
     pts = (centers[:, None, :] + pattern[None, :, :]).reshape(n * m, d)
-    eye = h_fd * np.eye(d)
-    stencil = np.concatenate(
-        [pts[:, None, :] + eye[None], pts[:, None, :] - eye[None]], axis=1
-    ).reshape(n * m * 2 * d, d)
-    vals = field.evaluate_many(stencil).reshape(n * m, 2 * d)
+    vals = field.evaluate_many(_stencil(pts, h_fd)).reshape(n * m, 2 * d)
     grads = (vals[:, :d] - vals[:, d:]) / (2.0 * h_fd)
     reps = _cluster(grads, np.full(n, m), DEFAULT_EPS_C)
     return np.array([_diameter(r) for r in reps])
@@ -163,6 +155,11 @@ class SingularArc:
             and bool(np.all(res <= self.rho_t))
         )
 
+    @property
+    def lost(self) -> bool:
+        """Whether the indicator fell to eps_s, ending the arc early."""
+        return self.s.size > 1 and bool(self.indicators[-1] <= self.eps_s)
+
     def to_dict(self) -> dict:
         return {
             "x0": self.x0.tolist(),
@@ -215,10 +212,10 @@ def trace_singular_arc(
     At each s_i = i*delta_s the tracer scans a transverse disc of radius
     w = 3*delta_s, on a grid of pitch delta_s/10, around x0 + s_i*theta and
     records the maximizer of the indicator on probe balls of radius
-    0.2*delta_s.  An indicator at or below DEFAULT_EPS_S raises
-    PropagationLostError carrying the partial arc: the guaranteed horizon is
-    not quantified, so running out of singularity is an expected stopping
-    event rather than a failure of the tracer.
+    0.2*delta_s.  An indicator at or below DEFAULT_EPS_S ends the arc there
+    (``SingularArc.lost``): the guaranteed horizon is not quantified, so
+    running out of singularity is an expected stopping event rather than a
+    failure of the tracer.
     """
     x0, theta = _ball_points(field, x0, theta)
     nrm = float(np.linalg.norm(theta))
@@ -243,21 +240,6 @@ def trace_singular_arc(
     s_list = [0.0]
     pts = [x0]
     inds = [float(_indicator_values(field, x0[None, :], rho)[0])]
-
-    def partial() -> SingularArc:
-        return SingularArc(
-            x0=x0,
-            theta=theta,
-            delta_s=float(delta_s),
-            sigma=float(sigma),
-            s=np.array(s_list),
-            points=np.array(pts),
-            indicators=np.array(inds),
-            eps_s=DEFAULT_EPS_S,
-            rho_t=DEFAULT_RESIDUAL_TOL,
-            p0=None if p0 is None else np.atleast_1d(np.asarray(p0, dtype=float)),
-        )
-
     for i in range(1, n_steps + 1):
         s_i = i * delta_s
         center = x0 + s_i * theta
@@ -268,9 +250,16 @@ def trace_singular_arc(
         pts.append(disc[j])
         inds.append(float(values[j]))
         if values[j] <= DEFAULT_EPS_S:
-            raise PropagationLostError(
-                f"indicator {values[j]:g} <= eps_s at s = {s_i:g}; the arc "
-                f"ended before the requested horizon",
-                partial_arc=partial(),
-            )
-    return partial()
+            break
+    return SingularArc(
+        x0=x0,
+        theta=theta,
+        delta_s=float(delta_s),
+        sigma=float(sigma),
+        s=np.array(s_list),
+        points=np.array(pts),
+        indicators=np.array(inds),
+        eps_s=DEFAULT_EPS_S,
+        rho_t=DEFAULT_RESIDUAL_TOL,
+        p0=None if p0 is None else np.atleast_1d(np.asarray(p0, dtype=float)),
+    )

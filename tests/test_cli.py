@@ -114,6 +114,26 @@ class TestExitCodes:
         assert main(["--scenario", "example2", "--stages", "polish"]) == 2
         assert "unknown stages" in capsys.readouterr().err
 
+    def test_empty_stage_flag_is_usage_error(self, capsys):
+        assert main(["--scenario", "glue-1d", "--stages", ""]) == 2
+        assert "stages must be a nonempty list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"stages": []}, "stages must be a nonempty list"),
+        ({"stages": 5}, "stages must be a nonempty list"),
+        ({"stages": [["glue"]]}, "unknown stages"),
+        ({"delta": "0.5"}, "delta must be a number"),
+        ({"delta": True}, "delta must be a number"),
+        ({"delta": float("inf")}, "delta must be positive and finite"),
+        ({"out": 5}, "out must be a directory path string"),
+    ], ids=["empty-stages", "int-stages", "nested-stages", "text-delta", "bool-delta",
+            "inf-delta", "int-out"])
+    def test_malformed_run_setting_is_usage_error(self, extra, message, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "glue-1d", "stages": ["glue"], **extra}))
+        assert main(["--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_knobs_that_are_not_an_object_are_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"scenario": "example2", "knobs": [1, 2]}))
@@ -127,8 +147,9 @@ class TestExitCodes:
         ({"knobs": {"h_list": [10, 2.5]}}, "'h_list' has the wrong type"),
         ({"function": {"identifier": "nope"}}, "unknown function identifier"),
         ({"domain": {"kind": "disk", "center": [0.0, 0.0], "radius": -1}}, "radius"),
+        ({"ball": {"center": [0.0, 0.0], "radius": float("inf")}}, "positive and finite"),
     ], ids=["unknown-knob", "text-triples", "bool-alpha", "float-h", "bad-function",
-            "negative-radius"])
+            "negative-radius", "infinite-ball"])
     def test_bad_knob_or_custom_spec_is_usage_error(self, extra, message, tmp_path, capsys):
         config = {
             "scenario": "custom",

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from scext import (
     BallRegion,
     DimensionError,
+    DomainSpec,
     ExtensionField,
+    GlobalExtension,
     InputError,
     ModulusParams,
     MollifiedApproximant,
@@ -31,7 +33,7 @@ from scext.extension import _FINE_PER_RADIUS, _NEST, _node_index
 from scext.funcspace import FunctionSpec
 from scext.geometry import boundary_sample, capped_disk, closure_grid
 from scext.gradients import _gradient_samples, reachable_gradients
-from scext.scenarios import envelope_neg_abs_x2
+from scext.scenarios import build_scenario, envelope_neg_abs_x2
 
 from conftest import ball_points
 
@@ -758,6 +760,60 @@ class TestMollify:
         assert np.isfinite(approx.evaluate_many(np.array([[edge, 0.0]]))).all()
         with pytest.raises(InputError, match="half-radius ball"):
             approx.evaluate_many(np.array([[np.nextafter(edge, 1.0), 0.0]]))
+
+
+@pytest.fixture(scope="module")
+def affine_glued():
+    """The glued field of the affine-sanity scenario, built as its glue stage
+    builds it: one cover ball of radius 1.2 around the unit disk."""
+    sc = build_scenario("affine-sanity")
+    params = ModulusParams(alpha=1.0, C=sc.default_C)
+    cover = sc.glue["cover"]
+    fields = [
+        build_extension(sc.func, sc.domain, build_support_set(sc.func, sc.domain, b), params)
+        for b in cover
+    ]
+    return glue_global(sc.domain, cover, fields, func=sc.func)
+
+
+@pytest.fixture(scope="module")
+def function_likes(affine_bundle, affine_glued):
+    return {
+        "FunctionSpec": affine_bundle["func"],
+        "ExtensionField": affine_bundle["field"],
+        "GlobalExtension": affine_glued,
+        "MollifiedApproximant": MollifiedApproximant(affine_bundle["field"], h=10),
+    }
+
+
+class TestFunctionLikes:
+    @pytest.mark.parametrize(
+        "kind", ["FunctionSpec", "ExtensionField", "GlobalExtension", "MollifiedApproximant"]
+    )
+    def test_one_call_surface(self, kind, function_likes):
+        f = function_likes[kind]
+        assert type(f).__name__ == kind
+        pts = ball_points(40, seed=19, radius=0.45)
+        vals = f.evaluate_many(pts)
+        assert isinstance(vals, np.ndarray)
+        assert vals.dtype == np.float64 and vals.shape == (40,)
+        for x in pts:
+            one = f(x)
+            assert isinstance(one, float)
+            assert one == f.evaluate_many(x[None])[0]
+        assert isinstance(f.identifier, str)
+        dom = f.evaluation_domain
+        assert dom is None or isinstance(dom, DomainSpec)
+        assert (dom is None) == (kind == "GlobalExtension")
+
+    @pytest.mark.parametrize("x", [(0.5, 0.2), (0.99, 0.0)])
+    def test_glued_field_reachable_set_is_the_affine_slope(self, x, affine_glued):
+        # the glued field declares no domain, so its central-difference
+        # stencils are placed without a domain guard
+        assert affine_glued.evaluation_domain is None
+        rset = reachable_gradients(affine_glued, affine_glued.domain, x, r0=0.005)
+        assert rset.representatives.shape == (1, 2)
+        np.testing.assert_allclose(rset.representatives[0], (0.3, -0.7), atol=1e-6)
 
 
 class _Shim:

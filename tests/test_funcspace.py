@@ -10,9 +10,6 @@ from scext import (
     DimensionError,
     EvaluationError,
     InputError,
-    declared_domain,
-    evaluate,
-    evaluate_many,
     gradient,
     lipschitz_estimate,
     named_function,
@@ -52,6 +49,8 @@ _UNDERFLOW_GRADIENTS = {
 class _NoGradient:
     """Evaluation-only wrapper that forces the finite-difference path."""
 
+    evaluation_domain = None
+
     def __init__(self, base):
         self._base = base
 
@@ -74,23 +73,23 @@ def functions(half_disk):
 
 class TestEvaluate:
     def test_neg_norm_on_unit_vector(self, functions):
-        assert evaluate(functions["neg-norm"], (0.6, 0.8)) == pytest.approx(-1.0, abs=1e-15)
+        assert functions["neg-norm"]((0.6, 0.8)) == pytest.approx(-1.0, abs=1e-15)
 
     def test_neg_abs_x2(self, functions):
-        assert evaluate(functions["neg-abs-x2"], (0.5, -0.3)) == -0.3
+        assert functions["neg-abs-x2"]((0.5, -0.3)) == -0.3
 
     def test_neg_sqrt(self, functions):
-        assert evaluate(functions["neg-sqrt"], (1.0, 0.0)) == pytest.approx(-1.0, abs=1e-15)
+        assert functions["neg-sqrt"]((1.0, 0.0)) == pytest.approx(-1.0, abs=1e-15)
 
     def test_affine_and_constant(self, functions):
-        assert evaluate(functions["affine"], (0.25, 0.7)) == pytest.approx(0.5, abs=1e-15)
-        assert evaluate(functions["constant"], (0.1, 0.2)) == 1.25
+        assert functions["affine"]((0.25, 0.7)) == pytest.approx(0.5, abs=1e-15)
+        assert functions["constant"]((0.1, 0.2)) == 1.25
 
     def test_batch_matches_scalar(self, functions):
         pts = np.array([[0.3, 0.1], [0.5, -0.2], [0.9, 0.05]])
         for f in functions.values():
-            batch = evaluate_many(f, pts)
-            assert np.array_equal(batch, [evaluate(f, p) for p in pts])
+            batch = f.evaluate_many(pts)
+            assert np.array_equal(batch, [f(p) for p in pts])
 
 
 class TestGradient:
@@ -274,5 +273,4 @@ class TestSampledGrid:
         assert np.allclose(f.evaluate_many(pts), want, rtol=0.0, atol=1e-12)
 
     def test_declared_domain_present(self, functions, half_disk):
-        assert declared_domain(functions["neg-norm"]) is half_disk
-        assert declared_domain(object()) is None
+        assert functions["neg-norm"].evaluation_domain is half_disk

@@ -16,7 +16,6 @@ from scext import (
     box,
     capped_disk,
     closure_grid,
-    contains,
     disk,
     half_space,
     sample_closure_points,
@@ -66,33 +65,33 @@ def _domain(kind, d):
 
 class TestContains:
     def test_interior_point_of_half_disk(self, half_disk):
-        assert contains(half_disk, (0.5, 0.0), "open")
+        assert half_disk.contains((0.5, 0.0), "open")
 
     def test_flat_face_is_boundary(self, half_disk):
-        assert contains(half_disk, (0.0, 0.5), "boundary")
+        assert half_disk.contains((0.0, 0.5), "boundary")
 
     def test_left_half_plane_outside_closure(self, half_disk):
-        assert not contains(half_disk, (-0.1, 0.0), "closure")
+        assert not half_disk.contains((-0.1, 0.0), "closure")
 
     def test_arc_is_boundary(self, half_disk):
         p = (math.cos(0.3), math.sin(0.3))
-        assert contains(half_disk, p, "boundary")
-        assert not contains(half_disk, p, "open")
+        assert half_disk.contains(p, "boundary")
+        assert not half_disk.contains(p, "open")
 
     def test_dimension_mismatch_rejected(self, half_disk):
         with pytest.raises(DimensionError):
-            contains(half_disk, (0.5, 0.0, 0.0), "open")
+            half_disk.contains((0.5, 0.0, 0.0), "open")
 
     def test_other_kinds(self):
         b = box(center=(0.5,), half_widths=(0.5,))
-        assert contains(b, (0.25,), "open")
-        assert contains(b, (1.0,), "boundary")
+        assert b.contains((0.25,), "open")
+        assert b.contains((1.0,), "boundary")
         h = half_space(normal=(0.0, 1.0), offset=-0.5)
-        assert contains(h, (3.0, 0.0), "open")
-        assert contains(h, (3.0, -0.5), "boundary")
-        assert not contains(h, (0.0, -1.0), "closure")
+        assert h.contains((3.0, 0.0), "open")
+        assert h.contains((3.0, -0.5), "boundary")
+        assert not h.contains((0.0, -1.0), "closure")
         d = disk((1.0, 1.0), 2.0)
-        assert contains(d, (1.0, 2.9), "open")
+        assert d.contains((1.0, 2.9), "open")
 
 
     @pytest.mark.parametrize("domain", [
@@ -198,19 +197,19 @@ class TestClosureGrid:
 
     def test_every_node_in_closure(self, half_disk, unit_ball):
         grid = closure_grid(half_disk, unit_ball, 0.07)
-        assert all(contains(half_disk, p, "closure") for p in grid)
+        assert all(half_disk.contains(p, "closure") for p in grid)
 
     def test_huge_spacing_keeps_only_members(self, half_disk, unit_ball):
         grid = closure_grid(half_disk, unit_ball, 5.0)
         assert 1 <= grid.shape[0] <= 4
-        assert all(contains(half_disk, p, "closure") for p in grid)
+        assert all(half_disk.contains(p, "closure") for p in grid)
 
     def test_covering_radius(self, half_disk, unit_ball):
         # brute-force oracle: every point of the closure has a grid node
         # within half the lattice diagonal times two
         grid = closure_grid(half_disk, unit_ball, 0.5)
         pts = ball_points(4000, seed=101)
-        keep = np.array([contains(half_disk, p, "closure") for p in pts])
+        keep = np.array([half_disk.contains(p, "closure") for p in pts])
         pts = pts[keep][:1000]
         assert pts.shape[0] == 1000
         dists = np.linalg.norm(pts[:, None, :] - grid[None, :, :], axis=2).min(axis=1)
@@ -232,7 +231,7 @@ class TestBoundarySample:
 
     def test_every_point_on_boundary(self, half_disk, unit_ball):
         pts = boundary_sample(half_disk, unit_ball, 0.13)
-        assert all(contains(half_disk, p, "boundary") for p in pts)
+        assert all(half_disk.contains(p, "boundary") for p in pts)
 
 
 class TestSampler:
@@ -243,7 +242,7 @@ class TestSampler:
 
     def test_samples_lie_in_closure(self, half_disk, unit_ball):
         pts = sample_closure_points(half_disk, unit_ball, 100, np.random.default_rng(9))
-        assert all(contains(half_disk, p, "closure") for p in pts)
+        assert all(half_disk.contains(p, "closure") for p in pts)
 
     @staticmethod
     def _assert_matches_reference(domain, region, seed):

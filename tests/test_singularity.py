@@ -10,7 +10,6 @@ from scext import (
     BallRegion,
     DegenerateDirectionError,
     DimensionError,
-    PropagationLostError,
     check_condition_h,
     propagation_directions,
     select_p0,
@@ -169,6 +168,7 @@ def _assert_arc_invariants(arc, x0):
     assert float(arc.indicators[1:].min()) > arc.eps_s
     assert float(np.max(arc.residuals[1:4])) <= arc.rho_t
     assert arc.validated
+    assert not arc.lost
 
 
 class TestTrace:
@@ -220,13 +220,12 @@ class TestTrace:
         field = build_extension(
             func, dom, support, ModulusParams(1.0, 0.0), coefficient=1.0
         )
-        with pytest.raises(PropagationLostError) as err:
-            trace_singular_arc(field, (0.0, 0.0), (-1.0, 0.0), delta_s=0.05, sigma=0.4)
-        partial = err.value.partial_arc
-        # the failing sample is recorded before the raise
-        assert partial.s.size == 2
-        assert partial.indicators[-1] <= partial.eps_s
-        assert not partial.validated
+        arc = trace_singular_arc(field, (0.0, 0.0), (-1.0, 0.0), delta_s=0.05, sigma=0.4)
+        # the tracer stops at the first sample at or below eps_s and keeps it
+        assert arc.lost
+        assert arc.s.size == 2
+        assert arc.indicators[-1] <= arc.eps_s
+        assert not arc.validated
 
     def test_arc_serializes(self, ex2):
         arc = trace_singular_arc(
