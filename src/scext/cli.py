@@ -21,9 +21,8 @@ from dataclasses import dataclass, field as dc_field
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
-from .errors import ConfigError, InputError, ScextError
-from .funcspace import named_function
-from .geometry import BallRegion, box, capped_disk, disk, half_space
+from .errors import ConfigError, ScextError
+from .geometry import BallRegion
 from .scenarios import (
     GRID_FORMATS,
     SCENARIO_NAMES,
@@ -35,6 +34,7 @@ from .scenarios import (
     _real,
     emit_grid,  # re-exported: the grid writer stays part of the CLI API
     resolve_knobs,
+    scenario_from_spec,
     write_json,
 )
 
@@ -187,43 +187,11 @@ def merge_config(args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
-def _parse_domain(d: dict):
-    try:
-        kind = d["kind"]
-        if kind == "disk":
-            return disk(d["center"], d["radius"])
-        if kind == "box":
-            return box(d["center"], d["half_widths"])
-        if kind == "half-space":
-            return half_space(d["normal"], d["offset"])
-        if kind == "capped-disk":
-            return capped_disk(d["center"], d["radius"], d["normal"], d["offset"])
-    except (KeyError, TypeError, InputError) as err:
-        raise ConfigError(f"bad domain spec {d!r}: {err}") from err
-    raise ConfigError(f"unknown domain kind {d.get('kind')!r}")
-
-
 def resolve_scenario(config: ScenarioConfig) -> Scenario:
-    if config.scenario != "custom":
-        scenario = build_scenario(config.scenario)
+    if config.scenario == "custom":
+        scenario = scenario_from_spec("custom", config.custom)
     else:
-        domain = _parse_domain(config.custom["domain"])
-        fn = config.custom["function"]
-        try:
-            func = named_function(
-                fn["identifier"], domain.dimension, domain, fn.get("params")
-            )
-            ball_spec = config.custom["ball"]
-            ball = BallRegion(ball_spec["center"], ball_spec["radius"])
-        except (KeyError, TypeError, InputError) as err:
-            raise ConfigError(f"bad custom scenario: {err}") from err
-        scenario = Scenario(
-            name="custom",
-            domain=domain,
-            func=func,
-            ball=ball,
-            default_stages=("certify", "support", "extend"),
-        )
+        scenario = build_scenario(config.scenario)
     if config.delta is not None:
         if not 0 < config.delta < math.inf:
             raise ConfigError("delta must be positive and finite")

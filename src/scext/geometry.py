@@ -288,15 +288,14 @@ class DomainSpec:
             u = _any_orthonormal(n)
             v = np.cross(n, u)
             chunks.append(mid[None, :])
-            for rho in _axis_ticks(face_r, spacing)[_axis_ticks(face_r, spacing) > 0]:
+            # the last tick is face_r exactly (linspace ends on its endpoint),
+            # so the last ring is the rim of the cap
+            ticks = _axis_ticks(face_r, spacing)
+            for rho in ticks[ticks > 0]:
                 m = max(4, int(math.ceil(2.0 * math.pi * rho / spacing)))
                 phi = 2.0 * math.pi * np.arange(m) / m
                 ring = mid + rho * (np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v)
                 chunks.append(ring)
-            # rim of the cap
-            m = max(4, int(math.ceil(2.0 * math.pi * face_r / spacing)))
-            phi = 2.0 * math.pi * np.arange(m) / m
-            chunks.append(mid + face_r * (np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v))
         return np.vstack(chunks)
 
 
@@ -406,6 +405,8 @@ def sample_closure_points(
     After max(10_000, 1000*count) draws without ``count`` points, a
     SamplingError reports a ball that barely meets the domain.
     """
+    if region.dimension != domain.dimension:
+        raise DimensionError("region and domain dimensions differ")
     dim = domain.dimension
     lo = region.center - region.radius
     hi = region.center + region.radius

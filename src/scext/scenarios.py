@@ -2,9 +2,10 @@
 
 A scenario bundles a domain, a function, a ball around a base point, and the
 reference answers known in closed form (envelope values, reachable-gradient
-sets, propagation directions).  Stage functions run one step each of the
-workflow -- certify, support, extend, gradients, condition, trace, mollify,
-glue -- against a shared ``StageContext``.
+sets, propagation directions); built-in (``SCENARIOS``) or custom, it is read
+from one spec format by ``scenario_from_spec``.  Stage functions run one step
+each of the workflow -- certify, support, extend, gradients, condition,
+trace, mollify, glue -- against a shared ``StageContext``.
 
 Stage contract: a stage returns ``(metrics, artifacts)``.  ``metrics`` is a
 plain dict with a ``passed`` verdict, so the CLI and the test suite compute
@@ -44,6 +45,7 @@ from .geometry import (
     capped_disk,
     closure_grid,
     disk,
+    half_space,
 )
 from .gradients import DEFAULT_EPS_S, ReachableGradientSet, _distances, reachable_gradients
 from .semiconcavity import ModulusParams, certify, estimate_constant
@@ -152,14 +154,14 @@ class Scenario:
     func: FunctionSpec
     ball: BallRegion
     default_C: float | None = None  # None: estimate and round up
-    support_spacing: float | None = None  # absolute; None = builder default
+    support_spacing: float | None = None  # absolute; None = 0.01 * delta
     reference_envelope: Callable | None = None
     reference_set: str | None = None
     expected_condition: bool | None = None
-    expected_thetas: np.ndarray | None = None
-    fallback_thetas: np.ndarray | None = None  # traced when the condition fails
-    glue: dict | None = None
-    default_stages: tuple[str, ...] = ()
+    expected_thetas: list | None = None  # rows of floats, one per direction
+    fallback_thetas: list | None = None  # traced when the condition fails
+    cover: list[BallRegion] | None = None  # the glue stage's cover balls
+    default_stages: tuple[str, ...] = ("certify", "support", "extend")
 
     @property
     def x0(self) -> np.ndarray:
@@ -170,128 +172,98 @@ class Scenario:
         return self.ball.radius
 
 
-_EXAMPLE_STAGES = (
-    "certify",
-    "support",
-    "extend",
-    "gradients",
-    "condition",
-    "trace",
-    "mollify",
-)
+# The part the paper's three worked examples share: u on the half disk
+# {x1 > 0, |x| < 1}, extended across {x1 = 0} on the unit ball around 0.
+_WORKED_EXAMPLE = {
+    "domain": {"kind": "capped-disk", "center": [0.0, 0.0], "radius": 1.0,
+               "normal": [1.0, 0.0], "offset": 0.0},
+    "ball": {"center": [0.0, 0.0], "radius": 1.0},
+    "default_stages": ("certify", "support", "extend", "gradients", "condition",
+                       "trace", "mollify"),
+}
 
-
-def _half_disk() -> DomainSpec:
-    return capped_disk(center=(0.0, 0.0), radius=1.0, normal=(1.0, 0.0), offset=0.0)
-
-
-def _example_scenario(name, identifier, spacing, ref_env, ref_set, cond, thetas, fallback):
-    dom = _half_disk()
-    ball = BallRegion((0.0, 0.0), 1.0)
-    return Scenario(
-        name=name,
-        domain=dom,
-        func=named_function(identifier, dimension=2, domain=dom),
-        ball=ball,
-        support_spacing=spacing,
-        reference_envelope=ref_env,
-        reference_set=ref_set,
-        expected_condition=cond,
-        expected_thetas=None if thetas is None else np.asarray(thetas, dtype=float),
-        fallback_thetas=None if fallback is None else np.asarray(fallback, dtype=float),
-        default_stages=_EXAMPLE_STAGES,
-    )
-
-
-def _build_example1() -> Scenario:
-    return _example_scenario(
-        "example1", "neg-norm", 0.01, envelope_neg_norm, "left-unit-arc",
-        True, [[-1.0, 0.0]], None,
-    )
-
-
-def _build_example2() -> Scenario:
-    return _example_scenario(
-        "example2", "neg-abs-x2", 0.02, envelope_neg_abs_x2, "vertical-unit-pair",
-        True, [[1.0, 0.0], [-1.0, 0.0]], None,
-    )
-
-
-def _build_example3() -> Scenario:
+# The built-in scenarios: domain, function and ball in a custom config's
+# format, and any other key sets the Scenario field of its name.
+SCENARIOS: dict[str, dict] = {
+    "example1": {
+        **_WORKED_EXAMPLE, "function": {"identifier": "neg-norm"}, "support_spacing": 0.01,
+        "reference_envelope": envelope_neg_norm, "reference_set": "left-unit-arc",
+        "expected_condition": True, "expected_thetas": [[-1.0, 0.0]],
+    },
+    "example2": {
+        **_WORKED_EXAMPLE, "function": {"identifier": "neg-abs-x2"}, "support_spacing": 0.02,
+        "reference_envelope": envelope_neg_abs_x2, "reference_set": "vertical-unit-pair",
+        "expected_condition": True, "expected_thetas": [[1.0, 0.0], [-1.0, 0.0]],
+    },
     # The flat face of the gradient set is filled in, so the hull adds no new
     # point; the singularity still continues along -e1 and the tracer is sent
     # that way explicitly.
-    return _example_scenario(
-        "example3", "neg-sqrt-x1p4-x2sq", 0.02, envelope_neg_sqrt,
-        "vertical-unit-segment", False, None, [[-1.0, 0.0]],
-    )
-
-
-def _build_affine_sanity() -> Scenario:
+    "example3": {
+        **_WORKED_EXAMPLE, "function": {"identifier": "neg-sqrt-x1p4-x2sq"},
+        "support_spacing": 0.02, "reference_envelope": envelope_neg_sqrt,
+        "reference_set": "vertical-unit-segment", "expected_condition": False,
+        "fallback_thetas": [[-1.0, 0.0]],
+    },
     # Full-disk domain: the closure covers the evaluation ball, so every
     # pipeline stage must reproduce the affine function to rounding error.
     # The small C floor keeps fp noise in the affine identity from turning
-    # into certificate witnesses.
-    dom = disk((0.0, 0.0), 1.0)
-    ball = BallRegion((0.0, 0.0), 1.0)
-    func = named_function(
-        "affine", dimension=2, domain=dom, params={"p": [0.3, -0.7], "b": 0.1}
-    )
-    return Scenario(
-        name="affine-sanity",
-        domain=dom,
-        func=func,
-        ball=ball,
-        default_C=0.01,
-        support_spacing=0.02,
-        reference_envelope=None,
-        glue={
-            # one ball containing the closure: the glued field must equal the
-            # local one on its whole ball and u on the closure
-            "cover": [BallRegion((0.0, 0.0), 1.2)],
-            "check_field_identity": True,
-        },
-        default_stages=("certify", "support", "extend", "mollify", "glue"),
-    )
-
-
-def _build_glue_1d() -> Scenario:
-    dom = box(center=(0.5,), half_widths=(0.5,))
-    ball = BallRegion((0.5,), 0.5)
-    func = named_function(
-        "quadratic", dimension=1, domain=dom, params={"a": -1.0, "b": [1.0], "c": 0.0}
-    )
+    # into certificate witnesses.  The one cover ball contains the closure,
+    # so the glued field must equal the local one on its whole ball and u on
+    # the closure.
+    "affine-sanity": {
+        "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+        "function": {"identifier": "affine", "params": {"p": [0.3, -0.7], "b": 0.1}},
+        "ball": {"center": [0.0, 0.0], "radius": 1.0},
+        "default_C": 0.01, "support_spacing": 0.02,
+        "cover": [{"center": [0.0, 0.0], "radius": 1.2}],
+        "default_stages": ("certify", "support", "extend", "mollify", "glue"),
+    },
     # x(1-x) attains C = -1 with equality on every triple, so the rounded
-    # estimate leaves no margin for fp noise; pin the constant one notch up
-    return Scenario(
-        name="glue-1d",
-        domain=dom,
-        func=func,
-        ball=ball,
-        default_C=-0.99,
-        glue={
-            "cover": [BallRegion((0.0,), 0.3), BallRegion((1.0,), 0.3)],
-            "check_field_identity": False,
-        },
-        default_stages=("certify", "glue"),
-    )
-
-
-_BUILDERS = {
-    "example1": _build_example1,
-    "example2": _build_example2,
-    "example3": _build_example3,
-    "affine-sanity": _build_affine_sanity,
-    "glue-1d": _build_glue_1d,
+    # estimate leaves no margin for fp noise; pin the constant one notch up.
+    "glue-1d": {
+        "domain": {"kind": "box", "center": [0.5], "half_widths": [0.5]},
+        "function": {"identifier": "quadratic", "params": {"a": -1.0, "b": [1.0], "c": 0.0}},
+        "ball": {"center": [0.5], "radius": 0.5},
+        "default_C": -0.99,
+        "cover": [{"center": [0.0], "radius": 0.3}, {"center": [1.0], "radius": 0.3}],
+        "default_stages": ("certify", "glue"),
+    },
 }
 
-SCENARIO_NAMES = tuple(sorted(_BUILDERS))
+SCENARIO_NAMES = tuple(sorted(SCENARIOS))
+
+_DOMAIN_KINDS = {"disk": disk, "box": box, "half-space": half_space, "capped-disk": capped_disk}
+
+
+def scenario_from_spec(name: str, spec: dict) -> Scenario:
+    """The scenario a spec describes.  ``domain`` holds a ``kind`` and the
+    arguments of that kind's constructor, ``function`` an ``identifier`` and
+    optional ``params``, ``ball`` a ``center`` and a ``radius``; ``cover``
+    lists balls in the ball format, and any other key sets the Scenario field
+    of its name.  A malformed spec raises ConfigError."""
+    try:
+        fields = dict(spec)
+        domain_args = dict(fields.pop("domain"))
+        kind = domain_args.pop("kind")
+        if kind not in _DOMAIN_KINDS:
+            raise InputError(f"unknown domain kind {kind!r}; known: {sorted(_DOMAIN_KINDS)}")
+        domain = _DOMAIN_KINDS[kind](**domain_args)
+        fn = fields.pop("function")
+        func = named_function(fn["identifier"], domain.dimension, domain, fn.get("params"))
+        ball = BallRegion(**fields.pop("ball"))
+        if ball.dimension != domain.dimension:
+            raise InputError(f"a {ball.dimension}D ball on a {domain.dimension}D domain")
+        if "cover" in fields:
+            fields["cover"] = [BallRegion(**b) for b in fields["cover"]]
+        return Scenario(name, domain, func, ball, **fields)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad {name} scenario spec: {type(err).__name__}: {err}") from err
 
 
 def build_scenario(name: str) -> Scenario:
-    if name not in _BUILDERS:
-        raise InputError(f"unknown scenario {name!r}; known: {sorted(_BUILDERS)}")
-    return _BUILDERS[name]()
+    if name not in SCENARIOS:
+        raise InputError(f"unknown scenario {name!r}; known: {list(SCENARIO_NAMES)}")
+    return scenario_from_spec(name, SCENARIOS[name])
 
 
 # -- knobs --------------------------------------------------------------------
@@ -322,23 +294,29 @@ def _int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# type test of each knob's value; C and spacing may also be None (the default)
+def _finite(value) -> bool:
+    return _real(value) and math.isfinite(value)
+
+
+# test of each knob's value; C and spacing may also be None (the default)
 _KNOB_TYPES = {
-    "alpha": _real, "C": _real, "seed": _int, "triples": _int, "spacing": _real,
-    "sweep_spacing": _real, "mollify_spacing": _real, "mollify_triples": _int,
+    "alpha": _finite, "C": _finite, "seed": lambda v: _int(v) and v >= 0,
+    "triples": _int, "spacing": _finite, "sweep_spacing": _finite,
+    "mollify_spacing": _finite, "mollify_triples": _int,
     "h_list": lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_int, v)),
 }
 
 
 def resolve_knobs(scenario: Scenario, overrides: dict) -> dict:
-    """The scenario's knobs with the caller's overrides.  An unknown knob or a
-    value of the wrong type raises ConfigError; the stages check the ranges."""
+    """The scenario's knobs with the caller's overrides.  An unknown knob, a
+    value of the wrong type, a real that is not finite or a negative seed
+    raises ConfigError; the stages check the other ranges."""
     knobs = default_knobs(scenario)
     for key, value in overrides.items():
         if key not in knobs:
             raise ConfigError(f"unknown knob {key!r}; known: {sorted(knobs)}")
         if not (_KNOB_TYPES[key](value) or value is None and key in ("C", "spacing")):
-            raise ConfigError(f"knob {key!r} has the wrong type: {value!r}")
+            raise ConfigError(f"knob {key!r} has the wrong type or value: {value!r}")
         if value is not None:
             knobs[key] = value
     return knobs
@@ -697,10 +675,10 @@ def stage_mollify(ctx: StageContext) -> tuple[dict, dict]:
 
 def stage_glue(ctx: StageContext) -> tuple[dict, dict]:
     sc = ctx.scenario
-    if sc.glue is None:
+    cover = sc.cover
+    if cover is None:
         raise InputError(f"scenario {sc.name!r} does not define a glue setup")
     params = ctx.params
-    cover = sc.glue["cover"]
     fields = []
     for ball_j in cover:
         support_j = build_support_set(sc.func, sc.domain, ball_j)
@@ -715,7 +693,9 @@ def stage_glue(ctx: StageContext) -> tuple[dict, dict]:
         "sup_error_u": sup_u,
     }
     passed = sup_u <= 1e-9
-    if sc.glue.get("check_field_identity"):
+    if len(cover) == 1:
+        # one cover ball: the domain's weight vanishes off the closure, where
+        # the field is u, so the glued field is the local field on the ball
         inner = BallRegion(cover[0].center, 0.95 * cover[0].radius)
         pts = _ball_lattice(inner, 0.05 * inner.radius)
         sup_f = float(

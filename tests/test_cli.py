@@ -12,15 +12,17 @@ import numpy as np
 import pytest
 
 from scext.cli import ScenarioConfig, emit_grid, main, run_scenario
-from scext.errors import InputError
+from scext.errors import ConfigError, InputError
 from scext.extension import ExtensionField, SupportSet
 from scext.geometry import BallRegion
 from scext.scenarios import (
+    SCENARIOS,
     StageContext,
     build_scenario,
     default_knobs,
     envelope_neg_norm,
     resolve_knobs,
+    scenario_from_spec,
     stage_extend,
 )
 from scext.semiconcavity import ModulusParams, certify
@@ -148,8 +150,25 @@ class TestExitCodes:
         ({"function": {"identifier": "nope"}}, "unknown function identifier"),
         ({"domain": {"kind": "disk", "center": [0.0, 0.0], "radius": -1}}, "radius"),
         ({"ball": {"center": [0.0, 0.0], "radius": float("inf")}}, "positive and finite"),
+        ({"domain": {"kind": "disk", "center": [0, "a"], "radius": 1.0}},
+         "could not convert string to float"),
+        ({"ball": {"center": [0, "a"], "radius": 0.8}}, "could not convert string to float"),
+        ({"function": {"identifier": "sq-norm", "params": "ab"}}, "bad custom scenario spec"),
+        ({"ball": {"center": [0.0, 0.0, 0.0], "radius": 0.8}},
+         "a 3D ball on a 2D domain"),
+        ({"domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0,
+                     "normal": [1.0, 0.0]}}, "unexpected keyword argument 'normal'"),
+        ({"ball": {"center": [0.0, 0.0], "radius": 0.8, "offset": 0.0}},
+         "unexpected keyword argument 'offset'"),
+        ({"domain": {"kind": "ellipse"}}, "unknown domain kind 'ellipse'; known:"),
+        ({"knobs": {"seed": -1}}, "'seed' has the wrong type or value"),
+        ({"knobs": {"C": float("nan")}}, "'C' has the wrong type or value"),
+        ({"knobs": {"alpha": float("nan")}}, "'alpha' has the wrong type or value"),
+        ({"knobs": {"spacing": float("inf")}}, "'spacing' has the wrong type or value"),
     ], ids=["unknown-knob", "text-triples", "bool-alpha", "float-h", "bad-function",
-            "negative-radius", "infinite-ball"])
+            "negative-radius", "infinite-ball", "text-domain-center", "text-ball-center",
+            "text-params", "3d-ball-on-2d-domain", "unknown-domain-key", "unknown-ball-key",
+            "unknown-domain-kind", "negative-seed", "nan-C", "nan-alpha", "infinite-spacing"])
     def test_bad_knob_or_custom_spec_is_usage_error(self, extra, message, tmp_path, capsys):
         config = {
             "scenario": "custom",
@@ -160,6 +179,22 @@ class TestExitCodes:
         }
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({**config, **extra}))
+        assert main(["--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_usage_error(self, capsys):
+        assert main(["--scenario", "example2", "--stages", "certify", "--seed", "-1"]) == 2
+        assert "error: knob 'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"),
+        ("{", "line 1"),
+        ("[1, 2]", "top level must be an object"),
+    ], ids=["missing", "not-json", "not-an-object"])
+    def test_unreadable_config_is_usage_error(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        if text is not None:
+            cfg.write_text(text)
         assert main(["--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
 
@@ -199,6 +234,20 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "[error] glue" in out
         assert "does not define a glue setup" in out
+
+    def test_trace_without_a_direction_fails(self, tmp_path, capsys):
+        # example3's function without example3's fallback direction
+        cfg = tmp_path / "c.json"
+        spec = {k: SCENARIOS["example3"][k] for k in ("domain", "function", "ball")}
+        cfg.write_text(json.dumps({"scenario": "custom", **spec}))
+        out = tmp_path / "artifacts"
+        argv = ["--config", str(cfg), "--stages", "condition,trace", "--spacing", "0.05"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "[fail] trace" in capsys.readouterr().out
+        trace = json.loads((out / "report.json").read_text())["stages"][1]
+        assert trace["metrics"] == {"n_arcs": 0, "passed": False,
+                                    "note": "no direction to trace"}
+        assert json.loads((out / "arcs.json").read_text()) == []
 
     def test_passing_stage_exits_zero(self, capsys):
         code = main(
@@ -337,6 +386,40 @@ class TestBenchmarkReference:
         argv = bench.WORKLOADS[workload] + ["--seed", str(reference["seed"])]
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert worker.artifact_digests(tmp_path) == reference["digests"]
+
+class TestScenarioSpecs:
+    def test_builtin_spec_as_custom_config_writes_the_same_support(self, tmp_path):
+        # a built-in entry's domain, function and ball are a custom config
+        spec = {k: SCENARIOS["example2"][k] for k in ("domain", "function", "ball")}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "custom", **spec}))
+        runs = {}
+        for name, argv in (("builtin", ["--scenario", "example2"]),
+                           ("custom", ["--config", str(cfg)])):
+            out = tmp_path / name
+            assert main(argv + ["--stages", "support", "--spacing", "0.02",
+                                "--out", str(out)]) == 0
+            runs[name] = (out / "support.json").read_bytes()
+        assert runs["custom"] == runs["builtin"]
+
+    def test_delta_flag_replaces_the_ball_radius(self, tmp_path):
+        argv = ["--scenario", "example2", "--stages", "certify", "--delta", "0.5",
+                "--triples", "1500", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        region = json.loads((tmp_path / "certify.json").read_text())["region"]
+        assert region == {"center": [0.0, 0.0], "radius": 0.5}
+
+    def test_all_stages_runs_the_default_stages(self, tmp_path):
+        assert main(["--scenario", "glue-1d", "--stages", "all", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [s["name"] for s in report["stages"]] == ["certify", "glue"]
+        assert report["config"]["stages"] is None
+
+    def test_unknown_top_level_key_of_a_spec_is_a_config_error(self):
+        spec = {**SCENARIOS["example2"], "colour": "red"}
+        with pytest.raises(ConfigError, match="unexpected keyword argument 'colour'"):
+            scenario_from_spec("example2", spec)
+
 
 class TestLayeringAndDeterminism:
     def test_flags_beat_config_and_reruns_are_byte_identical(self, tmp_path):

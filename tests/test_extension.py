@@ -768,7 +768,7 @@ def affine_glued():
     builds it: one cover ball of radius 1.2 around the unit disk."""
     sc = build_scenario("affine-sanity")
     params = ModulusParams(alpha=1.0, C=sc.default_C)
-    cover = sc.glue["cover"]
+    cover = sc.cover
     fields = [
         build_extension(sc.func, sc.domain, build_support_set(sc.func, sc.domain, b), params)
         for b in cover

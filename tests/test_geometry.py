@@ -233,12 +233,25 @@ class TestBoundarySample:
         pts = boundary_sample(half_disk, unit_ball, 0.13)
         assert all(half_disk.contains(p, "boundary") for p in pts)
 
+    def test_capped_ball_emits_each_point_once(self):
+        # the last ring of the flat face is the rim of the cap
+        dom = capped_disk((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 0.3)
+        pts = dom.boundary_points(BallRegion((0.0, 0.0, 0.0), 2.0), 0.1)
+        assert np.unique(pts, axis=0).shape[0] == pts.shape[0] == 771
+        rim = np.abs(np.hypot(pts[:, 0], pts[:, 1]) - math.sqrt(1.0 - 0.3**2)) <= 1e-12
+        assert np.count_nonzero(rim & (np.abs(pts[:, 2] - 0.3) <= 1e-12)) > 0
+
 
 class TestSampler:
     def test_draw_stream_is_a_prefix(self, half_disk, unit_ball):
         a = sample_closure_points(half_disk, unit_ball, 50, np.random.default_rng(5))
         b = sample_closure_points(half_disk, unit_ball, 200, np.random.default_rng(5))
         assert np.array_equal(a, b[:50])
+
+    def test_dimension_mismatch_rejected(self, half_disk):
+        region = BallRegion((0.0, 0.0, 0.0), 1.0)
+        with pytest.raises(DimensionError, match="region and domain dimensions differ"):
+            sample_closure_points(half_disk, region, 10, np.random.default_rng(0))
 
     def test_samples_lie_in_closure(self, half_disk, unit_ball):
         pts = sample_closure_points(half_disk, unit_ball, 100, np.random.default_rng(9))
