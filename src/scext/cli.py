@@ -97,7 +97,8 @@ class RunReport:
             "version": self.version,
             "config": self.config,
             "stages": [
-                {k: v for k, v in s.items() if k != "wall_time"} for s in self.stages
+                {k: v for k, v in s.items() if k not in ("wall_time", "write_time")}
+                for s in self.stages
             ],
             "all_passed": self.all_passed,
         }
@@ -234,13 +235,19 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             entry["error"] = f"{type(err).__name__}: {err}"
         entry["wall_time"] = time.perf_counter() - t0
         if outdir is not None:
+            t0 = time.perf_counter()
             entry["artifacts"] = _write_artifacts(outdir, artifacts)
+            entry["write_time"] = time.perf_counter() - t0
         report.stages.append(entry)
         if entry["status"] == "error":
             break
     if outdir is not None:
         write_json(outdir / "report.json", report.to_dict())
-        write_json(outdir / "timings.json", {s["name"]: s["wall_time"] for s in report.stages})
+        timings = {}
+        for s in report.stages:
+            timings[s["name"]] = s["wall_time"]
+            timings[f"{s['name']}.write"] = s["write_time"]
+        write_json(outdir / "timings.json", timings)
     return report
 
 

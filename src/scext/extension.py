@@ -206,21 +206,27 @@ class SupportSet:
         """Distinct anchor points (pairs at one y share the node)."""
         return self.points[_node_index(self.points)[0]]
 
-    def to_dict(self) -> dict:
+    def header(self) -> dict:
+        """``to_dict()`` with an empty ``pairs`` list, for writers that
+        stream the pairs in its place."""
         return {
             "n_pairs": self.size,
             "ball": {"center": self.ball.center.tolist(), "radius": self.ball.radius},
             "spacing": self.spacing,
-            "pairs": [
-                {
-                    "y": self.points[i].tolist(),
-                    "p": self.gradients[i].tolist(),
-                    "u": float(self.values[i]),
-                    "source": self.sources[i],
-                }
-                for i in range(self.size)
-            ],
+            "pairs": [],
         }
+
+    def to_dict(self) -> dict:
+        pairs = [
+            {
+                "y": self.points[i].tolist(),
+                "p": self.gradients[i].tolist(),
+                "u": float(self.values[i]),
+                "source": self.sources[i],
+            }
+            for i in range(self.size)
+        ]
+        return {**self.header(), "pairs": pairs}
 
 
 def _node_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -475,7 +481,9 @@ class ExtensionField:
                     cand = renum[cand[keep[cand]]]
                     self._index[level][key] = (_pad(cand) if level else cand, int(renum[best]))
 
-    def to_dict(self) -> dict:
+    def header(self) -> dict:
+        """``to_dict()`` with the support's ``header()`` in place of the
+        support."""
         return {
             "identifier": self.identifier,
             "alpha": self.params.alpha,
@@ -483,8 +491,11 @@ class ExtensionField:
             "coefficient": self.coefficient,
             "constant_bound": self.constant,
             "n_pruned": self.n_pruned,
-            "support": self.support.to_dict(),
+            "support": self.support.header(),
         }
+
+    def to_dict(self) -> dict:
+        return {**self.header(), "support": self.support.to_dict()}
 
 
 def build_extension(

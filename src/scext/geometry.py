@@ -44,6 +44,12 @@ def _vec(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _finite(v: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise InputError(f"{what} must be finite, got {v.tolist()}")
+    return v
+
+
 def _column_norms(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm(v, axis=1) for d <= 3, bit for bit: numpy adds the
     squares of a short row in order, and so does this sum over columns."""
@@ -61,7 +67,7 @@ class BallRegion:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _vec(self.center))
+        object.__setattr__(self, "center", _finite(_vec(self.center), "ball center"))
         object.__setattr__(self, "radius", float(self.radius))
         if not 0.0 < self.radius < math.inf:
             raise InputError(f"ball radius must be positive and finite, got {self.radius}")
@@ -98,24 +104,28 @@ class DomainSpec:
         if self.dimension not in (1, 2, 3):
             raise DimensionError(f"domain dimension must be 1, 2 or 3, got {self.dimension}")
         if self.kind in ("disk", "box", "capped-disk"):
-            object.__setattr__(self, "center", _vec(self.center, self.dimension))
+            center = _finite(_vec(self.center, self.dimension), "domain center")
+            object.__setattr__(self, "center", center)
         if self.kind in ("disk", "capped-disk"):
             r = float(self.radius)
-            if not r > 0.0:
-                raise InputError("disk radius must be positive")
+            if not 0.0 < r < math.inf:
+                raise InputError(f"disk radius must be positive and finite, got {r}")
             object.__setattr__(self, "radius", r)
         if self.kind == "box":
-            w = _vec(self.half_widths, self.dimension)
+            w = _finite(_vec(self.half_widths, self.dimension), "box half-widths")
             if not np.all(w > 0.0):
                 raise InputError("box half-widths must be positive")
             object.__setattr__(self, "half_widths", w)
         if self.kind in ("half-space", "capped-disk"):
-            n = _vec(self.normal, self.dimension)
+            n = _finite(_vec(self.normal, self.dimension), "half-space normal")
             nn = np.linalg.norm(n)
             if nn == 0.0:
                 raise InputError("half-space normal must be nonzero")
             object.__setattr__(self, "normal", n / nn)
-            object.__setattr__(self, "offset", float(self.offset))
+            offset = float(self.offset)
+            if not math.isfinite(offset):
+                raise InputError(f"half-space offset must be finite, got {offset}")
+            object.__setattr__(self, "offset", offset)
 
     # -- membership -------------------------------------------------------
 

@@ -238,7 +238,8 @@ _DOMAIN_KINDS = {"disk": disk, "box": box, "half-space": half_space, "capped-dis
 def scenario_from_spec(name: str, spec: dict) -> Scenario:
     """The scenario a spec describes.  ``domain`` holds a ``kind`` and the
     arguments of that kind's constructor, ``function`` an ``identifier`` and
-    optional ``params``, ``ball`` a ``center`` and a ``radius``; ``cover``
+    optional ``params`` (``named_function``'s own keywords, so any other key
+    is an error), ``ball`` a ``center`` and a ``radius``; ``cover``
     lists balls in the ball format, and any other key sets the Scenario field
     of its name.  A malformed spec raises ConfigError."""
     try:
@@ -249,7 +250,7 @@ def scenario_from_spec(name: str, spec: dict) -> Scenario:
             raise InputError(f"unknown domain kind {kind!r}; known: {sorted(_DOMAIN_KINDS)}")
         domain = _DOMAIN_KINDS[kind](**domain_args)
         fn = fields.pop("function")
-        func = named_function(fn["identifier"], domain.dimension, domain, fn.get("params"))
+        func = named_function(dimension=domain.dimension, domain=domain, **fn)
         ball = BallRegion(**fields.pop("ball"))
         if ball.dimension != domain.dimension:
             raise InputError(f"a {ball.dimension}D ball on a {domain.dimension}D domain")
@@ -424,6 +425,38 @@ def write_json(path: Path, payload) -> None:
     path.write_text(text + "\n")
 
 
+# pairs rendered per write of ``write_pairs_json``
+_PAIR_BLOCK = 2048
+
+
+def write_pairs_json(path: Path, header: dict, support: SupportSet) -> None:
+    """Write what ``write_json`` writes for ``header`` with the pairs of
+    ``support.to_dict()`` in place of its one empty ``"pairs"`` list, byte
+    for byte, a block of pairs at a time and without building their dicts.
+
+    Each float column goes through the C encoder (no indent), which spells a
+    float as the indenting encoder does, ``NaN`` and ``Infinity`` included;
+    a ``%s`` template from ``json.dumps`` lays each pair out."""
+    head, tail = json.dumps(header, indent=2, sort_keys=True).split('"pairs": []')
+    indent = "\n" + head[head.rindex("\n") + 1:] + "  "  # a pair's own indent
+    d = support.points.shape[1]
+    slots = {"p": ["%s"] * d, "source": "%s", "u": "%s", "y": ["%s"] * d}
+    layout = json.dumps(slots, indent=2, sort_keys=True).replace('"%s"', "%s")
+    template = "," + indent + layout.replace("\n", indent)  # slots p, source, u, y
+    spelled = {s: json.dumps(s) for s in set(support.sources)}
+    values = np.asarray(support.values, dtype=float)
+    with open(path, "w") as fh:
+        fh.write(head + '"pairs": [')
+        for start in range(0, support.size, _PAIR_BLOCK):
+            block = slice(start, start + _PAIR_BLOCK)
+            cols = [*support.gradients[block].T, values[block], *support.points[block].T]
+            cols = [json.dumps(col.tolist())[1:-1].split(", ") for col in cols]
+            cols.insert(d, [spelled[s] for s in support.sources[block]])
+            text = "".join([template % row for row in zip(*cols)])
+            fh.write(text[1:] if start == 0 else text)  # no comma before the first
+        fh.write(indent[:-2] + "]" + tail + "\n")
+
+
 def emit_grid(field, region: BallRegion, spacing: float, fmt: str, path) -> Path:
     """One row per lattice node of the region: coordinates then value,
     rows in lexicographic node order."""
@@ -438,7 +471,8 @@ def emit_grid(field, region: BallRegion, spacing: float, fmt: str, path) -> Path
     rows = np.column_stack([nodes, values])
     if fmt == "csv":
         header = ",".join(names + ["value"])
-        body = "\n".join(",".join("%.17g" % v for v in row) for row in rows)
+        template = ",".join(["%.17g"] * rows.shape[1])
+        body = "\n".join([template % tuple(row) for row in rows.tolist()])
         path.write_text(header + "\n" + body + "\n")
     else:
         write_json(
@@ -477,7 +511,11 @@ def stage_support(ctx: StageContext) -> tuple[dict, dict]:
         "spacing": support.spacing,
         "passed": support.size > 0,
     }
-    return metrics, {"support.json": support.to_dict()}
+
+    def write_support(path):
+        write_pairs_json(path, support.header(), support)
+
+    return metrics, {"support.json": write_support}
 
 
 def stage_extend(ctx: StageContext) -> tuple[dict, dict]:
@@ -504,10 +542,13 @@ def stage_extend(ctx: StageContext) -> tuple[dict, dict]:
         # region), so only the raw envelope can show a pair undercutting u
         metrics["passed"] = raw_identity_max <= 1e-9
 
+    def write_field(path):
+        write_pairs_json(path, field.header(), field.support)
+
     def write_grid(path):
         emit_grid(field, sc.ball, kn["sweep_spacing"], ctx.fmt, path)
 
-    return metrics, {"field.json": field.to_dict(), f"field_grid.{ctx.fmt}": write_grid}
+    return metrics, {"field.json": write_field, f"field_grid.{ctx.fmt}": write_grid}
 
 
 def stage_gradients(ctx: StageContext) -> tuple[dict, dict]:

@@ -13,17 +13,20 @@ import pytest
 
 from scext.cli import ScenarioConfig, emit_grid, main, run_scenario
 from scext.errors import ConfigError, InputError
-from scext.extension import ExtensionField, SupportSet
+from scext.extension import ExtensionField, SupportSet, build_support_set
 from scext.geometry import BallRegion
 from scext.scenarios import (
+    _PAIR_BLOCK,
     SCENARIOS,
     StageContext,
+    _json_default,
     build_scenario,
     default_knobs,
     envelope_neg_norm,
     resolve_knobs,
     scenario_from_spec,
     stage_extend,
+    write_pairs_json,
 )
 from scext.semiconcavity import ModulusParams, certify
 
@@ -165,10 +168,27 @@ class TestExitCodes:
         ({"knobs": {"C": float("nan")}}, "'C' has the wrong type or value"),
         ({"knobs": {"alpha": float("nan")}}, "'alpha' has the wrong type or value"),
         ({"knobs": {"spacing": float("inf")}}, "'spacing' has the wrong type or value"),
+        ({"domain": {"kind": "disk", "center": [0.0, None], "radius": 1.0}},
+         "domain center must be finite"),
+        ({"ball": {"center": [0.0, None], "radius": 0.8}}, "ball center must be finite"),
+        ({"domain": {"kind": "box", "center": [0.0, 0.0], "half_widths": [1.0, float("inf")]}},
+         "box half-widths must be finite"),
+        ({"domain": {"kind": "capped-disk", "center": [0.0, 0.0], "radius": 1.0,
+                     "normal": [float("nan"), 0.0], "offset": 0.0}},
+         "half-space normal must be finite"),
+        ({"domain": {"kind": "capped-disk", "center": [0.0, 0.0], "radius": 1.0,
+                     "normal": [1.0, 0.0], "offset": float("nan")}},
+         "half-space offset must be finite"),
+        ({"domain": {"kind": "disk", "center": [0.0, 0.0], "radius": float("inf")}},
+         "disk radius must be positive and finite"),
+        ({"function": {"identifier": "sq-norm", "parms": {"scale": -1.0}}},
+         "unexpected keyword argument 'parms'"),
     ], ids=["unknown-knob", "text-triples", "bool-alpha", "float-h", "bad-function",
             "negative-radius", "infinite-ball", "text-domain-center", "text-ball-center",
             "text-params", "3d-ball-on-2d-domain", "unknown-domain-key", "unknown-ball-key",
-            "unknown-domain-kind", "negative-seed", "nan-C", "nan-alpha", "infinite-spacing"])
+            "unknown-domain-kind", "negative-seed", "nan-C", "nan-alpha", "infinite-spacing",
+            "null-center", "null-ball-center", "infinite-half-width", "nan-normal",
+            "nan-offset", "infinite-disk-radius", "misspelt-params"])
     def test_bad_knob_or_custom_spec_is_usage_error(self, extra, message, tmp_path, capsys):
         config = {
             "scenario": "custom",
@@ -386,6 +406,88 @@ class TestBenchmarkReference:
         argv = bench.WORKLOADS[workload] + ["--seed", str(reference["seed"])]
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert worker.artifact_digests(tmp_path) == reference["digests"]
+
+def _dumped(obj) -> str:
+    return json.dumps(obj.to_dict(), indent=2, sort_keys=True, default=_json_default) + "\n"
+
+
+def _streamed(tmp_path, obj, support) -> str:
+    path = tmp_path / "streamed.json"
+    write_pairs_json(path, obj.header(), support)
+    return path.read_text()
+
+
+def _synthetic_support(k: int, d: int = 2) -> SupportSet:
+    rng = np.random.default_rng(k)
+    sources = ["smooth" if i % 3 else "reachable" for i in range(k)]
+    return SupportSet(
+        rng.normal(size=(k, d)), rng.normal(size=(k, d)) * 1e3, rng.normal(size=k) / 7.0,
+        sources, BallRegion(np.zeros(d), 1.0), 0.25,
+    )
+
+
+class TestPairWriter:
+    """write_pairs_json writes the bytes write_json writes for to_dict()."""
+
+    @pytest.mark.parametrize("scenario", ["affine-sanity", "example1", "example2", "example3"])
+    def test_builtin_support_and_field(self, scenario, tmp_path):
+        sc = build_scenario(scenario)
+        ctx = StageContext(sc, resolve_knobs(sc, {}))
+        support, field = ctx.support, ctx.field
+        if scenario in ("example1", "example3"):
+            assert field.n_pruned > 0  # the field's support is not the stage's
+        assert _streamed(tmp_path, support, support) == _dumped(support)
+        assert _streamed(tmp_path, field, field.support) == _dumped(field)
+
+    def test_one_and_three_dimensional_supports(self, tmp_path):
+        sc = build_scenario("glue-1d")
+        line = build_support_set(sc.func, sc.domain, sc.ball)
+        assert line.points.shape[1] == 1
+        sc = scenario_from_spec("custom", {
+            "domain": {"kind": "capped-disk", "center": [0.0, 0.0, 0.0], "radius": 1.0,
+                       "normal": [1.0, 0.0, 0.0], "offset": 0.0},
+            "function": {"identifier": "neg-norm"},
+            "ball": {"center": [0.0, 0.0, 0.0], "radius": 0.5},
+        })
+        solid = build_support_set(sc.func, sc.domain, sc.ball, spacing=0.15)
+        assert set(solid.sources) == {"smooth", "reachable"}
+        for support in (line, solid):
+            assert _streamed(tmp_path, support, support) == _dumped(support)
+
+    @pytest.mark.parametrize("k", [1, _PAIR_BLOCK, _PAIR_BLOCK + 1])
+    def test_block_edges(self, k, tmp_path):
+        support = _synthetic_support(k)
+        assert _streamed(tmp_path, support, support) == _dumped(support)
+
+    def test_non_finite_values_and_gradients(self, tmp_path):
+        support = _synthetic_support(40, d=3)
+        support.values[[0, 5, 39]] = [np.nan, np.inf, -np.inf]
+        support.gradients[1] = [np.nan, -np.inf, np.inf]
+        support.gradients[38, 2] = -0.0
+        text = _streamed(tmp_path, support, support)
+        assert "NaN" in text and "-Infinity" in text and "-0.0" in text
+        assert text == _dumped(support)
+
+    def test_stages_stream_without_building_the_pairs(self, tmp_path, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("to_dict called")
+
+        monkeypatch.setattr(SupportSet, "to_dict", forbidden)
+        monkeypatch.setattr(ExtensionField, "to_dict", forbidden)
+        argv = ["--scenario", "example2", "--stages", "support,extend", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert (tmp_path / "field.json").exists()
+
+    def test_timings_record_each_stage_write(self, tmp_path):
+        argv = ["--scenario", "example2", "--stages", "certify,support", "--triples", "1500",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert sorted(timings) == ["certify", "certify.write", "support", "support.write"]
+        assert timings["support.write"] >= 0.0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert all("write_time" not in s for s in report["stages"])
+
 
 class TestScenarioSpecs:
     def test_builtin_spec_as_custom_config_writes_the_same_support(self, tmp_path):
