@@ -17,10 +17,17 @@ x@q_j + b_j, q_j = p_j - 2c*y_j, b_j = offs_j + c|y_j|^2, with the shared
 c|x|^2 added after the minimum.  Queries are grouped by grid cell and each
 group is scanned against its cell's candidate pairs only.
 
-* Bound: over a box with centre m and half-widths h, pair j lies between
-  offs_j + <p_j, m> -/+ <|p_j|, h> + c*(nearest/farthest distance from y_j
-  to the box)^(1+alpha), computed coordinate by coordinate on (cells x
-  candidates) arrays.  Candidates: lower_j <= min_i upper_i + slack.
+* Bound: each cell, a box with centre m and half-widths h, has a reference
+  pair b, the first pair of the smallest computed value at m.  Write pair
+  j's linear part as <s_j, x> + t_j: s = q, t = b at alpha = 1, whose
+  values differ from the pairs' by the shared c|x|^2, and s = p, t = offs
+  at alpha < 1.  Over the box
+      v_j - v_b >= lin_j(m) - lin_b(m) - sum_i |s_ji - s_bi| h_i
+                   [+ c*(near_j^(1+alpha) - far_b^(1+alpha)) at alpha < 1],
+  near_j and far_b the nearest and farthest distances from y_j and y_b to
+  the box, and at alpha = 1 the bound is the exact minimum of the affine
+  v_j - v_b.  Computed coordinate by coordinate on (cells x candidates)
+  arrays.  Candidates: the pairs whose bound is at most the slack.
 * Levels: coarse cells (radius/4) filter all pairs, fine cells (radius/12)
   their coarse parent's candidates and finer cells (radius/36) their fine
   parent's; a cell's parent is its key // 3.  Every query is keyed at the
@@ -30,17 +37,24 @@ group is scanned against its cell's candidate pairs only.
   children only when they outnumber what building the missing children
   costs (``_pays_to_refine``), and against the fine cell otherwise.
 * Exactness: if every computed value in the cell is within e of the exact
-  one and j* attains the computed minimum at x, then for every pair i
-  lower_j* <= v_j*(x) <= v_i(x) + 2e <= upper_i + 2e.  So a slack of 2e keeps
-  j*, and the minimum over the candidates is bit for bit the full one.  The
-  argument needs only that x lies in the cell's box and that the parent's
-  candidates hold j* for every point of the parent's box, which holds by
-  induction from the coarse level (whose parent is all pairs).  So every
-  level is exact, and so is any partition of the queries: which level scans
-  a query and which queries share its batch change no value (BLAS shape).
-  The slack is derived per cell: |x|^2 + |y|^2 - 2<x, y> cancels with error
-  up to (d+4)eps(|x|+|y|)^2, which the power lifts to c((d+4)eps(|x|+|y|)^2)^(
-  (1+alpha)/2): ~1e-11c at alpha = 0.5, ~1e-7c as alpha -> 0.
+  one and j* attains the computed minimum at x, then v_j*(x) <= v_b(x) + 2e,
+  so the bound of j*, a lower bound of v_j* - v_b at x, is at most 2e.  A
+  slack of 2e plus the bound's own rounding keeps j*, and the minimum over
+  the candidates is bit for bit the full one.  The argument needs only that
+  x lies in the cell's box and that the parent's candidates hold j* for
+  every point of the parent's box, which holds by induction from the coarse
+  level (whose parent is all pairs); b is one of the parent's candidates,
+  and any such b would do.  So every level is exact, and so is any
+  partition of the queries: which level scans a query and which queries
+  share its batch change no value (BLAS shape).  The slack is 4 err, err
+  bounding per cell both a computed value's error and each rounded term of
+  the bound (the centre values, the differences, the |s_j - s_b|.h sum and
+  at alpha < 1 near and far): with tol = (d+4)eps, R = max |x| over the
+  box and maxima over all pairs, err = tol(R max|s| + max|t| + max|s|
+  sum_i h_i), and at alpha < 1
+  |x|^2 + |y|^2 - 2<x, y> cancels with error up to tol(|x|+|y|)^2, which
+  the power lifts to c(tol(|x|+|y|)^2)^((1+alpha)/2): ~1e-11c at
+  alpha = 0.5, ~1e-7c as alpha -> 0.
 * BLAS shape: OpenBLAS gemm rounds a 2-term dot product as fma(x1, p1, x0*p0),
   gemv (one row or column) as fma(x0, p0, x1*p1), and large gemm products
   round their last m mod 8 columns apart when m mod 8 >= 4.  A lone query row
@@ -56,11 +70,14 @@ group is scanned against its cell's candidate pairs only.
   min_j fl(A_j + s) = fl(min_j A_j + s) and the two agree bit for bit.
   The kept field inherits a cell of the full field, filtered to the kept
   pairs, when it inherited the cell's parent (the coarse level's parent is
-  all pairs) and the pair b attaining the cell's smallest upper bound U is
-  kept.  Filtering the parent's kept candidates afresh would give U' = U (b
-  is among them, and they are a subset) and a slack no larger (its maxima
-  run over a subset), so a subset of the inherited list: the inherited list
-  holds the minimizer over the kept pairs.  Other cells are rebuilt on use.
+  all pairs) and the cell's reference pair b is kept.  By induction the
+  inherited parent holds the minimizer j* over the kept pairs at x, so the
+  full parent does; b is kept, so v_j*(x) <= v_b(x) in computed values, and
+  j*'s bound against b is within the full cell's slack, whose maxima run
+  over a superset of the kept pairs: j* passed the full filter and is in
+  the inherited list.  (b is also the pair that filtering the kept
+  candidates afresh would pick: they keep their order, and a pair's centre
+  value does not depend on the others.)  Other cells are rebuilt on use.
 """
 
 from __future__ import annotations
@@ -165,19 +182,26 @@ def _cell_runs(pts: np.ndarray, size: float):
 def _pays_to_refine(rows: int, missing: int, d: int, alpha: float) -> bool:
     """Whether a call's rows in one fine cell pay for building its missing
     finer children.  With K candidates in the cell, scanning the rows costs
-    rows * K * S array passes and the children's bound pass missing * K * B;
-    K cancels.  S and B are read off the code: ``_pair_values`` and the
-    minimum make 3 passes per (row, candidate) entry at alpha = 1 and 10 at
-    alpha < 1; ``_prune_cells`` makes 13 per coordinate and 9 more per (cell,
-    candidate) entry, 11 at alpha < 1."""
-    fractional = alpha != 1.0
-    scan, bound = (10, 13 * d + 11) if fractional else (3, 13 * d + 9)
+    rows * K * S and the children's bound pass missing * K * B; K cancels.
+    ``_pair_values`` and the minimum make 3 elementwise passes per (row,
+    candidate) entry at alpha = 1 and 10 at alpha < 1; ``_prune_cells``
+    makes 6 per coordinate and 4 more per (cell, candidate) entry at alpha =
+    1, 14 and 10 at alpha < 1.  Its passes cost more each: they run over a
+    few thousand entries, so per-call costs weigh, and so does extracting
+    the lists.  S and B are therefore times per entry, measured at d = 2 on
+    fine cells of example1's support (K ~ 400, 9 children, 70 rows; one
+    thread): 2.3 and 35 ns at alpha = 1, 11.3 and 65 ns at alpha = 0.5; B
+    scales with its passes in d."""
+    if alpha == 1.0:
+        scan, bound = 2.3, 35.0 * (6 * d + 4) / 16
+    else:
+        scan, bound = 11.3, 65.0 * (14 * d + 10) / 38
     return rows * scan > missing * bound
 
 
 def _pad(cand: np.ndarray) -> np.ndarray:
     """Pad a candidate list to whole gemm column blocks by repeating its last pair."""
-    return np.pad(cand, (0, -cand.size % _LANES), "edge")
+    return np.concatenate([cand, np.full(-cand.size % _LANES, cand[-1], dtype=cand.dtype)])
 
 
 # -- support sets ------------------------------------------------------------
@@ -315,14 +339,22 @@ class ExtensionField:
             )
             self._lin_b = self._offs + self.coefficient * self._y_sq
         # per-pair rows of the bound pass (``_prune_cells``), gathered at once:
-        # y, p, offs, |y| and |p|
-        p_sq = np.einsum("ij,ij->i", self.support.gradients, self.support.gradients)
-        self._bound_cols = np.vstack(
-            [self.support.points.T, self.support.gradients.T, self._offs,
-             np.sqrt(self._y_sq), np.sqrt(p_sq)]
+        # the linear part's slope s and intercept t (q and b at alpha = 1, p
+        # and offs otherwise), and at alpha < 1 y; with the maxima of |s|,
+        # |t| and |y| over all pairs, which its slack reads
+        slope, icpt = (
+            (self._lin_q, self._lin_b) if self.params.alpha == 1.0
+            else (self.support.gradients, self._offs)
+        )
+        rows = [slope.T, icpt] + ([] if self.params.alpha == 1.0 else [self.support.points.T])
+        self._bound_cols = np.vstack(rows)
+        self._bound_max = (
+            float(np.sqrt(np.einsum("ij,ij->i", slope, slope).max())),
+            float(np.abs(icpt).max()),
+            float(np.sqrt(self._y_sq.max())),
         )
         # candidate index, built on first use: per level (coarse, fine, finer),
-        # cell key -> (candidate pairs, the pair of the smallest upper bound)
+        # cell key -> (candidate pairs, the cell's reference pair)
         self._cell = self.ball.radius / _FINE_PER_RADIUS
         self._sizes = (_NEST * self._cell, self._cell, self._cell / _NEST)
         self._index: tuple[dict, dict, dict] = ({}, {}, {})
@@ -440,35 +472,52 @@ class ExtensionField:
         return [index[k][0] for k in keys]
 
     def _prune_cells(self, cand: np.ndarray, keys: np.ndarray, size: float):
-        """For each cell of ``keys`` (edge ``size``), the pairs of ``cand`` whose
-        lower bound over the cell is within the slack of the smallest upper
-        bound, and the pair attaining that bound (module docstring).  One
-        (cells x candidates) pass, coordinate by coordinate."""
+        """For each cell of ``keys`` (edge ``size``), the pairs j of ``cand``
+        whose lower bound of v_j - v_b over the cell is within the slack, and
+        the reference pair b: the first pair of the smallest computed value at
+        the cell centre (module docstring).  One (cells x candidates) pass,
+        coordinate by coordinate."""
         c, e, d = self.coefficient, 1.0 + self.params.alpha, keys.shape[1]
         cols = self._bound_cols[:, cand]
         m = (keys + 0.5) * size
         # widened by the rounding of x/size: the box holds every point keyed to it
         h = 0.5 * size + 4.0 * _EPS * (np.abs(m) + size)
-        base, spread, near, far = cols[2 * d], 0.0, 0.0, 0.0
-        for y_i, p_i, m_i, h_i in zip(cols[:d], cols[d : 2 * d], m.T[:, :, None], h.T[:, :, None]):
-            gap = np.abs(y_i - m_i)
-            base = base + p_i * m_i
-            spread = spread + np.abs(p_i) * h_i
-            near = near + np.maximum(gap - h_i, 0.0) ** 2
-            far = far + (gap + h_i) ** 2
+        lin = cols[d] + cols[0] * m[:, :1]
+        for i in range(1, d):
+            lin += cols[i] * m[:, i : i + 1]
+        score = lin
         if e != 2.0:
-            near, far = near ** (0.5 * e), far ** (0.5 * e)
-        lower = base - spread + c * near
-        upper = base + spread + c * far
-        # error bound of any pair's computed value in each cell
+            gap = np.abs(cols[d + 1] - m[:, :1])
+            near, dist = np.maximum(gap - h[:, :1], 0.0) ** 2, gap * gap
+            for i in range(1, d):
+                gap = np.abs(cols[d + 1 + i] - m[:, i : i + 1])
+                near += np.maximum(gap - h[:, i : i + 1], 0.0) ** 2
+                dist += gap * gap
+            score = lin + c * dist ** (0.5 * e)
+        best = score.argmin(axis=1)
+        top = lin[np.arange(best.size), best]
+        # v_j - v_b >= lin_j - lin_b - sum_i |s_ji - s_bi| h_i (+ c(near_j^e -
+        # far_b^e) at alpha < 1), so j is kept iff lower_j <= top + slack
+        for i, s_b in enumerate(cols[:d, best]):
+            spread = np.abs(cols[i] - s_b[:, None])
+            spread *= h[:, i : i + 1]
+            lin -= spread
+        # error bound of any pair's computed value in each cell, and of each
+        # rounded term of the bound
+        r_s, r_t, r_y = self._bound_max
         rx = np.sqrt(((np.abs(m) + h) ** 2).sum(axis=1))
-        ry, rp, ro = cols[2 * d + 1].max(), cols[2 * d + 2].max(), np.abs(cols[2 * d]).max()
-        s, tol = rx + ry, (d + 4) * _EPS
-        err = tol * (rx * (rp + 2.0 * c * ry) + ro) + tol * c * (s * s + s**e)
-        err += c * (tol * s * s) ** (0.5 * e)
-        best = upper.argmin(axis=1)
-        bound = upper[np.arange(best.size), best] + 4.0 * err
-        return [cand[row <= b] for row, b in zip(lower, bound.tolist())], cand[best]
+        tol = (d + 4) * _EPS
+        err = tol * (rx * r_s + r_t + r_s * h.sum(axis=1))
+        if e != 2.0:
+            far = ((np.abs(cols[d + 1 :, best].T - m) + h) ** 2).sum(axis=1)
+            lin += c * near ** (0.5 * e)
+            top += c * far ** (0.5 * e)
+            s = rx + r_y
+            err += tol * c * (s * s + s**e) + c * (tol * s * s) ** (0.5 * e)
+        keep = lin <= (top + 4.0 * err)[:, None]
+        kept = cand[np.nonzero(keep)[1]]
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        return [kept[lo:hi] for lo, hi in zip([0] + ends, ends)], cand[best]
 
     def _inherit_index(self, full: ExtensionField, keep: np.ndarray) -> None:
         """Take over the cells of ``full``'s index that stay exact for the

@@ -424,7 +424,7 @@ class TestEnvelopeKernel:
             assert float((vals - upper).max()) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_cell_candidates_hold_a_dense_minimizer(self, alpha, dim):
         # near-coincident anchors carrying nearly equal gradients, queried at
         # and within 1e-15..1e-6 of the anchors
@@ -456,6 +456,42 @@ class TestEnvelopeKernel:
                     y2 = np.vstack([x0 - t * diag, x0 + 0.3 * diag])
                     u2 = np.array([0.0, v_near * (1.0 - frac) - 3.0 * 0.3 ** (1.0 + alpha)])
                     _assert_candidates_sound(ball, y2, np.zeros_like(y2), u2, alpha, x0[None, :])
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    def test_steep_gradients_keep_a_dense_minimizer(self, alpha):
+        # 60 pairs with gradients of size ~10 that differ by O(10), all equal
+        # to within 1e-12 at x0: near x0 the slopes decide the minimizer, and
+        # the |s_j - s_b|.h term of the bound decides which pairs a cell
+        # keeps.  x0 is a generic point, a fine cell corner and (1e-13
+        # inside) a finer one, queried from 1e-15 to 1e-2 away
+        rng = np.random.default_rng(37)
+        ball = BallRegion((0.0, 0.0), 1.0)
+        cell = ball.radius / _FINE_PER_RADIUS
+        steps = np.repeat(np.logspace(-15, -2, 14), 20)[:, None]
+        for x0 in (np.array([0.1, -0.2]), np.array([2.0, 3.0]) * cell,
+                   np.array([-4.0, 1.0]) * (cell / _NEST) + 1e-13):
+            y = x0 + rng.uniform(-0.3, 0.3, size=(60, 2))
+            p = 10.0 * rng.standard_normal((60, 2))
+            gap = np.linalg.norm(x0 - y, axis=1)
+            u = ((y - x0) * p).sum(axis=1) - 3.0 * gap ** (1.0 + alpha)
+            u += 1e-12 * rng.standard_normal(60)
+            dirs = rng.standard_normal((steps.size, 2))
+            x = x0 + steps * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+            _assert_candidates_sound(ball, y, p, u, alpha, np.vstack([x0, x]))
+
+    @pytest.mark.parametrize(
+        "example, alpha, limit",
+        # half the mean fine list length of the absolute-bound filter, which
+        # kept 2,513 pairs of 16,833 (example 1) and 435 of 4,180 (example 2)
+        [("ex1", 1.0, 1256.0), ("ex2", 0.5, 217.0)],
+    )
+    def test_fine_cells_keep_few_candidates(self, request, half_disk, example, alpha, limit):
+        bundle = request.getfixturevalue(example)
+        support = bundle["support"]
+        field = ExtensionField(support, ModulusParams(alpha, 0.0), 1.0, bundle["func"], half_disk)
+        field.envelope_values(support.node_points())
+        assert field._index[1]
+        assert np.mean([cand.size for cand, _ in field._index[1].values()]) <= limit
 
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
@@ -558,8 +594,9 @@ class TestPruning:
 
     def test_kept_field_rebuilds_cells_whose_minimizer_is_pruned(self, unit_ball):
         # u = 0 on a lattice, one flat pair per node, plus a steep pair at a
-        # whose values fall fast to its right: it attains the smallest upper
-        # bound of the cells there, and it undercuts u at their nodes
+        # whose values fall fast to its right: it has the smallest centre
+        # value of the cells there, so it is their reference pair, and it
+        # undercuts u at their nodes
         ticks = 0.1 * np.arange(-9, 10)
         nodes = np.column_stack([g.ravel() for g in np.meshgrid(ticks, ticks)])
         nodes = nodes[np.linalg.norm(nodes, axis=1) <= 0.95]
