@@ -49,12 +49,11 @@ group is scanned against its cell's candidate pairs only.
   share its batch change no value (BLAS shape).  The slack is 4 err, err
   bounding per cell both a computed value's error and each rounded term of
   the bound (the centre values, the differences, the |s_j - s_b|.h sum and
-  at alpha < 1 near and far): with tol = (d+4)eps, R = max |x| over the
+  at alpha < 1 near and far).  With tol = (d+4)eps, R = max |x| over the
   box and maxima over all pairs, err = tol(R max|s| + max|t| + max|s|
-  sum_i h_i), and at alpha < 1
-  |x|^2 + |y|^2 - 2<x, y> cancels with error up to tol(|x|+|y|)^2, which
-  the power lifts to c(tol(|x|+|y|)^2)^((1+alpha)/2): ~1e-11c at
-  alpha = 0.5, ~1e-7c as alpha -> 0.
+  sum_i h_i); at alpha < 1 |x|^2 + |y|^2 - 2<x, y> also cancels with error
+  up to tol(|x|+|y|)^2, which the power lifts to c(tol(|x|+|y|)^2)^(
+  (1+alpha)/2): ~1e-11c at alpha = 0.5, ~1e-7c as alpha -> 0.
 * BLAS shape: OpenBLAS gemm rounds a 2-term dot product as fma(x1, p1, x0*p0),
   gemv (one row or column) as fma(x0, p0, x1*p1), and large gemm products
   round their last m mod 8 columns apart when m mod 8 >= 4.  A lone query row
