@@ -90,9 +90,8 @@ from .errors import (
     EvaluationError,
     InputError,
     PartitionError,
-    StencilError,
 )
-from .funcspace import _gemm, _stencil
+from .funcspace import _gemm
 from .geometry import BallRegion, DomainSpec, boundary_sample, closure_grid, disk
 from .gradients import DEFAULT_RATIO, _gradient_samples, _reachable_sets, _row_norms
 from .semiconcavity import ModulusParams
@@ -322,6 +321,11 @@ class ExtensionField:
             raise InputError(
                 f"coefficient {self.coefficient} must exceed the constant {self.params.C}"
             )
+        sup = self.support
+        finite = np.isfinite(np.column_stack([sup.points, sup.gradients, sup.values]))
+        if not finite.all():
+            j = int(np.argmin(finite.all(axis=1)))
+            raise InputError(f"support pair {j} has a non-finite point, value or gradient")
         self.constant = constant_bound(self.params, self.coefficient)
         base = getattr(self.func, "identifier", type(self.func).__name__)
         self.identifier = f"extension({base})"
@@ -810,27 +814,3 @@ class MollifiedApproximant:
     def __call__(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return float(self.evaluate_many(x[None, :])[0])
-
-
-# -- diagnostics -------------------------------------------------------------
-
-
-def summand_differentiability_probe(fields: list, x, h_fd: float, eps_c: float) -> bool:
-    """If the sum of the fields passes the one-sided-quotient filter at x,
-    check that every summand passes too (false flags a numerical violation
-    of the expected behavior, not a usage error).  Vacuously true when the
-    sum itself fails the filter."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not h_fd > 0.0:
-        raise StencilError("h_fd must be positive")
-    d = x.size
-    stencil = _stencil(x[None, :], h_fd, centre=True)
-
-    def wobble(vals) -> float:
-        fwd = (vals[1 : d + 1] - vals[0]) / h_fd
-        bwd = (vals[0] - vals[d + 1 :]) / h_fd
-        return float(np.abs(fwd - bwd).max())
-
-    parts = [f.evaluate_many(stencil) for f in fields]
-    total = sum(parts, np.zeros(stencil.shape[0]))
-    return wobble(total) > eps_c or all(wobble(vals) <= eps_c for vals in parts)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, EvaluationError, InputError, StencilError
-from .geometry import BallRegion, DomainSpec, closure_grid, sample_closure_points
+from .geometry import DomainSpec
 
 _Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -306,39 +306,3 @@ def gradient(func, x, h_fd: float | None = None) -> np.ndarray:
     vals = func.evaluate_many(stencil)
     d = x.size
     return (vals[:d] - vals[d:]) / (2.0 * h_fd)
-
-
-def lipschitz_estimate(
-    func,
-    domain: DomainSpec,
-    region: BallRegion,
-    n_pairs: int,
-    seed: int,
-) -> float:
-    """Max difference quotient over random pairs in closure(domain) & region.
-
-    A lower bound on the true local Lipschitz constant; deterministic given
-    the seed, and nondecreasing in n_pairs for a fixed seed (the pair stream
-    is a prefix).
-    """
-    if n_pairs < 1:
-        raise InputError(f"n_pairs must be at least 1, got {n_pairs}")
-    _require_overlap(domain, region)
-    rng = np.random.default_rng(seed)
-    pts = sample_closure_points(domain, region, 2 * n_pairs, rng)
-    x, y = pts[0::2], pts[1::2]
-    gap = np.linalg.norm(x - y, axis=1)
-    keep = gap > 1e-12
-    if not np.any(keep):
-        return 0.0
-    fx = func.evaluate_many(x[keep])
-    fy = func.evaluate_many(y[keep])
-    return float(np.max(np.abs(fx - fy) / gap[keep]))
-
-
-def _require_overlap(domain: DomainSpec, region: BallRegion) -> None:
-    if domain.contains(region.center, "closure"):
-        return
-    probe = closure_grid(domain, region, region.radius / 8.0)
-    if probe.shape[0] == 0:
-        raise InputError("the region ball does not meet the closure of the domain")

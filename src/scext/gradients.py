@@ -1,4 +1,4 @@
-"""Reachable-gradient sets, convex hulls, normal cones, singularity tests.
+"""Reachable-gradient sets, convex hulls and normal cones.
 
 The reachable set at x is estimated by sampling gradients on shrinking
 annuli around x inside the open domain, keeping only points that look
@@ -11,9 +11,11 @@ dimension the domains support.
 Reachable sets are estimated for many base points in lockstep
 (``_reachable_sets``): the rings of all of them are sampled in one gradient
 call, their angular gaps refined with one call per round, and their samples
-clustered in one leader pass over all groups (``_cluster``, which the tracer
-also uses for all disc centres of a step).  Every value is computed by the
-expression that serves one base point alone.
+clustered in one ``_cluster`` call over all groups, which the tracer also
+uses for every probe ball of an arc.  ``_cluster`` runs the leader pass in
+lockstep while many groups are live and finishes the last few long ones in
+Python floats, then merges close means of all groups in lockstep.  Every
+value is computed by the expression that serves one base point alone.
 """
 
 from __future__ import annotations
@@ -219,28 +221,112 @@ def _refine_rings(domain, centres, radii, ring, pts, grads, budget, eps_c, sampl
     return ring_grads[kept], np.repeat(np.arange(n_rings), count)
 
 
-def _merge_closest(means: np.ndarray, counts: np.ndarray, eps_c: float) -> np.ndarray:
-    """Merge the closest pair of means, count-weighted, until all are pairwise
-    more than eps_c apart.  Merged-away slots stay in place at distance inf,
-    so the row-major argmin picks the pair the compacted matrix would."""
-    k = means.shape[0]
-    dist = _distances(means, means)
-    np.fill_diagonal(dist, np.inf)
-    alive = np.ones(k, dtype=bool)
-    for _ in range(k - 1):
-        i, j = divmod(int(np.argmin(dist)), k)
-        if dist[i, j] > eps_c:
-            break
-        w = counts[i] + counts[j]
-        means[i] = (counts[i] * means[i] + counts[j] * means[j]) / w
-        counts[i] = w
-        alive[j] = False
-        row = _distances(means[i : i + 1], means)[0]
-        row[~alive] = np.inf
-        row[i] = np.inf
-        dist[i], dist[:, i] = row, row
-        dist[j], dist[:, j] = np.inf, np.inf
-    return means[alive]
+# Live groups at or below which the leader pass finishes each group alone
+# (``_sweep``).  A lockstep round costs about twenty numpy calls however few
+# groups it serves, a swept row a few float distances per mean in reach.  On
+# the benchmark workloads' cluster calls (2-core x86-64, numpy 2.4), all
+# calls of a run took 47 / 82 / 13 ms (alpha-half / example1 / affine-glue)
+# when switching at 8 live groups, within 2 % of that at 1 or 32, against
+# 77 / 144 / 13 ms never switching and 92 / 83 / 46 ms sweeping every group.
+_SWEEP_GROUPS = 8
+# Most distance entries (groups x K x K) one merge round holds.
+_MERGE_ENTRIES = 1 << 18
+
+
+def _sweep(rows: list, means: list, counts: list, half: float) -> None:
+    """Finish one group's leader pass in Python floats, extending means and
+    counts (lists of the group's running means and their counts) in place.
+
+    rows are the group's remaining rows, lexicographically sorted.  Each row
+    joins the nearest mean (first minimum) within half or starts a new one,
+    with the lockstep's expressions: a distance is sqrt((e0*e0 + e1*e1) + ...),
+    summed left to right as numpy's add.reduce sums an axis shorter than 8,
+    and a joined mean moves to m + (p - m)/count.  The first coordinates of
+    the rows never decrease, so a mean whose first coordinate trails the
+    row's by more than reach is farther than half from this row and every
+    later one (the computed distance is at least the computed first
+    difference up to a few roundings, which reach covers, and reach keeps
+    the square clear of underflow); it leaves the scan for good.
+    """
+    reach = max(half * (1.0 + 2.0**-40), 1e-150)
+    tail = range(1, len(rows[0]))
+    scan = list(range(len(means)))
+    for p in rows:
+        p0 = p[0]
+        best, jb, stale = math.inf, -1, False
+        for j in scan:
+            m = means[j]
+            e = m[0] - p0
+            if e < -reach:
+                stale = True
+                continue
+            s = e * e
+            for c in tail:
+                e = m[c] - p[c]
+                s += e * e
+            dist = math.sqrt(s)
+            if dist < best:
+                best, jb = dist, j
+        if stale:
+            scan = [j for j in scan if means[j][0] - p0 >= -reach]
+        if best <= half:
+            counts[jb] += 1.0
+            w = counts[jb]
+            means[jb] = [mc + (pc - mc) / w for mc, pc in zip(means[jb], p)]
+        else:
+            scan.append(len(means))
+            means.append(p)
+            counts.append(1.0)
+
+
+def _merge(means: np.ndarray, counts: np.ndarray, k: np.ndarray, eps_c: float) -> np.ndarray:
+    """Merge the closest pair of means of every group, count-weighted, until
+    each group's means are pairwise more than eps_c apart; updates means in
+    place and returns the mask of the means left.  Group g holds the first
+    k[g] rows of means[g].
+
+    The groups go in lockstep, bucketed by k rounded up to a power of two K.
+    A round takes each group's row-major argmin over its (K, K) distances,
+    where merged-away and unused slots sit at inf, so it picks the pair that
+    group's compacted matrix alone would, and updates the means and
+    distances by the expressions of a single group.
+    """
+    width = means.shape[1]
+    alive = np.arange(width) < k[:, None]
+    for e in range(1, int(k.max(initial=1) - 1).bit_length() + 1):
+        ids = np.flatnonzero((k > 1 << (e - 1)) & (k <= 1 << e))
+        K = min(1 << e, width)
+        step = max(1, _MERGE_ENTRIES // (K * K))
+        for lo in range(0, ids.size, step):
+            g = ids[lo : lo + step]
+            m, c, a = means[g, :K], counts[g, :K], alive[g, :K]
+            m[~a] = 0.0  # unused slots hold inf: keep inf - inf out of the differences
+            dist = np.sqrt(np.add.reduce((m[:, :, None] - m[:, None]) ** 2, axis=-1))
+            dist[~(a[:, :, None] & a[:, None])] = np.inf
+            dist[:, np.arange(K), np.arange(K)] = np.inf
+            while True:
+                flat = dist.reshape(g.size, -1)
+                ij = flat.argmin(axis=1)
+                go = ~(flat[np.arange(g.size), ij] > eps_c)
+                if not go.all():
+                    done = g[~go]
+                    means[done, :K], alive[done, :K] = m[~go], a[~go]
+                    if not go.any():
+                        break
+                    g, m, c, a, dist, ij = g[go], m[go], c[go], a[go], dist[go], ij[go]
+                n = np.arange(g.size)
+                i, j = np.divmod(ij, K)
+                ci, cj = c[n, i], c[n, j]
+                w = ci + cj
+                m[n, i] = (ci[:, None] * m[n, i] + cj[:, None] * m[n, j]) / w[:, None]
+                c[n, i] = w
+                a[n, j] = False
+                row = np.sqrt(np.add.reduce((m[n, i][:, None] - m) ** 2, axis=-1))
+                row[~a] = np.inf
+                row[n, i] = np.inf
+                dist[n, i], dist[n, :, i] = row, row
+                dist[n, j], dist[n, :, j] = np.inf, np.inf
+    return alive
 
 
 def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
@@ -250,9 +336,16 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     leader pass over its lexicographically sorted rows: a row joins the
     nearest running mean (first minimum) within 0.5*eps_c or starts a new
     one.  The pass runs one sample index at a time over every group that
-    still has samples; groups go by decreasing size so those are a prefix.
-    Then each group merges its closest means until all are more than eps_c
-    apart.  Returns one lexicographically sorted (k, d) array per group.
+    still has samples, with unused mean slots at inf; groups go by
+    decreasing size so those are a prefix.  Once at most _SWEEP_GROUPS
+    groups are live, each finishes alone in Python floats (``_sweep``),
+    unless one of them has a non-finite row (numpy's argmin returns the
+    first NaN distance, the sweep would skip it) or the rows have 8 or more
+    coordinates (numpy then sums them pairwise).  Then every group merges
+    its closest means until all are more than eps_c apart (``_merge``).  A
+    group's representatives depend on its own rows only, and have the same
+    bits whichever path computes them.  Returns one lexicographically sorted
+    (k, d) array per group.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     n_groups, d = sizes.size, samples.shape[1]
@@ -266,21 +359,23 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     padded = np.empty((n_groups, n_max, d))
     padded[rank[group], slot] = pts
     n_live = (sizes[:, None] > np.arange(n_max)).sum(axis=0)
-    means = np.zeros_like(padded)  # unused slots enter the masked distances
+    means = np.full_like(padded, np.inf)
     counts = np.zeros((n_groups, n_max))
     k = np.zeros(n_groups, dtype=np.intp)
-    for t in range(n_max):
+    half = 0.5 * eps_c
+    first_bad = rank[group[~np.isfinite(samples).all(axis=1)]].min(initial=n_groups)
+    stop = min(_SWEEP_GROUPS, int(first_bad)) if d < 8 else 0
+    t = 0
+    while t < n_max and n_live[t] > stop:
         live = int(n_live[t])
         p = padded[:live, t]
-        k_live = k[:live]
-        top = int(k_live.max())
+        top = int(k[:live].max())
         join = np.zeros(live, dtype=bool)
         if top:
             diff = means[:live, :top] - p[:, None, :]
             dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-            dist[np.arange(top) >= k_live[:, None]] = np.inf
             j = np.argmin(dist, axis=1)
-            join = dist[np.arange(live), j] <= 0.5 * eps_c
+            join = dist[np.arange(live), j] <= half
             g, j = np.flatnonzero(join), j[join]
             counts[g, j] += 1
             means[g, j] = means[g, j] + (p[g] - means[g, j]) / counts[g, j][:, None]
@@ -288,11 +383,18 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
         means[g, k[g]] = p[g]
         counts[g, k[g]] = 1
         k[g] += 1
-    reps = [None] * n_groups
-    for r, g in enumerate(by_size.tolist()):
-        m = _merge_closest(means[r, : k[r]], counts[r, : k[r]], eps_c)
-        reps[g] = m[np.lexsort(m.T[::-1])]
-    return reps
+        t += 1
+    for r in range(int(n_live[t]) if t < n_max else 0):
+        m, c = means[r, : k[r]].tolist(), counts[r, : k[r]].tolist()
+        _sweep(padded[r, t : sizes[by_size[r]]].tolist(), m, c, half)
+        k[r] = len(m)
+        means[r, : k[r]], counts[r, : k[r]] = m, c
+    alive = _merge(means, counts, k, eps_c)
+    reps = means[alive]
+    reps = reps[np.lexsort((*reps.T[::-1], np.nonzero(alive)[0]))]
+    ends = np.cumsum(alive.sum(axis=1)).tolist()
+    parts = [reps[a:b] for a, b in zip([0] + ends, ends)]
+    return [parts[r] for r in rank.tolist()]
 
 
 def _reachable_sets(func, domain, anchors, r0, ratio, k_max, m_a, eps_c, h_fd):
@@ -622,10 +724,3 @@ def _dedupe_rays(rays: np.ndarray) -> np.ndarray:
         if all(float(np.linalg.norm(r - q)) > 1e-12 for q in out):
             out.append(r)
     return np.array(out).reshape(-1, rays.shape[1])
-
-
-def is_singular(func, domain: DomainSpec, x, **probe) -> bool:
-    """True when the reachable-gradient representatives spread wider than
-    DEFAULT_EPS_S; ``probe`` holds the reachable_gradients keywords."""
-    rset = reachable_gradients(func, domain, x, **probe)
-    return rset.diameter() > DEFAULT_EPS_S

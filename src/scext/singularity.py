@@ -33,6 +33,7 @@ from .gradients import (
 
 DEFAULT_RESIDUAL_TOL = 0.25
 _FD_STEP = 1e-4  # indicator central-difference step, as a fraction of rho
+_PROBES = 24  # indicator gradient samples per probe ball
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -92,17 +93,22 @@ def _unit_ball_pattern(dim: int, m: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
-def _indicator_values(field, centers: np.ndarray, rho: float) -> np.ndarray:
-    """Gradient spread of the field on B_rho around each center, batched:
-    the diameter of the clustered central-difference gradients at m = 24
-    points of each ball."""
+def _indicator_grads(field, centers: np.ndarray, rho: float) -> np.ndarray:
+    """Central-difference gradients of the field at _PROBES points of B_rho
+    around each center: one group of _PROBES rows per center."""
     n, d = centers.shape
-    m, h_fd = 24, _FD_STEP * rho
-    pattern = rho * _unit_ball_pattern(d, m)
-    pts = (centers[:, None, :] + pattern[None, :, :]).reshape(n * m, d)
-    vals = field.evaluate_many(_stencil(pts, h_fd)).reshape(n * m, 2 * d)
-    grads = (vals[:, :d] - vals[:, d:]) / (2.0 * h_fd)
-    reps = _cluster(grads, np.full(n, m), DEFAULT_EPS_C)
+    h_fd = _FD_STEP * rho
+    pattern = rho * _unit_ball_pattern(d, _PROBES)
+    pts = (centers[:, None, :] + pattern[None, :, :]).reshape(n * _PROBES, d)
+    vals = field.evaluate_many(_stencil(pts, h_fd)).reshape(n * _PROBES, 2 * d)
+    return (vals[:, :d] - vals[:, d:]) / (2.0 * h_fd)
+
+
+def _spreads(grads: np.ndarray) -> np.ndarray:
+    """Indicator value of each group of ``_indicator_grads`` rows: the
+    diameter of its clustered gradients, all groups in one ``_cluster``."""
+    n = grads.shape[0] // _PROBES
+    reps = _cluster(grads, np.full(n, _PROBES), DEFAULT_EPS_C)
     return np.array([_diameter(r) for r in reps])
 
 
@@ -116,7 +122,7 @@ def singularity_indicator(field, x, rho: float) -> float:
     ball = field.ball
     if np.linalg.norm(x - ball.center) + rho + h_fd > ball.radius * (1.0 + 1e-12):
         raise InputError("probe ball escapes the field's ball")
-    return float(_indicator_values(field, x[None, :], rho)[0])
+    return float(_spreads(_indicator_grads(field, x[None, :], rho))[0])
 
 
 # -- arc tracing --------------------------------------------------------------
@@ -216,6 +222,13 @@ def trace_singular_arc(
     (``SingularArc.lost``): the guaranteed horizon is not quantified, so
     running out of singularity is an expected stopping event rather than a
     failure of the tracer.
+
+    The field is sampled with one call per step, the same batches a scan
+    that stops at the first lost step evaluates, and the gradients of x0's
+    ball and of every step's discs are then clustered in one ``_cluster``
+    call, which reads each probe ball's own rows only.  The arc is cut at
+    its first lost step, so it is the one that scan gives, but a lost arc
+    costs what a full one does.
     """
     x0, theta = _ball_points(field, x0, theta)
     nrm = float(np.linalg.norm(theta))
@@ -237,28 +250,21 @@ def trace_singular_arc(
     offsets = _disc_offsets(w, 0.1 * delta_s, basis.shape[0])
     n_steps = int(math.floor(sigma / delta_s + 1e-9))
 
-    s_list = [0.0]
-    pts = [x0]
-    inds = [float(_indicator_values(field, x0[None, :], rho)[0])]
-    for i in range(1, n_steps + 1):
-        s_i = i * delta_s
-        center = x0 + s_i * theta
-        disc = center + offsets @ basis
-        values = _indicator_values(field, disc, rho)
-        j = int(np.argmax(values))  # first max in center-outward order
-        s_list.append(s_i)
-        pts.append(disc[j])
-        inds.append(float(values[j]))
-        if values[j] <= DEFAULT_EPS_S:
-            break
+    discs = x0 + (np.arange(1, n_steps + 1) * delta_s)[:, None, None] * theta + offsets @ basis
+    values = _spreads(np.vstack([_indicator_grads(field, c, rho) for c in [x0[None, :], *discs]]))
+    steps = values[1:].reshape(n_steps, -1)
+    best = steps.argmax(axis=1)  # first max in center-outward order
+    peak = steps[np.arange(n_steps), best]
+    low = np.flatnonzero(peak <= DEFAULT_EPS_S)
+    n = int(low[0]) + 1 if low.size else n_steps
     return SingularArc(
         x0=x0,
         theta=theta,
         delta_s=float(delta_s),
         sigma=float(sigma),
-        s=np.array(s_list),
-        points=np.array(pts),
-        indicators=np.array(inds),
+        s=np.arange(n + 1) * delta_s,
+        points=np.vstack([x0, discs[np.arange(n), best[:n]]]),
+        indicators=np.concatenate([values[:1], peak[:n]]),
         eps_s=DEFAULT_EPS_S,
         rho_t=DEFAULT_RESIDUAL_TOL,
         p0=None if p0 is None else np.atleast_1d(np.asarray(p0, dtype=float)),

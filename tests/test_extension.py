@@ -27,10 +27,9 @@ from scext import (
     holder_ratio,
     named_function,
     partition_weights,
-    summand_differentiability_probe,
 )
 from scext.extension import _FINE_PER_RADIUS, _NEST, _node_index
-from scext.funcspace import FunctionSpec
+from scext.funcspace import FunctionSpec, _stencil
 from scext.geometry import boundary_sample, capped_disk, closure_grid
 from scext.gradients import _gradient_samples, reachable_gradients
 from scext.scenarios import build_scenario, envelope_neg_abs_x2
@@ -395,6 +394,23 @@ def _assert_candidates_sound(ball, y, p, u, alpha, x):
         for i in range(x.shape[0]):
             cand = field._candidates(level, [tuple(keys[i].tolist())])[0]
             assert vals[i, cand].min() == vals[i].min(), (level, i, x[i])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("column, value", [
+    ("values", np.nan), ("values", np.inf), ("gradients", -np.inf), ("points", np.nan),
+])
+def test_non_finite_pairs_rejected(unit_ball, alpha, column, value):
+    # one bad pair used to surface as a bare numpy error on the first
+    # off-data query: no candidate passes a NaN bound, so a cell list is empty
+    y = np.array([[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]])
+    arrays = {"points": y, "gradients": np.zeros((3, 2)), "values": np.zeros(3)}
+    arrays[column][1] = value
+    support = SupportSet(
+        arrays["points"], arrays["gradients"], arrays["values"], ["smooth"] * 3, unit_ball, 0.5
+    )
+    with pytest.raises(InputError, match="support pair 1 has a non-finite"):
+        ExtensionField(support, ModulusParams(alpha, 0.0), 1.0, None, None)
 
 
 class TestEnvelopeKernel:
@@ -861,18 +877,23 @@ class _Shim:
         return self._fn(np.atleast_2d(pts))
 
 
+def _summands_pass_filter(fields: list, x, h_fd: float, eps_c: float) -> bool:
+    """If the sum of the fields passes the one-sided-quotient filter at x,
+    whether every summand passes too; true when the sum fails it."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = x.size
+    stencil = _stencil(x[None, :], h_fd, centre=True)
+
+    def wobble(vals) -> float:
+        fwd = (vals[1 : d + 1] - vals[0]) / h_fd
+        bwd = (vals[0] - vals[d + 1 :]) / h_fd
+        return float(np.abs(fwd - bwd).max())
+
+    parts = [f.evaluate_many(stencil) for f in fields]
+    return wobble(sum(parts)) > eps_c or all(wobble(vals) <= eps_c for vals in parts)
+
+
 class TestSummandProbe:
-    def test_smooth_sum_with_smooth_parts(self):
-        f1 = _Shim(lambda p: -np.abs(p[:, 1]) + p[:, 0] ** 2)
-        f2 = _Shim(lambda p: p[:, 0] ** 2)
-        assert summand_differentiability_probe(
-            [f1, f2], (-0.3, 0.2), h_fd=1e-5, eps_c=0.02
-        )
-
-    def test_vacuous_when_sum_is_kinked(self):
-        f = _Shim(lambda p: -np.abs(p[:, 1]))
-        assert summand_differentiability_probe([f, f], (0.3, 0.0), h_fd=1e-5, eps_c=0.02)
-
     def test_glued_field_summands_smooth_at_smooth_points(self, ex2, half_disk):
         func = ex2["func"]
         cover = [BallRegion((0.0, 0.3), 0.5), BallRegion((0.0, -0.3), 0.5)]
@@ -907,7 +928,7 @@ class TestSummandProbe:
             x = rng.uniform((0.02, -0.45), (0.3, 0.45))
             if abs(x[1]) < 0.05:
                 continue  # skip the crease of the glued surface
-            assert summand_differentiability_probe(parts, x, h_fd=1e-5, eps_c=0.02)
+            assert _summands_pass_filter(parts, x, h_fd=1e-5, eps_c=0.02)
             n_checked += 1
 
 

@@ -1,4 +1,4 @@
-"""Named functions: evaluation, gradients, and Lipschitz estimation."""
+"""Named functions: evaluation and gradients."""
 
 import warnings
 
@@ -11,7 +11,6 @@ from scext import (
     EvaluationError,
     InputError,
     gradient,
-    lipschitz_estimate,
     named_function,
     sampled_function,
 )
@@ -143,30 +142,6 @@ class TestGradient:
                 exact = gradient(f, p)
                 approx = gradient(shim, p, h_fd=h_fd)
                 assert np.allclose(exact, approx, atol=1e-5), (name, p)
-
-
-class TestLipschitz:
-    def test_neg_norm_estimate_near_one(self, functions, half_disk, unit_ball):
-        v = lipschitz_estimate(functions["neg-norm"], half_disk, unit_ball, 10_000, seed=3)
-        assert 0.95 <= v <= 1.0
-
-    def test_affine_estimate_near_gradient_norm(self, functions, half_disk, unit_ball):
-        v = lipschitz_estimate(functions["affine"], half_disk, unit_ball, 10_000, seed=3)
-        assert 1.9 <= v <= 2.0
-
-    def test_constant_estimate_zero(self, functions, half_disk, unit_ball):
-        assert lipschitz_estimate(functions["constant"], half_disk, unit_ball, 1000, seed=3) == 0.0
-
-    def test_monotone_in_pair_count(self, functions, half_disk, unit_ball):
-        vals = [
-            lipschitz_estimate(functions["neg-sqrt"], half_disk, unit_ball, n, seed=11)
-            for n in (50, 200, 1000, 5000)
-        ]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_nonpositive_counts(self, functions, half_disk, unit_ball):
-        with pytest.raises(InputError):
-            lipschitz_estimate(functions["neg-norm"], half_disk, unit_ball, 0, seed=3)
 
 
 # parameters that make each named form depend on every coordinate

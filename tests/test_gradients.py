@@ -20,7 +20,6 @@ from scext import (
     convex_hull,
     estimate_constant,
     hull_gap,
-    is_singular,
     named_function,
     normal_cone_directions,
     polytope_distance,
@@ -172,6 +171,43 @@ _PINNED_REPRESENTATIVES = {
 }
 
 
+def _same_bits(got, want) -> bool:
+    """Whether two lists of arrays hold the same shapes and bytes."""
+    return len(got) == len(want) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want)
+    )
+
+
+def _straddling_triples(n_triples, half, seed):
+    """Groups of three 3D rows L, R, Q in lexicographic order.  |L - R| is
+    at most half when summed left to right, sqrt((a*a + b*b) + c*c), and
+    above it when summed right to left, or the reverse; Q sits just past R.
+    If R joins L, Q joins their mean M: M + (Q - M)/3.  If not, Q joins R
+    and L merges with that mean: (L + 2 R')/3.  Only triples where the two
+    differ in bits are kept, so a pass that sums the other way ends with
+    other bits.  Triple i lies near (10 i, 0, 0), apart from the others."""
+    rng = np.random.default_rng(seed)
+    triples = []
+    while len(triples) < n_triples:
+        lead = rng.uniform(-1.0, 1.0, 3) + [10.0 * len(triples), 0.0, 0.0]
+        step = rng.normal(size=3)
+        step *= half * (1.0 + rng.uniform(-4e-16, 4e-16)) / np.linalg.norm(step)
+        step[0] = abs(step[0])
+        right = lead + step
+        last = right + [0.01 * half, 0.0, 0.0]
+        a, b, c = (lead - right).tolist()
+        if (math.sqrt((a * a + b * b) + c * c) <= half) == (
+            math.sqrt(a * a + (b * b + c * c)) <= half
+        ):
+            continue
+        mean = lead + (right - lead) / 2.0
+        joined = mean + (last - mean) / 3.0
+        merged = (1.0 * lead + 2.0 * (right + (last - right) / 2.0)) / 3.0
+        if joined.tobytes() != merged.tobytes():
+            triples.append(np.vstack([lead, right, last]))
+    return triples
+
+
 class TestCluster:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n, eps_c, spread", [
@@ -184,7 +220,7 @@ class TestCluster:
         centres = rng.uniform(-1.0, 1.0, size=(5, d))
         noise = rng.uniform(-spread, spread, size=(n, d))
         samples = noise if spread == 1.0 else centres[rng.integers(0, 5, n)] + noise
-        assert np.array_equal(_cluster(samples, [n], eps_c)[0], _list_cluster(samples, eps_c))
+        assert _same_bits(_cluster(samples, [n], eps_c), [_list_cluster(samples, eps_c)])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_with_exact_duplicates(self, d):
@@ -192,9 +228,7 @@ class TestCluster:
         base = rng.uniform(-1.0, 1.0, size=(40, d))
         samples = base[rng.integers(0, 40, size=500)]
         for eps_c in (1e-9, 0.02, 0.3):
-            assert np.array_equal(
-                _cluster(samples, [500], eps_c)[0], _list_cluster(samples, eps_c)
-            )
+            assert _same_bits(_cluster(samples, [500], eps_c), [_list_cluster(samples, eps_c)])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("offsets, n_reps", [
@@ -204,14 +238,59 @@ class TestCluster:
         # two rows exactly eps_c apart merge
         ([0.0, 0.5], 1),
         ([0.0, 0.5, 0.5, 1.25, 1.75, 1.75], 2),
+        # the mean at 0.5 is exactly 0.5*eps_c behind the row at 0.75 in the
+        # first coordinate and still takes it; had it left the scan, 0.75
+        # would lead, take 0.76 and merge with 0.5 into other bits
+        ([0.5, 0.75, 0.76], 1),
     ])
     def test_matches_at_the_thresholds(self, d, offsets, n_reps):
-        # eps_c = 0.5 and the offsets 0.25, 0.5, 1.25, 1.75 are exact in binary
+        # eps_c = 0.5 and the offsets 0.25, 0.5, 0.75, 1.25, 1.75 are exact in binary
         samples = np.zeros((len(offsets), d))
         samples[:, 0] = offsets
-        got = _cluster(samples, [len(offsets)], 0.5)[0]
-        assert np.array_equal(got, _list_cluster(samples, 0.5))
-        assert got.shape[0] == n_reps
+        got = _cluster(samples, [len(offsets)], 0.5)
+        assert _same_bits(got, [_list_cluster(samples, 0.5)])
+        assert got[0].shape[0] == n_reps
+
+    def test_three_dimensional_distances_sum_left_to_right(self):
+        # every triple ends with other bits if its distance is summed in the
+        # other order; alone in one group the triples go through the scalar
+        # sweep, one group each they go through the lockstep
+        triples = _straddling_triples(24, 0.25, seed=5)
+        one = np.vstack(triples)
+        assert _same_bits(_cluster(one, [one.shape[0]], 0.5), [_list_cluster(one, 0.5)])
+        got = _cluster(np.vstack(triples), [3] * len(triples), 0.5)
+        assert _same_bits(got, [_list_cluster(t, 0.5) for t in triples])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_tie_goes_to_the_first_mean(self, d):
+        # with eps_c = 0.4 the last row is exactly as far from both leaders
+        # and joins the first; joining the second, the merge that follows
+        # would end with other bits
+        tie = np.zeros((3, d))
+        tie[:, :2] = [
+            [-0.8388462745771096, 0.5878973807068791],
+            [-0.7992652486142929, 0.31083019896716235],
+            [-0.6805221707258429, 0.46915430281842907],
+        ]
+        first, second, row = tie
+        joined_first = (2.0 * (first + (row - first) / 2.0) + second) / 3.0
+        joined_second = (first + 2.0 * (second + (row - second) / 2.0)) / 3.0
+        want = _list_cluster(tie, 0.4)
+        assert want.tobytes() == joined_first.tobytes() != joined_second.tobytes()
+        for sizes in ([3], [3] * 10):
+            got = _cluster(np.vstack([tie] * len(sizes)), sizes, 0.4)
+            assert _same_bits(got, [want] * len(sizes))
+
+    def test_nan_rows_keep_numpy_argmin(self):
+        # a NaN distance is numpy's argmin, so no row joins a NaN mean's
+        # group; such a group never goes to the sweep, which would skip it
+        rng = np.random.default_rng(12)
+        samples = rng.uniform(-1.0, 1.0, size=(300, 2))
+        samples[[40, 41, 250], 1] = np.nan
+        for sizes in ([300], [150, 150], [20] * 15):
+            groups = np.split(samples, np.cumsum(sizes)[:-1])
+            got = _cluster(samples, sizes, 0.3)
+            assert _same_bits(got, [_list_cluster(g, 0.3) for g in groups])
 
     @pytest.mark.parametrize("identifier, x", list(_PINNED_REPRESENTATIVES))
     def test_representatives_are_pinned(self, half_disk, identifier, x):
@@ -243,7 +322,7 @@ class TestLockstepCluster:
         sizes = [g.shape[0] for g in groups]
         got = _cluster(np.vstack(groups), sizes, 0.5)
         want = [_list_cluster(g, 0.5) for g in groups]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert _same_bits(got, want)
         assert want[3].shape[0] == 9 and want[4].shape[0] == 6
 
     def test_row_order_inside_a_group_does_not_matter(self):
@@ -251,8 +330,60 @@ class TestLockstepCluster:
         samples = rng.uniform(-1.0, 1.0, size=(500, 2))
         sizes = [120, 380]
         perm = np.concatenate([rng.permutation(120), 120 + rng.permutation(380)])
-        for a, b in zip(_cluster(samples, sizes, 0.1), _cluster(samples[perm], sizes, 0.1)):
-            assert np.array_equal(a, b)
+        assert _same_bits(_cluster(samples, sizes, 0.1), _cluster(samples[perm], sizes, 0.1))
+
+    def test_empty_groups_get_no_representatives(self):
+        rows = np.array([[0.0, 0.0], [0.5, 0.5], [0.01, 0.0]])
+        got = _cluster(rows, [0, 3, 0], 0.1)
+        assert _same_bits(got, [np.empty((0, 2)), _list_cluster(rows, 0.1), np.empty((0, 2))])
+        assert _cluster(np.empty((0, 2)), [0, 0], 0.1)[0].shape == (0, 2)
+        assert _cluster(np.empty((0, 2)), [], 0.1) == []
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_long_groups_cross_from_lockstep_to_sweep(self, d, monkeypatch):
+        # 60 short groups and 12 long ones of 1,500 to 2,000 rows: the pass
+        # runs in lockstep until at most _SWEEP_GROUPS long groups are live,
+        # then sweeps them from the means the lockstep left
+        rng = np.random.default_rng(60 + d)
+        sizes = list(rng.integers(1, 40, 60)) + list(rng.integers(1_500, 2_001, 12))
+        centres = rng.uniform(-1.0, 1.0, size=(len(sizes), 5, d))
+        groups = [
+            c[rng.integers(0, 5, n)] + rng.uniform(-0.05, 0.05, size=(n, d))
+            for c, n in zip(centres, sizes)
+        ]
+        entered = []
+
+        def sweep(rows, means, counts, half):
+            entered.append((len(rows), len(means)))
+            return sweep_pass(rows, means, counts, half)
+
+        sweep_pass = gradients._sweep
+        monkeypatch.setattr(gradients, "_sweep", sweep)
+        got = _cluster(np.vstack(groups), sizes, 0.1)
+        assert _same_bits(got, [_list_cluster(g, 0.1) for g in groups])
+        assert len(entered) == gradients._SWEEP_GROUPS
+        assert all(n_rows > 0 and n_means > 0 for n_rows, n_means in entered)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("entries", [None, 64])
+    def test_merges_fill_every_bucket(self, d, entries, monkeypatch):
+        # chains of n leaders 0.3 apart with eps_c = 0.5: every row leads and
+        # the merges run in the buckets K = 2 to 64, each holding both of its
+        # ends; 64 entries per round also splits every bucket into chunks
+        if entries is not None:
+            monkeypatch.setattr(gradients, "_MERGE_ENTRIES", entries)
+        rng = np.random.default_rng(70 + d)
+        groups = []
+        for n in [2, 3, 4, 5, 8, 9, 16, 17, 32, 33] * 2:
+            chain = np.zeros((n, d))
+            chain[:, 0] = 0.3 * np.arange(n)
+            chain[:, 1:] = rng.uniform(-0.05, 0.05, size=(n, d - 1))
+            groups.append(chain[rng.permutation(n)])
+        groups = [groups[i] for i in rng.permutation(len(groups))]
+        got = _cluster(np.vstack(groups), [g.shape[0] for g in groups], 0.5)
+        want = [_list_cluster(g, 0.5) for g in groups]
+        assert _same_bits(got, want)
+        assert all(w.shape[0] < g.shape[0] for g, w in zip(groups, want))
 
 
 def _sequential_refine_ring(domain, x, r, base_pts, base_grads, budget, eps_c, sampler):
@@ -654,11 +785,17 @@ class TestNormalCone:
 
 
 class TestIsSingular:
+    """A point is singular when its reachable gradients spread wider than
+    DEFAULT_EPS_S."""
+
     def test_crease_point_detected(self, ex2, half_disk):
-        assert is_singular(ex2["func"], half_disk, (0.5, 0.0), **PROBE)
+        rset = reachable_gradients(ex2["func"], half_disk, (0.5, 0.0), **PROBE)
+        assert rset.diameter() > DEFAULT_EPS_S
 
     def test_smooth_point_not_singular(self, ex2, half_disk):
-        assert not is_singular(ex2["func"], half_disk, (0.5, 0.2), **PROBE)
+        rset = reachable_gradients(ex2["func"], half_disk, (0.5, 0.2), **PROBE)
+        assert not rset.diameter() > DEFAULT_EPS_S
 
     def test_origin_of_neg_norm_singular(self, ex1, half_disk):
-        assert is_singular(ex1["func"], half_disk, (0.0, 0.0), **PROBE)
+        rset = reachable_gradients(ex1["func"], half_disk, (0.0, 0.0), **PROBE)
+        assert rset.diameter() > DEFAULT_EPS_S

@@ -10,12 +10,19 @@ from scext import (
     BallRegion,
     DegenerateDirectionError,
     DimensionError,
+    ModulusParams,
+    build_extension,
+    build_support_set,
     check_condition_h,
+    named_function,
     propagation_directions,
     select_p0,
+    singularity,
     singularity_indicator,
     trace_singular_arc,
 )
+from scext.geometry import disk
+from scext.gradients import DEFAULT_EPS_S
 
 EPS_G = 0.01
 EPS_C = 0.02
@@ -171,6 +178,43 @@ def _assert_arc_invariants(arc, x0):
     assert not arc.lost
 
 
+def _affine_field(ball):
+    # on a full-disk domain the envelope is the affine function itself, so
+    # every transverse probe reports a zero indicator
+    dom = disk((0.0, 0.0), 1.0)
+    func = named_function("affine", dimension=2, domain=dom, params={"p": [0.2, 0.4], "b": 0.0})
+    support = build_support_set(func, dom, ball, spacing=0.05)
+    return build_extension(func, dom, support, ModulusParams(1.0, 0.0), coefficient=1.0)
+
+
+def _stepwise_arc(field, x0, theta, delta_s, sigma):
+    """Reference: the tracer's scan as first written, one indicator call per
+    step, stopping at the first step at or below eps_s.  Returns s, points
+    and indicators."""
+    x0, theta = np.asarray(x0, dtype=float), np.asarray(theta, dtype=float)
+    theta = theta / float(np.linalg.norm(theta))
+    rho = 0.2 * delta_s
+    basis = singularity._transverse_basis(theta)
+    offsets = singularity._disc_offsets(3.0 * delta_s, 0.1 * delta_s, basis.shape[0])
+
+    def indicator(centers):
+        return singularity._spreads(singularity._indicator_grads(field, centers, rho))
+
+    s_list, pts, inds = [0.0], [x0], [float(indicator(x0[None, :])[0])]
+    for i in range(1, int(math.floor(sigma / delta_s + 1e-9)) + 1):
+        s_i = i * delta_s
+        center = x0 + s_i * theta
+        disc = center + offsets @ basis
+        values = indicator(disc)
+        j = int(np.argmax(values))
+        s_list.append(s_i)
+        pts.append(disc[j])
+        inds.append(float(values[j]))
+        if values[j] <= DEFAULT_EPS_S:
+            break
+    return np.array(s_list), np.array(pts), np.array(inds)
+
+
 class TestTrace:
     def test_neg_norm_arc_follows_negative_axis(self, ex1):
         x0 = np.zeros(2)
@@ -207,19 +251,7 @@ class TestTrace:
         assert np.all(arc.points[live, 0] < 0.0)
 
     def test_smooth_field_loses_the_arc_immediately(self, unit_ball):
-        from scext import ModulusParams, build_extension, build_support_set, named_function
-        from scext.geometry import disk
-
-        # on a full-disk domain the envelope is the affine function itself, so
-        # every transverse probe reports a zero indicator
-        dom = disk((0.0, 0.0), 1.0)
-        func = named_function(
-            "affine", dimension=2, domain=dom, params={"p": [0.2, 0.4], "b": 0.0}
-        )
-        support = build_support_set(func, dom, unit_ball, spacing=0.05)
-        field = build_extension(
-            func, dom, support, ModulusParams(1.0, 0.0), coefficient=1.0
-        )
+        field = _affine_field(unit_ball)
         arc = trace_singular_arc(field, (0.0, 0.0), (-1.0, 0.0), delta_s=0.05, sigma=0.4)
         # the tracer stops at the first sample at or below eps_s and keeps it
         assert arc.lost
@@ -234,3 +266,27 @@ class TestTrace:
         payload = arc.to_dict()
         assert payload["theta"] == [1.0, 0.0]
         assert len(payload["samples"]) == arc.s.size
+
+    @pytest.mark.parametrize("case, n_samples", [
+        ("neg-abs", 9), ("diagonal-crease", 5), ("affine", 2), ("one-dimensional", 2),
+    ])
+    def test_matches_the_stepwise_scan(self, case, n_samples, ex2, unit_ball):
+        # a full arc, one lost in the middle, and two lost at their first
+        # step, one of them 1D: the tracer clusters every step at once and
+        # cuts the arc at the first lost step, which must give the scan's bytes
+        field, x0, theta = {
+            "neg-abs": (ex2["field"], (0.0, 0.0), (1.0, 0.0)),
+            "diagonal-crease": (_StubField((0.0, 0.0), _diagonal_crease), (0.0, 0.0), (1.0, 0.0)),
+            "affine": (_affine_field(unit_ball), (0.0, 0.0), (-1.0, 0.0)),
+            "one-dimensional": (
+                _StubField((0.0,), lambda pts: -np.abs(pts[:, 0])), (0.0,), (1.0,)
+            ),
+        }[case]
+        arc = trace_singular_arc(field, x0, theta, delta_s=0.05, sigma=0.4)
+        s, points, indicators = _stepwise_arc(field, x0, theta, 0.05, 0.4)
+        assert arc.s.tobytes() == s.tobytes()
+        assert arc.points.shape == points.shape
+        assert arc.points.tobytes() == points.tobytes()
+        assert arc.indicators.tobytes() == indicators.tobytes()
+        assert arc.s.size == n_samples
+        assert arc.lost == (n_samples < 9)
