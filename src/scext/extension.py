@@ -33,9 +33,12 @@ group is scanned against its cell's candidate pairs only.
   parent's; a cell's parent is its key // 3.  Every query is keyed at the
   finer level, so its three cells are nested boxes that all hold it.  The
   missing children of one parent are filtered in one pass, and every cell is
-  cached on the field.  A call scans a fine cell's rows against its finer
-  children only when they outnumber what building the missing children
-  costs (``_pays_to_refine``), and against the fine cell otherwise.
+  cached on the field.  A call scans each fine cell's rows once: against
+  the cached union of all 3^d finer children's candidates when it exists or
+  the rows outnumber what building the missing children costs
+  (``_pays_to_refine``), and against the fine cell's candidates otherwise.
+  A row's finer cell list is part of the union, and a minimum over any list
+  between a cell's candidates and all pairs is the full one (Exactness).
 * Exactness: if every computed value in the cell is within e of the exact
   one and j* attains the computed minimum at x, then v_j*(x) <= v_b(x) + 2e,
   so the bound of j*, a lower bound of v_j* - v_b at x, is at most 2e.  A
@@ -56,15 +59,21 @@ group is scanned against its cell's candidate pairs only.
   (1+alpha)/2): ~1e-11c at alpha = 0.5, ~1e-7c as alpha -> 0.
 * BLAS shape: OpenBLAS gemm rounds a 2-term dot product as fma(x1, p1, x0*p0),
   gemv (one row or column) as fma(x0, p0, x1*p1), and large gemm products
-  round their last m mod 8 columns apart when m mod 8 >= 4.  A lone query row
-  is doubled (``_gemm``) and candidate lists are padded to a multiple of 8,
-  so every value gets the gemm rounding whatever the batch.
+  round their last m mod 8 columns apart when m mod 8 >= 4.  Each scan takes
+  its minimum along the longer axis of its block (``_scan``).  A span of
+  rows at least as long as its candidate list is computed pairs-major, as
+  (candidates x rows) with the rows padded to a multiple of 8 by repeating
+  the last; a shorter one rows-major, as (rows x candidates) with the lists
+  padded to a multiple of 8 and a lone row doubled (``_gemm``).  A padded
+  q @ x.T equals x @ q.T bit for bit, so every value gets the same gemm
+  rounding whatever the batch and the orientation.
 * Pruning: ``build_extension`` drops pair j if u(z) - v_j(z) > tol at some
   node z, v_j computed by the kernel's expression (``_pair_values``).  The
   kernel runs once at the distinct nodes; a violating pair has env(z) <=
   v_j(z) < u(z) - tol, so only nodes with u(z) - env(z) > tol can hold a
-  violation, and a dense scan of those nodes against all pairs (padded to
-  whole gemm blocks) gives every prunable pair's worst violation exactly.
+  violation, and a pairs-major scan of those nodes (padded to whole gemm
+  blocks) against all pairs gives every prunable pair's worst violation
+  exactly.
   At alpha = 1 the scan adds c|z|^2 to each value; rounding is monotone, so
   min_j fl(A_j + s) = fl(min_j A_j + s) and the two agree bit for bit.
   The kept field inherits a cell of the full field, filtered to the kept
@@ -155,32 +164,27 @@ def _kernel_grad(w: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _cell_runs(pts: np.ndarray, size: float):
-    """Sort the rows of ``pts`` by fine cell and, inside it, by finer cell of
-    edge ``size``.  Returns the order and, per fine cell, its key, its span
-    of sorted rows, and its finer cells' keys and spans.  Every key is
-    derived from the finer one, so the cells nest."""
-    finer = np.floor(pts / size).astype(np.int64)
-    fine = finer // _NEST
-    low, d = fine.min(axis=0), pts.shape[1]
-    code = np.ravel_multi_index((fine - low).T, fine.max(axis=0) - low + 1) * _NEST**d
-    code += np.ravel_multi_index((finer - _NEST * fine).T, (_NEST,) * d)
+    """Sort the rows of ``pts`` by fine cell.  Returns the order, the fine
+    cells' keys and the bounds of their spans of sorted rows (starts, then
+    the row count).  A fine key is the finer key (edge ``size``) // _NEST, so
+    the cells nest.  Keys are coded column by column."""
+    fine = np.floor(pts / size).astype(np.int64) // _NEST
+    code = np.zeros(pts.shape[0], dtype=np.int64)
+    for col in fine.T:
+        low = col.min()
+        code *= int(col.max() - low) + 1
+        code += col - low
     order = np.argsort(code)
     code = code[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(code) != 0])
-    cuts = np.flatnonzero(np.r_[True, np.diff(code[starts] // _NEST**d) != 0])
-    heads, bounds = order[starts], np.r_[starts, code.size].tolist()
-    fine_keys, finer_keys = fine[heads].tolist(), list(map(tuple, finer[heads].tolist()))
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    return order, [
-        (tuple(fine_keys[lo]), (bounds[lo], bounds[hi]), finer_keys[lo:hi], spans[lo:hi])
-        for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [starts.size])
-    ]
+    starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    return order, list(map(tuple, fine[order[starts]].tolist())), np.r_[starts, code.size]
 
 
 def _pays_to_refine(rows: int, missing: int, d: int, alpha: float) -> bool:
     """Whether a call's rows in one fine cell pay for building its missing
-    finer children.  With K candidates in the cell, scanning the rows costs
-    rows * K * S and the children's bound pass missing * K * B; K cancels.
+    finer children, whose union is far shorter than the cell's list.  With K
+    candidates in the cell, scanning the rows costs rows * K * S and the
+    children's bound pass missing * K * B; K cancels.
     ``_pair_values`` and the minimum make 3 elementwise passes per (row,
     candidate) entry at alpha = 1 and 10 at alpha < 1; ``_prune_cells``
     makes 6 per coordinate and 4 more per (cell, candidate) entry at alpha =
@@ -189,7 +193,9 @@ def _pays_to_refine(rows: int, missing: int, d: int, alpha: float) -> bool:
     the lists.  S and B are therefore times per entry, measured at d = 2 on
     fine cells of example1's support (K ~ 400, 9 children, 70 rows; one
     thread): 2.3 and 35 ns at alpha = 1, 11.3 and 65 ns at alpha = 0.5; B
-    scales with its passes in d."""
+    scales with its passes in d.  (S was measured on rows-major scans of
+    each child; on the benchmark workloads' kernel calls, union scans with
+    rows halved or doubled here timed within noise of these.)"""
     if alpha == 1.0:
         scan, bound = 2.3, 35.0 * (6 * d + 4) / 16
     else:
@@ -198,7 +204,7 @@ def _pays_to_refine(rows: int, missing: int, d: int, alpha: float) -> bool:
 
 
 def _pad(cand: np.ndarray) -> np.ndarray:
-    """Pad a candidate list to whole gemm column blocks by repeating its last pair."""
+    """Pad an index list to whole gemm column blocks by repeating its last entry."""
     return np.concatenate([cand, np.full(-cand.size % _LANES, cand[-1], dtype=cand.dtype)])
 
 
@@ -334,6 +340,7 @@ class ExtensionField:
             "ij,ij->i", self.support.gradients, self.support.points
         )
         self._y_sq = np.einsum("ij,ij->i", self.support.points, self.support.points)
+        self._y2 = 2.0 * self.support.points
         if self.params.alpha == 1.0:
             # quadratic kernel: value_j(x) = coeff*|x|^2 + <q_j, x> + b_j, so the
             # minimum reduces to one matrix product over the pairs
@@ -361,6 +368,11 @@ class ExtensionField:
         self._cell = self.ball.radius / _FINE_PER_RADIUS
         self._sizes = (_NEST * self._cell, self._cell, self._cell / _NEST)
         self._index: tuple[dict, dict, dict] = ({}, {}, {})
+        # fine cell key -> the union of its finer children's candidates, and
+        # the offsets of a fine cell's children keys from _NEST * its key
+        self._unions: dict = {}
+        d = self.support.points.shape[1]
+        self._child_offsets = np.indices((_NEST,) * d).reshape(d, -1).T
 
     @property
     def ball(self) -> BallRegion:
@@ -409,46 +421,78 @@ class ExtensionField:
 
     def _min_over_pairs(self, pts: np.ndarray) -> np.ndarray:
         """The envelope kernel (module docstring): queries are grouped by fine
-        cell, the rows of a crowded fine cell by finer cell, and each group is
-        scanned against its cell's candidate pairs."""
+        cell and each group is scanned once (``_scan``), against the union of
+        the cell's finer children's candidates where that pays and against
+        the cell's own candidates otherwise."""
         c, a = self.coefficient, self.params.alpha
         out = np.empty(pts.shape[0])
         if not pts.shape[0]:
             return out
-        order, runs = _cell_runs(pts, self._sizes[2])
-        # rows sorted by cell, so every scanned group is a contiguous span
-        pts = pts[order]
-        x_sq = np.einsum("ij,ij->i", pts, pts)
-        mins = np.empty(pts.shape[0])
-        for (_, span, keys, spans), cand in zip(runs, self._candidates(1, [r[0] for r in runs])):
-            missing = sum(key not in self._index[2] for key in keys)
-            if _pays_to_refine(span[1] - span[0], missing, pts.shape[1], a):
-                for sub, sub_cand in zip(spans, self._candidates(2, keys)):
-                    self._scan(pts, x_sq, sub, sub_cand, mins)
-            else:
-                self._scan(pts, x_sq, span, cand, mins)
-        out[order] = mins + c * x_sq if a == 1.0 else mins
+        order, keys, bounds = _cell_runs(pts, self._sizes[2])
+        lo, n = bounds[:-1], np.diff(bounds)
+        lists = [self._scan_list(key, cand, rows)
+                 for key, cand, rows in zip(keys, self._candidates(1, keys), n.tolist())]
+        # the rows of a pairs-major group (rows >= candidates) are padded to
+        # whole gemm column blocks by repeating the last; one gather for all
+        padded = n + -n % _LANES * (n >= np.array([cand.size for cand in lists]))
+        head = np.cumsum(padded) - padded
+        rows = np.arange(padded.sum()) - np.repeat(head, padded)
+        x = pts[order[np.repeat(lo, padded) + np.minimum(rows, np.repeat(n - 1, padded))]]
+        x_sq = np.einsum("ij,ij->i", x, x)
+        mins = np.empty(x.shape[0])
+        for start, stop, cand in zip(head.tolist(), (head + padded).tolist(), lists):
+            self._scan(x, x_sq, start, stop, cand, mins)
+        real = np.arange(pts.shape[0]) + np.repeat(head - lo, n)
+        out[order] = mins[real] + c * x_sq[real] if a == 1.0 else mins[real]
         return out
 
-    def _scan(self, pts, x_sq, span, cand, out) -> None:
-        """out = the minimum over pairs ``cand`` on the rows ``span`` (start,
-        stop), in blocks of _BLOCK entries."""
-        step = max(1, _BLOCK // cand.size)
-        for lo in range(span[0], span[1], step):
-            rows = slice(lo, min(lo + step, span[1]))
-            out[rows] = self._pair_values(pts[rows], x_sq[rows], cand).min(axis=1)
+    def _scan_list(self, key: tuple, cand: np.ndarray, rows: int) -> np.ndarray:
+        """The list to scan ``rows`` rows of fine cell ``key`` against: the
+        cached union of its finer children's candidates, built (marked on a
+        mask) when ``_pays_to_refine``, else the cell's candidates ``cand``."""
+        union = self._unions.get(key)
+        if union is None:
+            children = list(map(tuple, (np.array(key) * _NEST + self._child_offsets).tolist()))
+            missing = sum(child not in self._index[2] for child in children)
+            if not _pays_to_refine(rows, missing, len(key), self.params.alpha):
+                return cand
+            mask = np.zeros(self.support.size, dtype=bool)
+            for sub in self._candidates(2, children):
+                mask[sub] = True
+            union = self._unions[key] = _pad(np.flatnonzero(mask).astype(np.int32))
+        return union
 
-    def _pair_values(self, x: np.ndarray, x_sq: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    def _scan(self, x, x_sq, start, stop, cand, out) -> None:
+        """out = the minimum over pairs ``cand`` on the rows start:stop, in
+        blocks of about _BLOCK entries, each minimum along the longer axis:
+        pairs-major (whole gemm column blocks of rows) when the rows are at
+        least as many as the candidates, rows-major otherwise."""
+        axis = int(stop - start < cand.size)
+        step = max(_LANES, _BLOCK // cand.size // _LANES * _LANES)
+        for lo in range(start, stop, step):
+            rows = slice(lo, min(lo + step, stop))
+            vals = self._pair_values(x[rows], x_sq[rows], cand, axis)
+            out[rows] = np.minimum.reduce(vals, axis=axis)
+
+    def _pair_values(self, x, x_sq, cand, axis: int = 0) -> np.ndarray:
         """Values of pairs ``cand`` at the rows of ``x`` (module docstring),
-        without the shared c|x|^2 at alpha = 1."""
+        without the shared c|x|^2 at alpha = 1: a (candidates x rows) block,
+        with the candidates along ``axis`` (0 pairs-major, 1 rows-major)."""
         c, a = self.coefficient, self.params.alpha
+
+        def dot(m):  # <m_j, x> for the pairs' rows m_j
+            return _gemm(x, m[cand]) if axis else _gemm(m[cand], x)
+
+        def per_pair(v):
+            return v[cand] if axis else v[cand, None]
+
         if a == 1.0:
-            vals = _gemm(x, self._lin_q[cand])
-            vals += self._lin_b[cand]
+            vals = dot(self._lin_q)
+            vals += per_pair(self._lin_b)
             return vals
-        xy2 = _gemm(2.0 * x, self.support.points[cand])
-        d_sq = np.clip(x_sq[:, None] + self._y_sq[cand] - xy2, 0.0, None)
-        vals = _gemm(x, self.support.gradients[cand]) + self._offs[cand]
+        x_sq = x_sq[:, None] if axis else x_sq
+        d_sq = np.clip(per_pair(self._y_sq) + x_sq - dot(self._y2), 0.0, None)
+        vals = dot(self.support.gradients) + per_pair(self._offs)
         vals += c * d_sq ** (0.5 * (1.0 + a))
         return vals
 
@@ -574,17 +618,20 @@ def build_extension(
     flagged = u_z - field._min_over_pairs(z) > tol
     if not flagged.any():
         return field
-    z, u_z = z[flagged], u_z[flagged]
+    # the flagged nodes, padded to whole gemm column blocks
+    rows = _pad(np.flatnonzero(flagged))
+    z, u_z = z[rows], u_z[rows]
     z_sq = np.einsum("ij,ij->i", z, z)
     k = support.size
-    pairs = np.r_[np.arange(k), np.full(-k % _LANES, k - 1)]
-    worst = np.full(pairs.size, -np.inf)
-    for idx in np.array_split(np.arange(z.shape[0]), -(-z.shape[0] * pairs.size // _BLOCK)):
-        vals = field._pair_values(z[idx], z_sq[idx], pairs)
+    worst = np.full(k, -np.inf)
+    step = max(_LANES, _BLOCK // k // _LANES * _LANES)
+    for lo in range(0, z.shape[0], step):
+        idx = slice(lo, lo + step)
+        vals = field._pair_values(z[idx], z_sq[idx], np.arange(k))
         if params.alpha == 1.0:
-            vals += field.coefficient * z_sq[idx, None]
-        worst = np.maximum(worst, (u_z[idx, None] - vals).max(axis=0))
-    worst = worst[:k]
+            vals += field.coefficient * z_sq[idx]
+        np.subtract(u_z[idx], vals, out=vals)
+        np.maximum(worst, vals.max(axis=1), out=worst)
     keep = worst <= tol
     # the least-violating pair of each node leads its group; orphaned nodes keep it
     order = np.lexsort((worst, node))

@@ -1,4 +1,4 @@
-"""Candidate functions: named analytic forms and sampled grids.
+"""Candidate functions: named analytic forms.
 
 A FunctionSpec bundles a vectorized evaluator with an optional closed-form
 gradient and an optional declared domain.  Downstream code accepts anything
@@ -8,14 +8,13 @@ so built fields and analytic functions are handled uniformly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, EvaluationError, InputError, StencilError
-from .geometry import DomainSpec
+from .geometry import DomainSpec, _by_columns, _column_norms
 
 _Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -93,19 +92,24 @@ def _underflowed(q: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return (q < _TINY) & (scale > 0.0)
 
 
+def _abs_max(pts: np.ndarray) -> np.ndarray:
+    """Largest absolute coordinate of each row."""
+    return _by_columns(np.maximum, np.abs(pts))
+
+
 def _build_neg_norm(dimension, params):
     def fn(pts):
-        return -np.linalg.norm(pts, axis=1)
+        return -_column_norms(pts)
 
     def grad(pts):
-        q = np.add.reduce(pts * pts, axis=1)
-        scale = np.abs(pts).max(axis=1)
+        q = _by_columns(np.add, pts * pts)
+        scale = _abs_max(pts)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = -pts / np.sqrt(q)[:, None]
         low = _underflowed(q, scale)
         if low.any():  # the same direction, from rows rescaled to max-abs 1
             unit = pts[low] / scale[low, None]
-            g[low] = -unit / np.linalg.norm(unit, axis=1)[:, None]
+            g[low] = -unit / _column_norms(unit)[:, None]
         return _nan_where_zero(g, scale)
 
     return fn, grad
@@ -137,7 +141,7 @@ def _build_neg_sqrt_x1p4_x2sq(dimension, params):
     def grad(pts):
         q = pts[:, 0] ** 4 + pts[:, 1] ** 2
         s = np.sqrt(q)
-        scale = np.abs(pts).max(axis=1)
+        scale = _abs_max(pts)
         g = np.empty_like(pts)
         with np.errstate(divide="ignore", invalid="ignore"):
             g[:, 0] = -2.0 * pts[:, 0] ** 3 / s
@@ -224,48 +228,6 @@ def named_function(
     params = dict(params or {})
     fn, grad = _REGISTRY[identifier](dimension, params)
     return FunctionSpec(identifier, dimension, fn, grad, domain)
-
-
-def sampled_function(
-    axes: list[np.ndarray],
-    values: np.ndarray,
-    domain: DomainSpec | None = None,
-    identifier: str = "sampled-grid",
-) -> FunctionSpec:
-    """Multilinear interpolation on a node lattice (order 1; keeps Lipschitz
-    and concavity bounds that higher orders would break).
-
-    ``axes`` holds the strictly increasing nodes of each axis, at least two
-    per axis, and ``values`` the data at the lattice nodes.  A point outside
-    the lattice's box raises EvaluationError; a point on the last node of an
-    axis belongs to that axis's last interval.
-    """
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    values = np.asarray(values, dtype=float)
-    if values.shape != tuple(a.size for a in axes):
-        raise InputError(f"values have shape {values.shape}, the axes need "
-                         f"{tuple(a.size for a in axes)}")
-    if any(a.size < 2 or not np.all(np.diff(a) > 0.0) for a in axes):
-        raise InputError("each axis needs at least two strictly increasing nodes")
-
-    def fn(pts):
-        lo, t = [], []
-        for j, a in enumerate(axes):
-            x = pts[:, j]
-            if not np.all((x >= a[0]) & (x <= a[-1])):
-                raise EvaluationError(f"point outside the sampled grid in axis {j}")
-            i = np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2)
-            lo.append(i)
-            t.append((x - a[i]) / (a[i + 1] - a[i]))
-        out = np.zeros(pts.shape[0])
-        for corner in itertools.product((0, 1), repeat=len(axes)):
-            w = np.ones(pts.shape[0])
-            for tj, c in zip(t, corner):
-                w *= tj if c else 1.0 - tj
-            out += w * values[tuple(i + c for i, c in zip(lo, corner))]
-        return out
-
-    return FunctionSpec(identifier, len(axes), fn, None, domain)
 
 
 # -- finite differences -----------------------------------------------------

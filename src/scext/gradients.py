@@ -34,7 +34,7 @@ from .errors import (
     IsolationError,
 )
 from .funcspace import _stencil
-from .geometry import DomainSpec, _vec, segment_in_closure
+from .geometry import DomainSpec, _by_columns, _vec, segment_in_closure
 from .semiconcavity import ModulusParams
 
 DEFAULT_RATIO = 0.5
@@ -53,7 +53,7 @@ _GOLDEN = 0.6180339887498949
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) matrix of distances between rows, with the bits of
     np.linalg.norm(a[:, None] - b[None], axis=-1)."""
-    return np.sqrt(np.add.reduce((a[:, None] - b[None]) ** 2, axis=-1))
+    return np.sqrt(_by_columns(np.add, (a[:, None] - b[None]) ** 2))
 
 
 def _diameter(reps: np.ndarray) -> float:
@@ -125,13 +125,13 @@ def _gradient_samples(
     m, d = pts.shape
     if getattr(func, "has_gradient", False):
         grads = func.gradient_many(pts)
-        mask = ~np.isnan(grads).any(axis=1)
+        mask = ~_by_columns(np.logical_or, np.isnan(grads))
         return mask, grads[mask]
     mask = np.zeros(m, dtype=bool)
     rows = _stencil(pts, h_fd, centre=True)
     if fd_domain is not None:
         ok_rows = fd_domain.contains_many(rows, "closure").reshape(m, 2 * d + 1)
-        fit = ok_rows.all(axis=1)
+        fit = _by_columns(np.logical_and, ok_rows)
     else:
         fit = np.ones(m, dtype=bool)
     if not fit.any():
@@ -141,7 +141,7 @@ def _gradient_samples(
     u0 = vals[:, 0]
     fwd = (vals[:, 1 : d + 1] - u0[:, None]) / h_fd
     bwd = (u0[:, None] - vals[:, d + 1 :]) / h_fd
-    smooth = np.abs(fwd - bwd).max(axis=1) <= eps_c
+    smooth = _by_columns(np.maximum, np.abs(fwd - bwd)) <= eps_c
     mask[np.flatnonzero(fit)[smooth]] = True
     return mask, 0.5 * (fwd + bwd)[smooth]
 
@@ -301,7 +301,7 @@ def _merge(means: np.ndarray, counts: np.ndarray, k: np.ndarray, eps_c: float) -
             g = ids[lo : lo + step]
             m, c, a = means[g, :K], counts[g, :K], alive[g, :K]
             m[~a] = 0.0  # unused slots hold inf: keep inf - inf out of the differences
-            dist = np.sqrt(np.add.reduce((m[:, :, None] - m[:, None]) ** 2, axis=-1))
+            dist = np.sqrt(_by_columns(np.add, (m[:, :, None] - m[:, None]) ** 2))
             dist[~(a[:, :, None] & a[:, None])] = np.inf
             dist[:, np.arange(K), np.arange(K)] = np.inf
             while True:
@@ -321,7 +321,7 @@ def _merge(means: np.ndarray, counts: np.ndarray, k: np.ndarray, eps_c: float) -
                 m[n, i] = (ci[:, None] * m[n, i] + cj[:, None] * m[n, j]) / w[:, None]
                 c[n, i] = w
                 a[n, j] = False
-                row = np.sqrt(np.add.reduce((m[n, i][:, None] - m) ** 2, axis=-1))
+                row = np.sqrt(_by_columns(np.add, (m[n, i][:, None] - m) ** 2))
                 row[~a] = np.inf
                 row[n, i] = np.inf
                 dist[n, i], dist[n, :, i] = row, row
@@ -363,7 +363,7 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     counts = np.zeros((n_groups, n_max))
     k = np.zeros(n_groups, dtype=np.intp)
     half = 0.5 * eps_c
-    first_bad = rank[group[~np.isfinite(samples).all(axis=1)]].min(initial=n_groups)
+    first_bad = rank[group[~_by_columns(np.logical_and, np.isfinite(samples))]].min(initial=n_groups)
     stop = min(_SWEEP_GROUPS, int(first_bad)) if d < 8 else 0
     t = 0
     while t < n_max and n_live[t] > stop:
@@ -373,7 +373,7 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
         join = np.zeros(live, dtype=bool)
         if top:
             diff = means[:live, :top] - p[:, None, :]
-            dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+            dist = np.sqrt(_by_columns(np.add, diff * diff))
             j = np.argmin(dist, axis=1)
             join = dist[np.arange(live), j] <= half
             g, j = np.flatnonzero(join), j[join]

@@ -637,36 +637,6 @@ def stage_trace(ctx: StageContext) -> tuple[dict, dict]:
     return metrics, {"arcs.json": [arc.to_dict() for arc in arcs]}
 
 
-def fd_hessian_max(func, pts: np.ndarray, step: float) -> float:
-    """Largest eigenvalue of the 2nd-order central-difference Hessian."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n, d = pts.shape
-    eye = np.eye(d)
-    rows = [pts]
-    for i in range(d):
-        rows.extend([pts + step * eye[i], pts - step * eye[i]])
-    for i in range(d):
-        for j in range(i + 1, d):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    rows.append(pts + step * (si * eye[i] + sj * eye[j]))
-    vals = func.evaluate_many(np.vstack(rows))
-    blocks = vals.reshape(-1, n)
-    f0 = blocks[0]
-    H = np.empty((n, d, d))
-    k = 1
-    for i in range(d):
-        fp, fm = blocks[k], blocks[k + 1]
-        H[:, i, i] = (fp - 2.0 * f0 + fm) / step**2
-        k += 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            fpp, fpm, fmp, fmm = blocks[k], blocks[k + 1], blocks[k + 2], blocks[k + 3]
-            H[:, i, j] = H[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
-            k += 4
-    return float(np.max(np.linalg.eigvalsh(H)))
-
-
 def stage_mollify(ctx: StageContext) -> tuple[dict, dict]:
     sc, kn, field, params = ctx.scenario, ctx.knobs, ctx.field, ctx.params
     half = BallRegion(sc.ball.center, 0.5 * sc.ball.radius)

@@ -28,7 +28,6 @@ from scext import (
     trace_singular_arc,
 )
 from scext.geometry import BallRegion, box, closure_grid, disk
-from scext.scenarios import fd_hessian_max
 
 from conftest import PROBE, ball_points
 
@@ -184,6 +183,36 @@ def test_criterion_07_mollified_approximants_converge(ex2):
         assert cert.passed
     assert sups[1] / sups[0] <= 0.6
     assert sups[2] / sups[1] <= 0.6
+
+
+def fd_hessian_max(func, pts: np.ndarray, step: float) -> float:
+    """Largest eigenvalue of the 2nd-order central-difference Hessian."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    n, d = pts.shape
+    eye = np.eye(d)
+    rows = [pts]
+    for i in range(d):
+        rows.extend([pts + step * eye[i], pts - step * eye[i]])
+    for i in range(d):
+        for j in range(i + 1, d):
+            for si in (1.0, -1.0):
+                for sj in (1.0, -1.0):
+                    rows.append(pts + step * (si * eye[i] + sj * eye[j]))
+    vals = func.evaluate_many(np.vstack(rows))
+    blocks = vals.reshape(-1, n)
+    f0 = blocks[0]
+    H = np.empty((n, d, d))
+    k = 1
+    for i in range(d):
+        fp, fm = blocks[k], blocks[k + 1]
+        H[:, i, i] = (fp - 2.0 * f0 + fm) / step**2
+        k += 2
+    for i in range(d):
+        for j in range(i + 1, d):
+            fpp, fpm, fmp, fmm = blocks[k], blocks[k + 1], blocks[k + 2], blocks[k + 3]
+            H[:, i, j] = H[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * step**2)
+            k += 4
+    return float(np.max(np.linalg.eigvalsh(H)))
 
 
 def test_criterion_08_mollified_hessian_bounded(ex2):

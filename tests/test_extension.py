@@ -28,7 +28,7 @@ from scext import (
     named_function,
     partition_weights,
 )
-from scext.extension import _FINE_PER_RADIUS, _NEST, _node_index
+from scext.extension import _FINE_PER_RADIUS, _NEST, _node_index, _pad
 from scext.funcspace import FunctionSpec, _stencil
 from scext.geometry import boundary_sample, capped_disk, closure_grid
 from scext.gradients import _gradient_samples, reachable_gradients
@@ -347,6 +347,19 @@ def _dense_envelope(field, pts):
     return best + c * x_sq if field.params.alpha == 1.0 else best
 
 
+def _span_scan(field, x, cand):
+    """The kernel's scan of one span of rows x against the padded list cand:
+    the rows are padded to whole gemm column blocks when they are at least
+    as many as the candidates (pairs-major); plus c|x|^2 at alpha = 1."""
+    n = x.shape[0]
+    m = n + -n % 8 if n >= cand.size else n
+    x = x[np.minimum(np.arange(m), n - 1)]
+    x_sq = np.einsum("ij,ij->i", x, x)
+    out = np.empty(m)
+    field._scan(x, x_sq, 0, m, cand, out)
+    return out[:n] + field.coefficient * x_sq[:n] if field.params.alpha == 1.0 else out[:n]
+
+
 def _stencil_cloud(field, n_centres, h, seed):
     """Mollifier stencils (the 21-point quadrature grid scaled by 1/h) around
     random centres: a few hundred rows per fine cell, so the finer level is
@@ -420,6 +433,27 @@ class TestEnvelopeKernel:
         if n >= 500:
             assert np.any(~half_disk.contains_many(pts, "closure"))
         assert np.array_equal(half_alpha.envelope_values(pts), _dense_envelope(half_alpha, pts))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_short_spans_scan_either_way_like_the_dense_scan(self, alpha, dim):
+        # spans of 1-40 rows against lists of 8-512 pairs: a span at least as
+        # long as its list is scanned pairs-major, a shorter one rows-major;
+        # both give the dense scan's bits, and so does each row alone
+        rng = np.random.default_rng(40 + dim)
+        ball = BallRegion(np.zeros(dim), 1.0)
+        pts = rng.uniform(-0.5, 0.5, (40, dim))
+        for k in (8, 9, 100, 333, 512):
+            y = rng.uniform(-0.5, 0.5, (k, dim))
+            p, u = rng.standard_normal((k, dim)), rng.standard_normal(k)
+            support = SupportSet(y, p, u, ["smooth"] * k, ball, 0.1)
+            field = ExtensionField(support, ModulusParams(alpha, 0.0), 1.0, None, None)
+            dense = _dense_envelope(field, pts)
+            cand = _pad(np.arange(k, dtype=np.int32))
+            for n in (1, 2, 7, 8, 9, 16, 31, 40):
+                assert _span_scan(field, pts[:n], cand).tobytes() == dense[:n].tobytes(), (k, n)
+            alone = np.concatenate([_span_scan(field, pts[i : i + 1], cand) for i in range(40)])
+            assert alone.tobytes() == dense.tobytes(), k
 
     def test_fractional_identity_at_support_nodes(self, half_alpha, ex2):
         # at x = y the expression's |x|^2 + |y|^2 - 2<x, y> is zero only up to
@@ -519,6 +553,7 @@ class TestEnvelopeKernel:
         field = ExtensionField(support, params, 1.0, ex2["func"], half_disk)
         whole = field.envelope_values(pts)
         assert field._index[2], "the finer level was not built"
+        assert field._unions, "no fine cell was scanned against its children's union"
         assert np.array_equal(whole, _dense_envelope(field, pts))
         perm = np.random.default_rng(42).permutation(pts.shape[0])
         for cold in (True, False):

@@ -9,10 +9,8 @@ from scext import (
     BallRegion,
     DimensionError,
     EvaluationError,
-    InputError,
     gradient,
     named_function,
-    sampled_function,
 )
 from scext.funcspace import _REGISTRY
 
@@ -79,6 +77,9 @@ class TestEvaluate:
 
     def test_neg_sqrt(self, functions):
         assert functions["neg-sqrt"]((1.0, 0.0)) == pytest.approx(-1.0, abs=1e-15)
+
+    def test_declared_domain_present(self, functions, half_disk):
+        assert functions["neg-norm"].evaluation_domain is half_disk
 
     def test_affine_and_constant(self, functions):
         assert functions["affine"]((0.25, 0.7)) == pytest.approx(0.5, abs=1e-15)
@@ -173,79 +174,3 @@ class TestLoneRows:
         batch = f.evaluate_many(pts)
         alone = np.array([f.evaluate_many(pts[i : i + 1])[0] for i in range(1000)])
         assert np.array_equal(alone.view(np.int64), batch.view(np.int64))
-
-
-def _trilinear(pts):
-    x, y, z = pts.T
-    return (0.5 - 1.25 * x + 2.0 * y + 0.75 * z
-            + 3.0 * x * y - 1.5 * x * z + 0.25 * y * z - 2.5 * x * y * z)
-
-
-class TestSampledGrid:
-    _AXES = [np.array([0.0, 0.25, 0.6, 1.0]), np.array([-1.0, 0.5, 2.0])]
-
-    def _grid_function(self):
-        g1, g2 = np.meshgrid(*self._AXES, indexing="ij")
-        return sampled_function(self._AXES, np.sin(3.0 * g1) * np.cos(g2))
-
-    def test_interpolation_reproduces_linear_data(self):
-        axes = [np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11)]
-        g1, g2 = np.meshgrid(*axes, indexing="ij")
-        values = 2.0 * g1 - 0.5 * g2 + 0.25
-        f = sampled_function(axes, values)
-        pts = np.array([[0.13, 0.77], [0.5, 0.5], [0.99, 0.01]])
-        want = 2.0 * pts[:, 0] - 0.5 * pts[:, 1] + 0.25
-        assert np.allclose(f.evaluate_many(pts), want, atol=1e-12)
-
-    @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("side", [0, -1])
-    def test_just_outside_each_face_raises(self, axis, side):
-        f = self._grid_function()
-        a = self._AXES[axis]
-        pt = [0.5, 0.5]
-        pt[axis] = np.nextafter(a[side], -np.inf if side == 0 else np.inf)
-        with pytest.raises(EvaluationError):
-            f.evaluate_many([pt])
-        pt[axis] = a[side]  # the face itself belongs to the grid
-        assert np.isfinite(f.evaluate_many([pt])).all()
-
-    def test_last_node_of_each_axis_gives_the_node_value(self):
-        f = self._grid_function()
-        a1, a2 = self._AXES
-        g1, g2 = np.meshgrid(a1, a2, indexing="ij")
-        values = np.sin(3.0 * g1) * np.cos(g2)
-        last = [(a1[-1], y) for y in a2] + [(x, a2[-1]) for x in a1]
-        want = np.concatenate([values[-1, :], values[:, -1]])
-        assert np.array_equal(f.evaluate_many(last), want)
-
-    def test_trilinear_function_reproduced(self):
-        axes = [np.array([-1.0, -0.2, 0.3, 1.0]), np.array([0.0, 0.5, 2.0]),
-                np.array([-2.0, -1.0, 0.0, 0.7, 1.5])]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.column_stack([m.ravel() for m in mesh])
-        f = sampled_function(axes, _trilinear(nodes).reshape(mesh[0].shape))
-        rng = np.random.default_rng(8)
-        pts = np.column_stack([rng.uniform(a[0], a[-1], 2000) for a in axes])
-        assert np.abs(f.evaluate_many(pts) - _trilinear(pts)).max() <= 1e-12
-
-    def test_rejects_malformed_axes(self):
-        with pytest.raises(InputError):
-            sampled_function([np.array([0.0, 1.0, 0.5])], np.zeros(3))
-        with pytest.raises(InputError):
-            sampled_function([np.array([0.0])], np.zeros(1))
-        with pytest.raises(InputError):
-            sampled_function([np.array([0.0, 1.0])], np.zeros(3))
-
-    def test_matches_scipy_regular_grid_interpolator(self):
-        interpolate = pytest.importorskip("scipy.interpolate")
-        rng = np.random.default_rng(9)
-        axes = [np.sort(rng.uniform(-1.0, 1.0, 7)), np.sort(rng.uniform(0.0, 3.0, 9)),
-                np.sort(rng.uniform(-2.0, 0.0, 5))]
-        values = rng.standard_normal((7, 9, 5))
-        f = sampled_function(axes, values)
-        pts = np.column_stack([rng.uniform(a[0], a[-1], 10_000) for a in axes])
-        want = interpolate.RegularGridInterpolator(axes, values)(pts)
-        assert np.allclose(f.evaluate_many(pts), want, rtol=0.0, atol=1e-12)
-
-    def test_declared_domain_present(self, functions, half_disk):
-        assert functions["neg-norm"].evaluation_domain is half_disk

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scext import (
     BallRegion,
@@ -21,7 +22,8 @@ from scext import (
     sample_closure_points,
     segment_in_closure,
 )
-from scext.geometry import _KINDS, _column_norms
+from scext.funcspace import _abs_max
+from scext.geometry import _KINDS, _by_columns, _column_norms
 from scext.semiconcavity import _sample_triples
 
 from conftest import ball_points
@@ -155,6 +157,38 @@ class TestColumnMembership:
         assert np.array_equal(
             region.contains_many(v), want <= region.radius * (1.0 + 1e-12) + 1e-12
         )
+
+
+# finite values of every scale, subnormals, and the non-finite specials
+_COORD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.floats(min_value=-1e-160, max_value=1e-160),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan]),
+)
+
+
+@st.composite
+def _row_blocks(draw):
+    """(rows, d) or (a, b, d) arrays, d = 1-3 or 8-10, rows mixing the
+    coordinates of _COORD."""
+    d = draw(st.sampled_from([1, 2, 3, 8, 9, 10]))
+    lead = draw(st.sampled_from([(17,), (1,), (3, 5)]))
+    return draw(hnp.arrays(np.float64, lead + (d,), elements=_COORD))
+
+
+class TestByColumns:
+    @given(_row_blocks())
+    def test_equals_the_numpy_reduction_bit_for_bit(self, v):
+        with np.errstate(all="ignore"):
+            for op in (np.add, np.minimum, np.maximum):
+                assert _by_columns(op, v).tobytes() == op.reduce(v, axis=-1).tobytes()
+            squares = v * v
+            assert _by_columns(np.add, squares).tobytes() == np.add.reduce(squares, axis=-1).tobytes()
+            assert _column_norms(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+            assert _abs_max(v).tobytes() == np.abs(v).max(axis=-1).tobytes()
+        for mask in (np.isnan(v), np.isfinite(v), v > 0.0):
+            assert np.array_equal(_by_columns(np.logical_or, mask), mask.any(axis=-1))
+            assert np.array_equal(_by_columns(np.logical_and, mask), mask.all(axis=-1))
 
 
 class TestSegmentInClosure:
