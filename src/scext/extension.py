@@ -618,20 +618,19 @@ def build_extension(
     flagged = u_z - field._min_over_pairs(z) > tol
     if not flagged.any():
         return field
-    # the flagged nodes, padded to whole gemm column blocks
-    rows = _pad(np.flatnonzero(flagged))
-    z, u_z = z[rows], u_z[rows]
+    z, u_z = z[flagged], u_z[flagged]
     z_sq = np.einsum("ij,ij->i", z, z)
     k = support.size
-    worst = np.full(k, -np.inf)
-    step = max(_LANES, _BLOCK // k // _LANES * _LANES)
-    for lo in range(0, z.shape[0], step):
-        idx = slice(lo, lo + step)
-        vals = field._pair_values(z[idx], z_sq[idx], np.arange(k))
+    pairs = _pad(np.arange(k))
+    worst = np.full(pairs.size, -np.inf)
+    # rows-major: the nodes are fewer than the pairs
+    for idx in np.array_split(np.arange(z.shape[0]), -(-z.shape[0] * pairs.size // _BLOCK)):
+        vals = field._pair_values(z[idx], z_sq[idx], pairs, axis=1)
         if params.alpha == 1.0:
-            vals += field.coefficient * z_sq[idx]
-        np.subtract(u_z[idx], vals, out=vals)
-        np.maximum(worst, vals.max(axis=1), out=worst)
+            vals += field.coefficient * z_sq[idx, None]
+        np.subtract(u_z[idx, None], vals, out=vals)
+        np.maximum(worst, vals.max(axis=0), out=worst)
+    worst = worst[:k]
     keep = worst <= tol
     # the least-violating pair of each node leads its group; orphaned nodes keep it
     order = np.lexsort((worst, node))

@@ -56,9 +56,10 @@ def _by_columns(op: np.ufunc, v: np.ndarray) -> np.ndarray:
     numpy reduces a short contiguous axis row by row, at 8-15 times the cost
     of the same work done column by column along the long axis.  It adds an
     axis shorter than 8 from left to right, as this loop does, starting from
-    the identity (so a row of -0.0 sums to 0.0), and min, max, any and all
-    are exact in any order; from 8 coordinates on numpy sums pairwise, so
-    such rows go to op.reduce.
+    the identity (so a row of -0.0 sums to 0.0); min and max taken left to
+    right pick the entry numpy picks, -0.0 against 0.0 included, and any and
+    all are exact.  From 8 coordinates on numpy sums pairwise, so such rows
+    go to op.reduce.
     """
     if v.shape[-1] >= 8:
         return op.reduce(v, axis=-1)

@@ -34,7 +34,7 @@ from .errors import (
     IsolationError,
 )
 from .funcspace import _stencil
-from .geometry import DomainSpec, _by_columns, _vec, segment_in_closure
+from .geometry import DomainSpec, _by_columns, _column_norms, _vec, segment_in_closure
 from .semiconcavity import ModulusParams
 
 DEFAULT_RATIO = 0.5
@@ -53,7 +53,7 @@ _GOLDEN = 0.6180339887498949
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) matrix of distances between rows, with the bits of
     np.linalg.norm(a[:, None] - b[None], axis=-1)."""
-    return np.sqrt(_by_columns(np.add, (a[:, None] - b[None]) ** 2))
+    return _column_norms(a[:, None] - b[None])
 
 
 def _diameter(reps: np.ndarray) -> float:
@@ -301,7 +301,7 @@ def _merge(means: np.ndarray, counts: np.ndarray, k: np.ndarray, eps_c: float) -
             g = ids[lo : lo + step]
             m, c, a = means[g, :K], counts[g, :K], alive[g, :K]
             m[~a] = 0.0  # unused slots hold inf: keep inf - inf out of the differences
-            dist = np.sqrt(_by_columns(np.add, (m[:, :, None] - m[:, None]) ** 2))
+            dist = _column_norms(m[:, :, None] - m[:, None])
             dist[~(a[:, :, None] & a[:, None])] = np.inf
             dist[:, np.arange(K), np.arange(K)] = np.inf
             while True:
@@ -321,7 +321,7 @@ def _merge(means: np.ndarray, counts: np.ndarray, k: np.ndarray, eps_c: float) -
                 m[n, i] = (ci[:, None] * m[n, i] + cj[:, None] * m[n, j]) / w[:, None]
                 c[n, i] = w
                 a[n, j] = False
-                row = np.sqrt(_by_columns(np.add, (m[n, i][:, None] - m) ** 2))
+                row = _column_norms(m[n, i][:, None] - m)
                 row[~a] = np.inf
                 row[n, i] = np.inf
                 dist[n, i], dist[n, :, i] = row, row
@@ -363,7 +363,8 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     counts = np.zeros((n_groups, n_max))
     k = np.zeros(n_groups, dtype=np.intp)
     half = 0.5 * eps_c
-    first_bad = rank[group[~_by_columns(np.logical_and, np.isfinite(samples))]].min(initial=n_groups)
+    finite = _by_columns(np.logical_and, np.isfinite(samples))
+    first_bad = rank[group[~finite]].min(initial=n_groups)
     stop = min(_SWEEP_GROUPS, int(first_bad)) if d < 8 else 0
     t = 0
     while t < n_max and n_live[t] > stop:
@@ -372,8 +373,7 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
         top = int(k[:live].max())
         join = np.zeros(live, dtype=bool)
         if top:
-            diff = means[:live, :top] - p[:, None, :]
-            dist = np.sqrt(_by_columns(np.add, diff * diff))
+            dist = _column_norms(means[:live, :top] - p[:, None, :])
             j = np.argmin(dist, axis=1)
             join = dist[np.arange(live), j] <= half
             g, j = np.flatnonzero(join), j[join]
