@@ -71,9 +71,8 @@ group is scanned against its cell's candidate pairs only.
   node z, v_j computed by the kernel's expression (``_pair_values``).  The
   kernel runs once at the distinct nodes; a violating pair has env(z) <=
   v_j(z) < u(z) - tol, so only nodes with u(z) - env(z) > tol can hold a
-  violation, and a pairs-major scan of those nodes (padded to whole gemm
-  blocks) against all pairs gives every prunable pair's worst violation
-  exactly.
+  violation, and a dense scan of those nodes against all pairs (padded to
+  whole gemm blocks) gives every prunable pair's worst violation exactly.
   At alpha = 1 the scan adds c|z|^2 to each value; rounding is monotone, so
   min_j fl(A_j + s) = fl(min_j A_j + s) and the two agree bit for bit.
   The kept field inherits a cell of the full field, filtered to the kept
@@ -340,7 +339,7 @@ class ExtensionField:
             "ij,ij->i", self.support.gradients, self.support.points
         )
         self._y_sq = np.einsum("ij,ij->i", self.support.points, self.support.points)
-        self._y2 = 2.0 * self.support.points
+        self._y2 = 2.0 * self.support.points  # <x, 2y> has the bits of <2x, y>
         if self.params.alpha == 1.0:
             # quadratic kernel: value_j(x) = coeff*|x|^2 + <q_j, x> + b_j, so the
             # minimum reduces to one matrix product over the pairs
@@ -476,8 +475,9 @@ class ExtensionField:
 
     def _pair_values(self, x, x_sq, cand, axis: int = 0) -> np.ndarray:
         """Values of pairs ``cand`` at the rows of ``x`` (module docstring),
-        without the shared c|x|^2 at alpha = 1: a (candidates x rows) block,
-        with the candidates along ``axis`` (0 pairs-major, 1 rows-major)."""
+        without the shared c|x|^2 at alpha = 1, with the candidates along
+        ``axis``: a (candidates x rows) block for 0, (rows x candidates) for
+        1."""
         c, a = self.coefficient, self.params.alpha
 
         def dot(m):  # <m_j, x> for the pairs' rows m_j
