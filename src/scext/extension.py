@@ -28,17 +28,17 @@ group is scanned against its cell's candidate pairs only.
   the box, and at alpha = 1 the bound is the exact minimum of the affine
   v_j - v_b.  Computed coordinate by coordinate on (cells x candidates)
   arrays.  Candidates: the pairs whose bound is at most the slack.
-* Levels: coarse cells (radius/4) filter all pairs, fine cells (radius/12)
-  their coarse parent's candidates and finer cells (radius/36) their fine
-  parent's; a cell's parent is its key // 3.  Every query is keyed at the
-  finer level, so its three cells are nested boxes that all hold it.  The
-  missing children of one parent are filtered in one pass, and every cell is
-  cached on the field.  A call scans each fine cell's rows once: against
-  the cached union of all 3^d finer children's candidates when it exists or
-  the rows outnumber what building the missing children costs
+* Levels: coarse cells (radius/4) filter all pairs and fine cells (radius/12)
+  their coarse parent's candidates; a cell's parent is its key // 3, and
+  both levels are cached on the field.  Every query is keyed at the finer
+  edge (radius/36), so its coarse and fine cells are nested boxes that hold
+  it.  A call scans each fine cell's rows once: against the cell's cached
+  refined list when it exists or the rows outnumber what building it costs
   (``_pays_to_refine``), and against the fine cell's candidates otherwise.
-  A row's finer cell list is part of the union, and a minimum over any list
-  between a cell's candidates and all pairs is the full one (Exactness).
+  The refined list is the union of what one bound pass over the fine cell's
+  candidates keeps for each of its 3^d finer children (radius/36).  A row's
+  finer cell list is part of it, and a minimum over any list between a
+  cell's candidates and all pairs is the full one (Exactness).
 * Exactness: if every computed value in the cell is within e of the exact
   one and j* attains the computed minimum at x, then v_j*(x) <= v_b(x) + 2e,
   so the bound of j*, a lower bound of v_j* - v_b at x, is at most 2e.  A
@@ -84,7 +84,8 @@ group is scanned against its cell's candidate pairs only.
   over a superset of the kept pairs: j* passed the full filter and is in
   the inherited list.  (b is also the pair that filtering the kept
   candidates afresh would pick: they keep their order, and a pair's centre
-  value does not depend on the others.)  Other cells are rebuilt on use.
+  value does not depend on the others.)  Other cells and the refined lists
+  are rebuilt on use.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ from .errors import (
 )
 from .funcspace import _gemm
 from .geometry import BallRegion, DomainSpec, boundary_sample, closure_grid, disk
-from .gradients import DEFAULT_RATIO, _gradient_samples, _reachable_sets, _row_norms
+from .gradients import _gradient_samples, _reachable_sets, _row_norms
 from .semiconcavity import ModulusParams
 
 DEFAULT_SPACING_SCALE = 0.01  # support spacing as a fraction of the ball radius
@@ -179,11 +180,11 @@ def _cell_runs(pts: np.ndarray, size: float):
     return order, list(map(tuple, fine[order[starts]].tolist())), np.r_[starts, code.size]
 
 
-def _pays_to_refine(rows: int, missing: int, d: int, alpha: float) -> bool:
-    """Whether a call's rows in one fine cell pay for building its missing
-    finer children, whose union is far shorter than the cell's list.  With K
-    candidates in the cell, scanning the rows costs rows * K * S and the
-    children's bound pass missing * K * B; K cancels.
+def _pays_to_refine(rows: int, d: int, alpha: float) -> bool:
+    """Whether a call's rows in one fine cell pay for building its refined
+    list, which is far shorter than the cell's list.  With K candidates in the
+    cell, scanning the rows costs rows * K * S and the bound pass over its 3^d
+    finer children 3^d * K * B; K cancels.
     ``_pair_values`` and the minimum make 3 elementwise passes per (row,
     candidate) entry at alpha = 1 and 10 at alpha < 1; ``_prune_cells``
     makes 6 per coordinate and 4 more per (cell, candidate) entry at alpha =
@@ -193,13 +194,14 @@ def _pays_to_refine(rows: int, missing: int, d: int, alpha: float) -> bool:
     fine cells of example1's support (K ~ 400, 9 children, 70 rows; one
     thread): 2.3 and 35 ns at alpha = 1, 11.3 and 65 ns at alpha = 0.5; B
     scales with its passes in d.  (S was measured on rows-major scans of
-    each child; on the benchmark workloads' kernel calls, union scans with
-    rows halved or doubled here timed within noise of these.)"""
+    each child; on the benchmark workloads' kernel calls, scans of the
+    refined list with rows halved or doubled here timed within noise of
+    these.)"""
     if alpha == 1.0:
         scan, bound = 2.3, 35.0 * (6 * d + 4) / 16
     else:
         scan, bound = 11.3, 65.0 * (14 * d + 10) / 38
-    return rows * scan > missing * bound
+    return rows * scan > _NEST**d * bound
 
 
 def _pad(cand: np.ndarray) -> np.ndarray:
@@ -298,7 +300,7 @@ def build_support_set(
     smooth = inner[mask]
     multi = np.vstack([anchors[~interior], inner[~mask]])
 
-    reps, _ = _reachable_sets(func, domain, multi, r0, DEFAULT_RATIO, k_max, m_a, eps_c, h_fd)
+    reps, _ = _reachable_sets(func, domain, multi, r0, k_max, m_a, eps_c, h_fd)
     n_reps = [r.shape[0] for r in reps]
     points = np.vstack([smooth, np.repeat(multi, n_reps, axis=0)])
     gradients_arr = np.vstack([grads, *reps])
@@ -362,13 +364,13 @@ class ExtensionField:
             float(np.abs(icpt).max()),
             float(np.sqrt(self._y_sq.max())),
         )
-        # candidate index, built on first use: per level (coarse, fine, finer),
-        # cell key -> (candidate pairs, the cell's reference pair)
+        # candidate index, built on first use: per level (coarse, fine), cell
+        # key -> (candidate pairs, the cell's reference pair)
         self._cell = self.ball.radius / _FINE_PER_RADIUS
         self._sizes = (_NEST * self._cell, self._cell, self._cell / _NEST)
-        self._index: tuple[dict, dict, dict] = ({}, {}, {})
-        # fine cell key -> the union of its finer children's candidates, and
-        # the offsets of a fine cell's children keys from _NEST * its key
+        self._index: tuple[dict, dict] = ({}, {})
+        # fine cell key -> its refined list, and the offsets of a fine cell's
+        # finer children keys from _NEST * its key
         self._unions: dict = {}
         d = self.support.points.shape[1]
         self._child_offsets = np.indices((_NEST,) * d).reshape(d, -1).T
@@ -420,9 +422,8 @@ class ExtensionField:
 
     def _min_over_pairs(self, pts: np.ndarray) -> np.ndarray:
         """The envelope kernel (module docstring): queries are grouped by fine
-        cell and each group is scanned once (``_scan``), against the union of
-        the cell's finer children's candidates where that pays and against
-        the cell's own candidates otherwise."""
+        cell and each group is scanned once (``_scan``), against the cell's
+        refined list where that pays and against its candidates otherwise."""
         c, a = self.coefficient, self.params.alpha
         out = np.empty(pts.shape[0])
         if not pts.shape[0]:
@@ -446,17 +447,18 @@ class ExtensionField:
         return out
 
     def _scan_list(self, key: tuple, cand: np.ndarray, rows: int) -> np.ndarray:
-        """The list to scan ``rows`` rows of fine cell ``key`` against: the
-        cached union of its finer children's candidates, built (marked on a
-        mask) when ``_pays_to_refine``, else the cell's candidates ``cand``."""
+        """The list to scan ``rows`` rows of fine cell ``key`` against: its
+        cached refined list, built when ``_pays_to_refine``, else the cell's
+        candidates ``cand``.  The refined list is what one bound pass over
+        ``cand`` keeps for any of the cell's finer children, marked on a
+        mask."""
         union = self._unions.get(key)
         if union is None:
-            children = list(map(tuple, (np.array(key) * _NEST + self._child_offsets).tolist()))
-            missing = sum(child not in self._index[2] for child in children)
-            if not _pays_to_refine(rows, missing, len(key), self.params.alpha):
+            if not _pays_to_refine(rows, len(key), self.params.alpha):
                 return cand
+            children = np.array(key) * _NEST + self._child_offsets
             mask = np.zeros(self.support.size, dtype=bool)
-            for sub in self._candidates(2, children):
+            for sub in self._prune_cells(cand, children, self._sizes[2])[0]:
                 mask[sub] = True
             union = self._unions[key] = _pad(np.flatnonzero(mask).astype(np.int32))
         return union
@@ -497,8 +499,8 @@ class ExtensionField:
         return vals
 
     def _candidates(self, level: int, keys: list) -> list:
-        """Candidate pairs of the cells ``keys`` at ``level`` (0 coarse, 1 fine,
-        2 finer).  A missing cell is filtered from its parent's candidates and
+        """Candidate pairs of the cells ``keys`` at ``level`` (0 coarse, 1
+        fine).  A missing cell is filtered from its parent's candidates and
         cached; the missing children of one parent share one bound pass."""
         index = self._index[level]
         siblings: dict[tuple, list] = {}

@@ -397,13 +397,14 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     return [parts[r] for r in rank.tolist()]
 
 
-def _reachable_sets(func, domain, anchors, r0, ratio, k_max, m_a, eps_c, h_fd):
+def _reachable_sets(func, domain, anchors, r0, k_max, m_a, eps_c, h_fd):
     """Reachable-gradient representatives at every anchor, in lockstep.
 
-    Ring k of every anchor has radius r0*ratio**k; all rings' candidates are
-    tested with one contains_many and sampled with one gradient call, their
-    gaps refined together (``_refine_rings``), and each anchor's pooled
-    samples, ring by ring, clustered as one group of ``_cluster``.  Returns
+    Ring k of every anchor has radius r0*DEFAULT_RATIO**k; all rings'
+    candidates are tested with one contains_many and sampled with one
+    gradient call, their gaps refined together (``_refine_rings``), and each
+    anchor's pooled samples, ring by ring, clustered as one group of
+    ``_cluster``.  Returns
     the representatives and the number of samples per anchor; an anchor
     without samples raises IsolationError (the first one in anchor order).
     """
@@ -414,7 +415,7 @@ def _reachable_sets(func, domain, anchors, r0, ratio, k_max, m_a, eps_c, h_fd):
         return _gradient_samples(func, pts, fd_domain, h_fd, eps_c)
 
     base_budget = m_a if d != 2 else max(m_a // 2, 8)
-    radii = [r0 * ratio**k for k in range(k_max)]
+    radii = [r0 * DEFAULT_RATIO**k for k in range(k_max)]
     offsets = np.array(
         [r * _annulus_directions(d, base_budget, k) for k, r in enumerate(radii)]
     ).reshape(k_max, 2 if d == 1 else base_budget, d)
@@ -464,9 +465,7 @@ def reachable_gradients(
         raise InputError("base point must lie in the closure of the domain")
     if h_fd is None:
         h_fd = DEFAULT_FD_FRACTION * r0
-    reps, sizes = _reachable_sets(
-        func, domain, x[None, :], r0, DEFAULT_RATIO, k_max, m_a, eps_c, h_fd
-    )
+    reps, sizes = _reachable_sets(func, domain, x[None, :], r0, k_max, m_a, eps_c, h_fd)
     analytic = getattr(func, "has_gradient", False)
     method_key = "analytic" if analytic else f"central-difference({h_fd:g})"
     n_samples = int(sizes[0])

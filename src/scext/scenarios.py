@@ -59,23 +59,24 @@ from .singularity import (
 # -- closed-form reference envelopes ----------------------------------------
 
 
-def _env_half_disk(pts: np.ndarray, inside: Callable) -> np.ndarray:
-    """Extension across {x1 = 0}: inside values for x1 >= 0, else -|x2| + x1^2."""
+def _env_half_disk(pts: np.ndarray, inside: Callable, alpha: float, c: float) -> np.ndarray:
+    """Extension across {x1 = 0} with coefficient c: inside values for x1 >= 0,
+    else -|x2| + c|x1|^(1+alpha)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    left = -np.abs(pts[:, 1]) + pts[:, 0] ** 2
+    left = -np.abs(pts[:, 1]) + c * np.abs(pts[:, 0]) ** (1.0 + alpha)
     return np.where(pts[:, 0] < 0.0, left, inside(pts))
 
 
-def envelope_neg_norm(pts) -> np.ndarray:
-    return _env_half_disk(pts, lambda q: -np.linalg.norm(q, axis=1))
+def envelope_neg_norm(pts, alpha: float, c: float) -> np.ndarray:
+    return _env_half_disk(pts, lambda q: -np.linalg.norm(q, axis=1), alpha, c)
 
 
-def envelope_neg_abs_x2(pts) -> np.ndarray:
-    return _env_half_disk(pts, lambda q: -np.abs(q[:, 1]))
+def envelope_neg_abs_x2(pts, alpha: float, c: float) -> np.ndarray:
+    return _env_half_disk(pts, lambda q: -np.abs(q[:, 1]), alpha, c)
 
 
-def envelope_neg_sqrt(pts) -> np.ndarray:
-    return _env_half_disk(pts, lambda q: -np.sqrt(q[:, 0] ** 4 + q[:, 1] ** 2))
+def envelope_neg_sqrt(pts, alpha: float, c: float) -> np.ndarray:
+    return _env_half_disk(pts, lambda q: -np.sqrt(q[:, 0] ** 4 + q[:, 1] ** 2), alpha, c)
 
 
 # -- closed-form reference gradient sets -------------------------------------
@@ -84,14 +85,8 @@ def envelope_neg_sqrt(pts) -> np.ndarray:
 def _dist_left_arc(pts: np.ndarray) -> np.ndarray:
     """Distance to {|p| = 1, p1 <= 0}."""
     pts = np.atleast_2d(pts)
-    r = np.linalg.norm(pts, axis=1)
-    on_arc_side = pts[:, 0] <= 0.0
-    d_arc = np.abs(r - 1.0)
-    ends = np.minimum(
-        np.linalg.norm(pts - np.array([0.0, 1.0]), axis=1),
-        np.linalg.norm(pts - np.array([0.0, -1.0]), axis=1),
-    )
-    return np.where(on_arc_side, d_arc, ends)
+    d_arc = np.abs(np.linalg.norm(pts, axis=1) - 1.0)
+    return np.where(pts[:, 0] <= 0.0, d_arc, _dist_vertical_pair(pts))
 
 
 def _pts_left_arc(n: int) -> np.ndarray:
@@ -533,7 +528,8 @@ def stage_extend(ctx: StageContext) -> tuple[dict, dict]:
     }
     if sc.reference_envelope is not None:
         pts = _ball_lattice(sc.ball, kn["sweep_spacing"])
-        err = np.abs(field.evaluate_many(pts) - sc.reference_envelope(pts))
+        ref = sc.reference_envelope(pts, field.params.alpha, field.coefficient)
+        err = np.abs(field.evaluate_many(pts) - ref)
         metrics["sup_error"] = float(np.max(err))
         metrics["n_sweep"] = int(pts.shape[0])
         metrics["passed"] = metrics["sup_error"] <= 0.02

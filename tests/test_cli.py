@@ -662,10 +662,22 @@ class TestReportRoundTrip:
         report, out = example1_run
         metrics = {s["name"]: s["metrics"] for s in report.stages}
         header, rows = _read_rows(out / "field_grid.csv")
-        sup = float(np.max(np.abs(rows[:, 2] - envelope_neg_norm(rows[:, :2]))))
+        ref = envelope_neg_norm(rows[:, :2], 1.0, metrics["extend"]["coefficient"])
+        sup = float(np.max(np.abs(rows[:, 2] - ref)))
         assert rows.shape[0] == metrics["extend"]["n_sweep"]
         assert abs(sup - metrics["extend"]["sup_error"]) <= 1e-12
         assert metrics["extend"]["sup_error"] <= 0.02
+
+    @pytest.mark.parametrize("knobs", [{"alpha": 0.5}, {"alpha": 0.5, "C": 0.5}], ids=["c1", "c1.5"])
+    @pytest.mark.parametrize("scenario", ["example1", "example2", "example3"])
+    def test_fractional_extend_meets_its_reference(self, scenario, knobs):
+        # off the data the reference envelope is -|x2| + c|x1|^(1+alpha); the
+        # alpha = 1 form x1^2 was about 0.1 off at alpha = 0.5
+        report = run_scenario(ScenarioConfig(
+            scenario=scenario, stages=("certify", "support", "extend"), knobs=knobs,
+        ))
+        assert report.all_passed
+        assert report.stages[-1]["metrics"]["sup_error"] <= 0.02
 
 
 def test_default_knobs_are_the_values_callers_set():

@@ -390,8 +390,10 @@ def _kernel_queries(field, n, seed):
 
 
 def _assert_candidates_sound(ball, y, p, u, alpha, x):
-    """At every level (coarse, fine, finer), each query's cell candidates hold
-    a pair whose value at the query, computed elementwise without BLAS, equals
+    """Each query's coarse and fine cell candidates, its finer cell's list
+    from one bound pass over the fine cell's list (as ``_scan_list`` refines),
+    and the refined list ``_scan_list`` returns for a crowding call all hold a
+    pair whose value at the query, computed elementwise without BLAS, equals
     the minimum over all pairs.  Cells are keyed as the kernel keys them."""
     support = SupportSet(y, p, u, ["smooth"] * u.size, ball, 0.05)
     field = ExtensionField(support, ModulusParams(alpha, 0.0), 3.0, None, None)
@@ -402,11 +404,15 @@ def _assert_candidates_sound(ball, y, p, u, alpha, x):
     )
     vals = (x[:, None, :] * p[None, :, :]).sum(axis=2) + offs + 3.0 * d_sq ** (0.5 * (1.0 + alpha))
     finer = np.floor(x / field._sizes[2]).astype(np.int64)
-    for level in (0, 1, 2):
-        keys = finer // _NEST ** (2 - level)
-        for i in range(x.shape[0]):
-            cand = field._candidates(level, [tuple(keys[i].tolist())])[0]
-            assert vals[i, cand].min() == vals[i].min(), (level, i, x[i])
+    for i in range(x.shape[0]):
+        coarse, fine = (tuple((finer[i] // _NEST ** (2 - level)).tolist()) for level in (0, 1))
+        cand = field._candidates(1, [fine])[0]
+        (sub,), _ = field._prune_cells(cand, finer[i : i + 1], field._sizes[2])
+        refined = field._scan_list(fine, cand, 10**6)
+        assert field._unions[fine] is refined
+        lists = (field._candidates(0, [coarse])[0], cand, sub, refined)
+        for level, listed in enumerate(lists):
+            assert vals[i, listed].min() == vals[i].min(), (level, i, x[i])
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
@@ -546,14 +552,15 @@ class TestEnvelopeKernel:
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_crowded_cells_equal_dense_scan(self, ex2, half_disk, alpha):
-        # dense stencil clouds build the finer level; the values must not
-        # depend on it, on the batch, or on which cells earlier calls built
+        # dense stencil clouds build refined lists; the values must not
+        # depend on them, on the batch, or on which cells earlier calls built
         support, params = ex2["support"], ModulusParams(alpha, 0.0)
         pts = _stencil_cloud(ex2["field"], 40, 20, seed=41)
         field = ExtensionField(support, params, 1.0, ex2["func"], half_disk)
         whole = field.envelope_values(pts)
-        assert field._index[2], "the finer level was not built"
-        assert field._unions, "no fine cell was scanned against its children's union"
+        assert field._unions, "no fine cell was scanned against a refined list"
+        for key, refined in field._unions.items():
+            assert np.isin(refined, field._index[1][key][0]).all()
         assert np.array_equal(whole, _dense_envelope(field, pts))
         perm = np.random.default_rng(42).permutation(pts.shape[0])
         for cold in (True, False):

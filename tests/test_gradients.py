@@ -472,7 +472,7 @@ class TestLockstepRefinement:
         # rings around the two far anchors miss the domain altogether
         anchors = np.array([[0.0, 0.5], [3.0, 0.0], [0.5, 0.0], [0.0, 4.0]])
         with pytest.raises(IsolationError, match=r"near \[3\.0, 0\.0\] within radius 0\.02"):
-            _reachable_sets(func, half_disk, anchors, 0.02, 0.5, 4, 64, 0.02, 1e-7)
+            _reachable_sets(func, half_disk, anchors, 0.02, 4, 64, 0.02, 1e-7)
 
 
 class TestSupergradientDefect:
