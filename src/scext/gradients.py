@@ -404,9 +404,9 @@ def _reachable_sets(func, domain, anchors, r0, k_max, m_a, eps_c, h_fd):
     candidates are tested with one contains_many and sampled with one
     gradient call, their gaps refined together (``_refine_rings``), and each
     anchor's pooled samples, ring by ring, clustered as one group of
-    ``_cluster``.  Returns
-    the representatives and the number of samples per anchor; an anchor
-    without samples raises IsolationError (the first one in anchor order).
+    ``_cluster``.  Returns the representatives and the number of samples per
+    anchor; an anchor without samples raises IsolationError (the first one
+    in anchor order).
     """
     n, d = anchors.shape
     fd_domain = func.evaluation_domain
