@@ -54,7 +54,6 @@ class ScenarioConfig:
     """Fully merged run request."""
 
     scenario: str
-    schema: int = _SCHEMA
     stages: tuple[str, ...] | None = None  # None: scenario default stages
     knobs: dict = dc_field(default_factory=dict)
     delta: float | None = None  # ball radius override
@@ -67,7 +66,7 @@ class ScenarioConfig:
         left out, so a run writes the same bytes wherever it is written."""
         return {
             "scenario": self.scenario,
-            "schema": self.schema,
+            "schema": _SCHEMA,
             "stages": list(self.stages) if self.stages else None,
             "knobs": dict(self.knobs),
             "delta": self.delta,
@@ -81,7 +80,6 @@ class RunReport:
     scenario: str
     config: dict
     stages: list = dc_field(default_factory=list)
-    version: str = VERSION
 
     @property
     def all_passed(self) -> bool:
@@ -94,7 +92,7 @@ class RunReport:
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,
-            "version": self.version,
+            "version": VERSION,
             "config": self.config,
             "stages": [
                 {k: v for k, v in s.items() if k not in ("wall_time", "write_time")}

@@ -75,17 +75,8 @@ group is scanned against its cell's candidate pairs only.
   whole gemm blocks) gives every prunable pair's worst violation exactly.
   At alpha = 1 the scan adds c|z|^2 to each value; rounding is monotone, so
   min_j fl(A_j + s) = fl(min_j A_j + s) and the two agree bit for bit.
-  The kept field inherits a cell of the full field, filtered to the kept
-  pairs, when it inherited the cell's parent (the coarse level's parent is
-  all pairs) and the cell's reference pair b is kept.  By induction the
-  inherited parent holds the minimizer j* over the kept pairs at x, so the
-  full parent does; b is kept, so v_j*(x) <= v_b(x) in computed values, and
-  j*'s bound against b is within the full cell's slack, whose maxima run
-  over a superset of the kept pairs: j* passed the full filter and is in
-  the inherited list.  (b is also the pair that filtering the kept
-  candidates afresh would pick: they keep their order, and a pair's centre
-  value does not depend on the others.)  Other cells and the refined lists
-  are rebuilt on use.
+  The kept field is a new field over the kept pairs and builds its cells on
+  use, like any other.
 """
 
 from __future__ import annotations
@@ -365,7 +356,7 @@ class ExtensionField:
             float(np.sqrt(self._y_sq.max())),
         )
         # candidate index, built on first use: per level (coarse, fine), cell
-        # key -> (candidate pairs, the cell's reference pair)
+        # key -> candidate pairs
         self._cell = self.ball.radius / _FINE_PER_RADIUS
         self._sizes = (_NEST * self._cell, self._cell, self._cell / _NEST)
         self._index: tuple[dict, dict] = ({}, {})
@@ -458,7 +449,7 @@ class ExtensionField:
                 return cand
             children = np.array(key) * _NEST + self._child_offsets
             mask = np.zeros(self.support.size, dtype=bool)
-            for sub in self._prune_cells(cand, children, self._sizes[2])[0]:
+            for sub in self._prune_cells(cand, children, self._sizes[2]):
                 mask[sub] = True
             union = self._unions[key] = _pad(np.flatnonzero(mask).astype(np.int32))
         return union
@@ -514,18 +505,18 @@ class ExtensionField:
                 cand = self._candidates(level - 1, [parent])[0]
             else:
                 cand = np.arange(self.support.size, dtype=np.int32)
-            lists, best = self._prune_cells(cand, np.array(cells), self._sizes[level])
-            for key, cell, b in zip(cells, lists, best.tolist()):
+            lists = self._prune_cells(cand, np.array(cells), self._sizes[level])
+            for key, cell in zip(cells, lists):
                 # scanned lists are padded to whole gemm column blocks
-                index[key] = (_pad(cell) if level else cell, b)
-        return [index[k][0] for k in keys]
+                index[key] = _pad(cell) if level else cell
+        return [index[k] for k in keys]
 
     def _prune_cells(self, cand: np.ndarray, keys: np.ndarray, size: float):
         """For each cell of ``keys`` (edge ``size``), the pairs j of ``cand``
-        whose lower bound of v_j - v_b over the cell is within the slack, and
-        the reference pair b: the first pair of the smallest computed value at
-        the cell centre (module docstring).  One (cells x candidates) pass,
-        coordinate by coordinate."""
+        whose lower bound of v_j - v_b over the cell is within the slack, b
+        being the cell's reference pair: the first pair of the smallest
+        computed value at the cell centre (module docstring).  One (cells x
+        candidates) pass, coordinate by coordinate."""
         c, e, d = self.coefficient, 1.0 + self.params.alpha, keys.shape[1]
         cols = self._bound_cols[:, cand]
         m = (keys + 0.5) * size
@@ -566,18 +557,7 @@ class ExtensionField:
         keep = lin <= (top + 4.0 * err)[:, None]
         kept = cand[np.nonzero(keep)[1]]
         ends = np.cumsum(keep.sum(axis=1)).tolist()
-        return [kept[lo:hi] for lo, hi in zip([0] + ends, ends)], cand[best]
-
-    def _inherit_index(self, full: ExtensionField, keep: np.ndarray) -> None:
-        """Take over the cells of ``full``'s index that stay exact for the
-        kept pairs ``keep`` (module docstring, Pruning), filtered to them."""
-        renum = (np.cumsum(keep) - 1).astype(np.int32)
-        for level, cells in enumerate(full._index):
-            for key, (cand, best) in cells.items():
-                parent_kept = level == 0 or tuple(k // _NEST for k in key) in self._index[level - 1]
-                if parent_kept and keep[best]:
-                    cand = renum[cand[keep[cand]]]
-                    self._index[level][key] = (_pad(cand) if level else cand, int(renum[best]))
+        return [kept[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     def header(self) -> dict:
         """``to_dict()`` with the support's ``header()`` in place of the
@@ -649,9 +629,7 @@ def build_extension(
         support.ball,
         support.spacing,
     )
-    pruned = ExtensionField(kept, params, field.coefficient, func, domain, n_pruned=n_pruned)
-    pruned._inherit_index(field, keep)
-    return pruned
+    return ExtensionField(kept, params, field.coefficient, func, domain, n_pruned=n_pruned)
 
 
 # -- glued covers ------------------------------------------------------------

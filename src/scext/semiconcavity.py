@@ -68,7 +68,6 @@ class SemiconcavityCertificate:
     max_defect: float
     witnesses: list[tuple[SemiconcavityTriple, float]]
     seed: int
-    sampler: str = SAMPLER_VERSION
 
     @property
     def passed(self) -> bool:
@@ -88,7 +87,7 @@ class SemiconcavityCertificate:
                 {**t.to_dict(), "defect": d} for t, d in self.witnesses
             ],
             "seed": self.seed,
-            "sampler": self.sampler,
+            "sampler": SAMPLER_VERSION,
         }
 
 
