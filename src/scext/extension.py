@@ -91,8 +91,8 @@ from .errors import (
     InputError,
     PartitionError,
 )
-from .funcspace import _gemm
-from .geometry import BallRegion, DomainSpec, boundary_sample, closure_grid, disk
+from .funcspace import _FunctionLike, _gemm
+from .geometry import BallRegion, DomainSpec, _ball_lattice, boundary_sample, closure_grid
 from .gradients import _gradient_samples, _reachable_sets, _row_norms
 from .semiconcavity import ModulusParams
 
@@ -193,6 +193,12 @@ def _pays_to_refine(rows: int, d: int, alpha: float) -> bool:
     else:
         scan, bound = 11.3, 65.0 * (14 * d + 10) / 38
     return rows * scan > _NEST**d * bound
+
+
+def _reject_outside(inside: np.ndarray) -> None:
+    """Refuse a query batch unless every row lies in the field's ball."""
+    if not np.all(inside):
+        raise InputError(f"{int((~inside).sum())} query point(s) outside the source ball")
 
 
 def _pad(cand: np.ndarray) -> np.ndarray:
@@ -304,7 +310,7 @@ def build_support_set(
 
 
 @dataclass(eq=False)
-class ExtensionField:
+class ExtensionField(_FunctionLike):
     """Lower envelope over support pairs; equals u on A-bar by construction."""
 
     support: SupportSet
@@ -370,10 +376,6 @@ class ExtensionField:
     def ball(self) -> BallRegion:
         return self.support.ball
 
-    @property
-    def evaluation_domain(self) -> DomainSpec:
-        return disk(self.ball.center, self.ball.radius)
-
     def in_data_region(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.domain.contains_many(pts, "closure") & self.ball.contains_many(pts)
@@ -381,6 +383,7 @@ class ExtensionField:
     def envelope_values(self, points) -> np.ndarray:
         """Raw minimum over pairs, no identity shortcut (diagnostics)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        _reject_outside(self.ball.contains_many(pts))
         return self._min_over_pairs(pts)
 
     def evaluate_many(self, points) -> np.ndarray:
@@ -399,17 +402,10 @@ class ExtensionField:
                 # the envelope reproduces u there; return u itself so the
                 # identity is exact rather than spacing-limited
                 out[rows][on_data] = self.func.evaluate_many(pts[rows][on_data])
-        if not np.all(inside_ball):
-            raise InputError(
-                f"{int((~inside_ball).sum())} query point(s) outside the source ball"
-            )
+        _reject_outside(inside_ball)
         if np.any(off_data):
             out[off_data] = self._min_over_pairs(pts[off_data])
         return out
-
-    def __call__(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.evaluate_many(x[None, :])[0])
 
     def _min_over_pairs(self, pts: np.ndarray) -> np.ndarray:
         """The envelope kernel (module docstring): queries are grouped by fine
@@ -441,17 +437,14 @@ class ExtensionField:
         """The list to scan ``rows`` rows of fine cell ``key`` against: its
         cached refined list, built when ``_pays_to_refine``, else the cell's
         candidates ``cand``.  The refined list is what one bound pass over
-        ``cand`` keeps for any of the cell's finer children, marked on a
-        mask."""
+        ``cand`` keeps for any of the cell's finer children."""
         union = self._unions.get(key)
         if union is None:
             if not _pays_to_refine(rows, len(key), self.params.alpha):
                 return cand
             children = np.array(key) * _NEST + self._child_offsets
-            mask = np.zeros(self.support.size, dtype=bool)
-            for sub in self._prune_cells(cand, children, self._sizes[2]):
-                mask[sub] = True
-            union = self._unions[key] = _pad(np.flatnonzero(mask).astype(np.int32))
+            kept = self._prune_cells(cand, children, self._sizes[2])
+            union = self._unions[key] = _pad(np.unique(np.concatenate(kept)))
         return union
 
     def _scan(self, x, x_sq, start, stop, cand, out) -> None:
@@ -684,7 +677,7 @@ def partition_weights(domain: DomainSpec, cover: list[BallRegion]):
 
 
 @dataclass(eq=False)
-class GlobalExtension:
+class GlobalExtension(_FunctionLike):
     """Weighted sum of local envelopes plus the domain term, on the union."""
 
     domain: DomainSpec
@@ -715,10 +708,6 @@ class GlobalExtension:
                 out[mask] += w[mask, j] * term.evaluate_many(pts[mask])
         return out
 
-    def __call__(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.evaluate_many(x[None, :])[0])
-
 
 def glue_global(
     domain: DomainSpec, cover: list[BallRegion], fields: list[ExtensionField], func
@@ -748,7 +737,7 @@ def _partition_probes(domain, cover) -> np.ndarray:
     spacing = min_radius / 8.0
     chunks = []
     for b in cover:
-        pts = closure_grid(disk(b.center, b.radius), b, spacing)
+        pts = _ball_lattice(b, spacing)
         d = np.linalg.norm(pts - b.center, axis=1)
         chunks.append(pts[d <= 0.97 * b.radius])
     centers = np.array([b.center for b in cover])
@@ -788,7 +777,7 @@ def _mollifier_grid(dimension: int):
 
 
 @dataclass(eq=False)
-class MollifiedApproximant:
+class MollifiedApproximant(_FunctionLike):
     """u_h(x) = sum_i w_i E(x + y_i/h): smoothing at scale 1/h."""
 
     field: object
@@ -813,11 +802,6 @@ class MollifiedApproximant:
         b = self.field.ball
         return BallRegion(b.center, 0.5 * b.radius)
 
-    @property
-    def evaluation_domain(self) -> DomainSpec:
-        b = self.ball
-        return disk(b.center, b.radius)
-
     def evaluate_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not np.all(self.ball.contains_many(pts)):
@@ -836,7 +820,3 @@ class MollifiedApproximant:
             for b in range(0, block.shape[0], step):
                 out[lo + b : lo + b + step] = vals[b : b + step] @ self.weights
         return out
-
-    def __call__(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.evaluate_many(x[None, :])[0])

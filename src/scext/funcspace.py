@@ -3,7 +3,8 @@
 A FunctionSpec bundles a vectorized evaluator with an optional closed-form
 gradient and an optional declared domain.  Downstream code accepts anything
 function-like (an object with ``evaluate_many`` and ``evaluation_domain``),
-so built fields and analytic functions are handled uniformly.
+so built fields and analytic functions are handled uniformly; the ones scext
+builds share ``_FunctionLike``.
 """
 
 from __future__ import annotations
@@ -14,13 +15,28 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, EvaluationError, InputError, StencilError
-from .geometry import DomainSpec, _by_columns, _column_norms
+from .geometry import DomainSpec, _by_columns, _column_norms, disk
 
 _Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
+class _FunctionLike:
+    """The single-point call f(x) of a function-like, and by default its
+    evaluation domain: the closed ball ``self.ball`` it is defined on."""
+
+    @property
+    def evaluation_domain(self) -> DomainSpec | None:
+        """Region outside which evaluation is refused, if declared; also where
+        finite-difference stencils may be placed."""
+        return disk(self.ball.center, self.ball.radius)
+
+    def __call__(self, x) -> float:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return float(self.evaluate_many(x[None, :])[0])
+
+
 @dataclass(eq=False)
-class FunctionSpec:
+class FunctionSpec(_FunctionLike):
     """A function on the closure of its (optional) declared domain."""
 
     identifier: str
@@ -31,8 +47,6 @@ class FunctionSpec:
 
     @property
     def evaluation_domain(self) -> DomainSpec | None:
-        """Region outside which evaluation is refused, if declared; also where
-        finite-difference stencils may be placed."""
         return self.domain
 
     def evaluate_many(self, points) -> np.ndarray:
@@ -51,10 +65,6 @@ class FunctionSpec:
         if not np.all(np.isfinite(vals)):
             raise EvaluationError(f"{self.identifier} produced non-finite values")
         return vals
-
-    def __call__(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.evaluate_many(x[None, :])[0])
 
     @property
     def has_gradient(self) -> bool:

@@ -239,13 +239,7 @@ class DomainSpec:
             corners = np.array(
                 [c + [-w[0], -w[1]], c + [w[0], -w[1]], c + [w[0], w[1]], c + [-w[0], w[1]]]
             )
-            chunks = []
-            for i in range(4):
-                a, b = corners[i], corners[(i + 1) % 4]
-                m = max(1, int(math.ceil(np.linalg.norm(b - a) / spacing)))
-                t = np.arange(m) / m
-                chunks.append(a + t[:, None] * (b - a))
-            return np.vstack(chunks)
+            return _polygon_walk(corners, spacing)
         if self.kind == "half-space":
             return self._plane_patch(region, spacing)
         # capped-disk: circular arc where the cap keeps it, plus the flat face.
@@ -257,11 +251,8 @@ class DomainSpec:
             half = math.acos(max(-1.0, min(1.0, d / self.radius)))
             chunks.append(self._circle_arc(phi_n - half, phi_n + half, spacing, closed=False))
             mid = self.center + d * n
-            half_len = math.sqrt(max(0.0, self.radius**2 - d**2))
-            tang = np.array([-n[1], n[0]])
-            m = max(1, int(math.ceil(2.0 * half_len / spacing)))
-            t = np.linspace(-half_len, half_len, m + 1)
-            chunks.append(mid + t[:, None] * tang)
+            t = _axis_ticks(math.sqrt(max(0.0, self.radius**2 - d**2)), spacing)
+            chunks.append(mid + t[:, None] * np.array([-n[1], n[0]]))
         else:
             chunks.append(self._circle_arc(0.0, 2.0 * math.pi, spacing, closed=True))
         return np.vstack(chunks)
@@ -270,9 +261,7 @@ class DomainSpec:
         """Grid on {normal . x = offset} around the region center projection."""
         n = self.normal
         base = region.center + (self.offset - float(n @ region.center)) * n
-        ext = region.radius + spacing
-        m = max(1, int(math.ceil(2.0 * ext / spacing)))
-        t = np.linspace(-ext, ext, m + 1)
+        t = _axis_ticks(region.radius + spacing, spacing)
         if self.dimension == 2:
             tang = np.array([-n[1], n[0]])
             return base + t[:, None] * tang
@@ -282,8 +271,6 @@ class DomainSpec:
         return base + tt.reshape(-1, 1) * u + ss.reshape(-1, 1) * v
 
     def _boundary_3d(self, region: BallRegion, spacing: float) -> np.ndarray:
-        if self.kind == "disk":
-            return self.center + self.radius * _fibonacci_sphere(self.radius, spacing)
         if self.kind == "half-space":
             return self._plane_patch(region, spacing)
         if self.kind == "box":
@@ -301,10 +288,13 @@ class DomainSpec:
                     pts[:, others[1]] = c[others[1]] + ss.ravel()
                     faces.append(pts)
             return np.vstack(faces)
+        count = max(8, int(math.ceil(4.0 * math.pi * self.radius**2 / spacing**2)))
+        sphere = self.center + self.radius * _fibonacci_sphere(count)
+        if self.kind == "disk":
+            return sphere
         # capped ball: spherical cap plus flat disk face.
         n, b = self.normal, self.offset
         d = b - float(n @ self.center)
-        sphere = self.center + self.radius * _fibonacci_sphere(self.radius, spacing)
         keep = sphere @ n >= b - BOUNDARY_TOL
         chunks = [sphere[keep]]
         if abs(d) <= self.radius:
@@ -325,8 +315,23 @@ class DomainSpec:
 
 
 def _axis_ticks(half_width: float, spacing: float) -> np.ndarray:
+    """ceil(2 half_width / spacing) equal steps over [-half_width, half_width],
+    both ends included."""
     m = max(1, int(math.ceil(2.0 * half_width / spacing)))
     return np.linspace(-half_width, half_width, m + 1)
+
+
+def _polygon_walk(vertices: np.ndarray, spacing: float) -> np.ndarray:
+    """Points along the closed polygon through the rows of ``vertices``, each
+    edge a -> b in ceil(|b - a| / spacing) equal steps from a, b excluded."""
+    chunks = []
+    k = vertices.shape[0]
+    for i in range(k):
+        a, b = vertices[i], vertices[(i + 1) % k]
+        m = max(1, int(math.ceil(np.linalg.norm(b - a) / spacing)))
+        t = np.arange(m) / m
+        chunks.append(a + t[:, None] * (b - a))
+    return np.vstack(chunks)
 
 
 def _any_orthonormal(n: np.ndarray) -> np.ndarray:
@@ -337,9 +342,10 @@ def _any_orthonormal(n: np.ndarray) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def _fibonacci_sphere(radius: float, spacing: float) -> np.ndarray:
-    count = max(8, int(math.ceil(4.0 * math.pi * radius**2 / spacing**2)))
-    i = np.arange(count) + 0.5
+def _fibonacci_sphere(count: int, shift: float = 0.0) -> np.ndarray:
+    """``count`` unit vectors on the golden-angle spiral, point i at height
+    1 - 2 (i + 0.5 + shift) / count."""
+    i = np.arange(count) + 0.5 + shift
     z = 1.0 - 2.0 * i / count
     rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -403,6 +409,13 @@ def closure_grid(domain: DomainSpec, region: BallRegion, spacing: float) -> np.n
     pts = np.column_stack([m.ravel() for m in mesh])
     keep = domain.contains_many(pts, "closure") & region.contains_many(pts)
     return pts[keep]
+
+
+def _ball_lattice(ball: BallRegion, spacing: float) -> np.ndarray:
+    """Lattice of pitch ``spacing`` over the whole closed ball, rows in
+    lexicographic order: ``closure_grid`` ravels an 'ij' mesh of ascending
+    axes, and its mask keeps that order."""
+    return closure_grid(disk(ball.center, ball.radius), ball, spacing)
 
 
 def boundary_sample(domain: DomainSpec, region: BallRegion, spacing: float) -> np.ndarray:

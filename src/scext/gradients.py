@@ -34,7 +34,10 @@ from .errors import (
     IsolationError,
 )
 from .funcspace import _stencil
-from .geometry import DomainSpec, _by_columns, _column_norms, _vec, segment_in_closure
+from .geometry import (
+    DomainSpec, _by_columns, _column_norms, _fibonacci_sphere, _polygon_walk, _vec,
+    segment_in_closure,
+)
 from .semiconcavity import ModulusParams
 
 DEFAULT_RATIO = 0.5
@@ -70,7 +73,6 @@ class ReachableGradientSet:
     base_point: np.ndarray
     representatives: np.ndarray  # (k, d), lexicographically sorted
     r0: float
-    ratio: float
     k_max: int
     eps_c: float
     m_a: int
@@ -85,7 +87,7 @@ class ReachableGradientSet:
             "base_point": self.base_point.tolist(),
             "representatives": self.representatives.tolist(),
             "r0": self.r0,
-            "ratio": self.ratio,
+            "ratio": DEFAULT_RATIO,
             "k_max": self.k_max,
             "eps_c": self.eps_c,
             "m_a": self.m_a,
@@ -105,11 +107,7 @@ def _annulus_directions(d: int, m: int, k: int) -> np.ndarray:
     if d == 2:
         phi = 2.0 * math.pi * (np.arange(m) + math.modf(k * _GOLDEN)[0]) / m
         return np.column_stack([np.cos(phi), np.sin(phi)])
-    i = np.arange(m) + 0.5 + math.modf(k * _GOLDEN)[0]
-    z = 1.0 - 2.0 * i / m
-    rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    return _fibonacci_sphere(m, math.modf(k * _GOLDEN)[0])
 
 
 def _gradient_samples(
@@ -473,7 +471,6 @@ def reachable_gradients(
         base_point=x,
         representatives=reps[0],
         r0=float(r0),
-        ratio=DEFAULT_RATIO,
         k_max=int(k_max),
         eps_c=float(eps_c),
         m_a=int(m_a),
@@ -627,14 +624,7 @@ def _boundary_samples(poly: ConvexPolytope, spacing: float) -> np.ndarray:
         n = max(1, int(math.ceil(np.linalg.norm(b - a) / spacing)))
         t = np.linspace(0.0, 1.0, n + 1)
         return a + t[:, None] * (b - a)
-    chunks = []
-    k = v.shape[0]
-    for i in range(k):
-        a, b = v[i], v[(i + 1) % k]
-        n = max(1, int(math.ceil(np.linalg.norm(b - a) / spacing)))
-        t = np.arange(n) / n
-        chunks.append(a + t[:, None] * (b - a))
-    return np.vstack(chunks)
+    return _polygon_walk(v, spacing)
 
 
 def hull_gap(

@@ -41,6 +41,7 @@ from .funcspace import FunctionSpec, named_function
 from .geometry import (
     BallRegion,
     DomainSpec,
+    _ball_lattice,
     box,
     capped_disk,
     closure_grid,
@@ -326,11 +327,6 @@ def _round_up_2(value: float) -> float:
     return math.ceil(value * 100.0 - 1e-6) / 100.0
 
 
-def _ball_lattice(ball: BallRegion, spacing: float) -> np.ndarray:
-    """Lattice of pitch ``spacing`` over the whole closed ball."""
-    return closure_grid(disk(ball.center, ball.radius), ball, spacing)
-
-
 @dataclass(eq=False)
 class StageContext:
     """One run's scenario, resolved knobs and grid format.  The objects that
@@ -375,8 +371,7 @@ class StageContext:
 
     @cached_property
     def rset_env(self) -> ReachableGradientSet:
-        ball = self.scenario.ball
-        return self._reachable(self.field, disk(ball.center, ball.radius))
+        return self._reachable(self.field, self.field.evaluation_domain)
 
     @cached_property
     def condition(self) -> dict:
@@ -458,8 +453,6 @@ def emit_grid(field, region: BallRegion, spacing: float, fmt: str, path) -> Path
     if fmt not in GRID_FORMATS:
         raise InputError(f"unknown grid format {fmt!r}; expected one of {GRID_FORMATS}")
     nodes = _ball_lattice(region, spacing)
-    order = np.lexsort(tuple(nodes[:, j] for j in range(nodes.shape[1] - 1, -1, -1)))
-    nodes = nodes[order]
     values = np.asarray(field.evaluate_many(nodes), dtype=float)
     names = [f"x{j + 1}" for j in range(nodes.shape[1])]
     path = Path(path)
@@ -648,7 +641,7 @@ def stage_mollify(ctx: StageContext) -> tuple[dict, dict]:
         sups.append(sup)
         cert = certify(
             approx,
-            disk(half.center, half.radius),
+            approx.evaluation_domain,
             half,
             ModulusParams(alpha=params.alpha, C=bound + 0.05),
             kn["mollify_triples"],

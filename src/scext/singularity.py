@@ -139,9 +139,9 @@ class SingularArc:
     s: np.ndarray  # (n,), starts at 0
     points: np.ndarray  # (n, d), points[0] = x0
     indicators: np.ndarray  # (n,)
-    eps_s: float
-    rho_t: float
     p0: np.ndarray | None = None
+    eps_s = DEFAULT_EPS_S  # indicator level at which the tracer stops
+    rho_t = DEFAULT_RESIDUAL_TOL  # largest tangency residual a validated arc has
 
     @property
     def residuals(self) -> np.ndarray:
@@ -167,6 +167,7 @@ class SingularArc:
         return self.s.size > 1 and bool(self.indicators[-1] <= self.eps_s)
 
     def to_dict(self) -> dict:
+        res = self.residuals
         return {
             "x0": self.x0.tolist(),
             "p0": None if self.p0 is None else self.p0.tolist(),
@@ -181,7 +182,7 @@ class SingularArc:
                     "s": float(self.s[i]),
                     "x": self.points[i].tolist(),
                     "indicator": float(self.indicators[i]),
-                    "residual": float(self.residuals[i]),
+                    "residual": float(res[i]),
                 }
                 for i in range(self.s.size)
             ],
@@ -265,7 +266,5 @@ def trace_singular_arc(
         s=np.arange(n + 1) * delta_s,
         points=np.vstack([x0, discs[np.arange(n), best[:n]]]),
         indicators=np.concatenate([values[:1], peak[:n]]),
-        eps_s=DEFAULT_EPS_S,
-        rho_t=DEFAULT_RESIDUAL_TOL,
         p0=None if p0 is None else np.atleast_1d(np.asarray(p0, dtype=float)),
     )

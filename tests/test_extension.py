@@ -313,6 +313,19 @@ class TestEnvelope:
         with pytest.raises(InputError):
             ex2["field"].evaluate_many(np.array([[1.5, 0.0]]))
 
+    def test_raw_envelope_rejects_queries_outside_ball(self, unit_ball):
+        # the kernel codes a call's fine keys relative to the call's own
+        # minimum; points this far out made the product of the key ranges
+        # overflow int64, and two of the three cells shared a code
+        rng = np.random.default_rng(0)
+        y = rng.uniform(-0.9, 0.9, (400, 2))
+        p, u = rng.standard_normal((400, 2)), rng.standard_normal(400)
+        support = SupportSet(y, p, u, ["smooth"] * 400, unit_ball, 0.05)
+        field = ExtensionField(support, ModulusParams(1.0, 0.0), 1.0, None, None)
+        x = np.array([[1, 1], [2 * (2**32 + 0.5), 1], [1, 2 * (2**32 - 0.5)]]) / 24
+        with pytest.raises(InputError, match="2 query point"):
+            field.envelope_values(x)
+
     def test_pruning_preserves_envelope(self, ex2, half_disk):
         unpruned = ExtensionField(ex2["support"], ex2["params"], 1.0, ex2["func"], half_disk)
         pts = ball_points(500, seed=9, radius=0.999)

@@ -65,6 +65,22 @@ def _domain(kind, d):
     return _DOMAINS[kind](np.linspace(0.1, -0.1, d), np.linspace(1.0, 0.4, d))
 
 
+_BOUNDARY_DIGESTS = {
+    ("disk", 1): "3da1827a1ba2c93acc4b97ed715195581066dff7a1b29de19f8585fa2e934065",
+    ("box", 1): "83b68bbfe33db44a7f30342c5bb159ef92f65889b218da5a7f289f2672223edd",
+    ("half-space", 1): "bb029bb87ab7528b50677aeec1bb96d22034724da0b18a6254cd34d2e57072b3",
+    ("capped-disk", 1): "ff909d5f0a6b25bb45a0a0ed974098d1af1349abba57d8a9f9703e2bd496ef8c",
+    ("disk", 2): "b6f4f8344466febb371ea8d8aca32efc5652aa668ff058f00133fef35b1d9bfc",
+    ("box", 2): "b9b0ba720edfb279a969bf12fb527510bcf55d236c33a98161f24a1222c49aac",
+    ("half-space", 2): "999acb38a185a33015a71c640971cec28bcdb5c0a35e6b56abd935a953639f1f",
+    ("capped-disk", 2): "94ebb8e8d72558b00e8e6399a3a6517a392994da7bd3c87384e1d02b49a8abf0",
+    ("disk", 3): "75e73e8c75f8a80de095303805a5c2ae398649d0c9ed8ded147d07ed8158b713",
+    ("box", 3): "8da72533e540d91b91a456a58c1322a9ca93e8c574aeb184ffc2db371821c7f0",
+    ("half-space", 3): "43ad3ba28beecf9be86a23e992dabe4b659d4d5fb3109f9fe9806906a80ce084",
+    ("capped-disk", 3): "c4bbf65ced4c1dd0f6a1e2ad176b5c2219a0753d9f34e1097b20394e04d94b65",
+}
+
+
 class TestContains:
     def test_interior_point_of_half_disk(self, half_disk):
         assert half_disk.contains((0.5, 0.0), "open")
@@ -274,6 +290,17 @@ class TestBoundarySample:
         assert np.unique(pts, axis=0).shape[0] == pts.shape[0] == 771
         rim = np.abs(np.hypot(pts[:, 0], pts[:, 1]) - math.sqrt(1.0 - 0.3**2)) <= 1e-12
         assert np.count_nonzero(rim & (np.abs(pts[:, 2] - 0.3) <= 1e-12)) > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_boundary_points_are_pinned(self, kind, d):
+        # SHA-256 of each sample's bytes, recorded before the point-set
+        # builders were shared: the 2D box walks a closed polygon, half-spaces
+        # lay a plane patch, and 3D disks and caps sample a Fibonacci sphere
+        c = np.linspace(0.1, -0.1, d)
+        pts = boundary_sample(_domain(kind, d), BallRegion(c, 1.0), 0.1)
+        digest = hashlib.sha256(np.ascontiguousarray(pts).tobytes()).hexdigest()
+        assert digest == _BOUNDARY_DIGESTS[kind, d]
 
 
 class TestSampler:

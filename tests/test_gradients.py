@@ -684,7 +684,7 @@ def _dense_segment_set() -> ReachableGradientSet:
     return ReachableGradientSet(
         base_point=np.zeros(2),
         representatives=reps,
-        r0=0.02, ratio=0.5, k_max=8, eps_c=0.02, m_a=200,
+        r0=0.02, k_max=8, eps_c=0.02, m_a=200,
         n_samples=reps.shape[0], methods={},
     )
 
