@@ -92,7 +92,7 @@ from .errors import (
     PartitionError,
 )
 from .funcspace import _FunctionLike, _gemm
-from .geometry import BallRegion, DomainSpec, _ball_lattice, boundary_sample, closure_grid
+from .geometry import _SLICE, BallRegion, DomainSpec, _ball_lattice, boundary_sample, closure_grid
 from .gradients import _gradient_samples, _reachable_sets, _row_norms
 from .semiconcavity import ModulusParams
 
@@ -103,7 +103,7 @@ _FINE_PER_RADIUS = 12  # fine envelope cells per ball radius
 _NEST = 3  # child cells per parent edge: coarse radius/4, finer radius/36
 _LANES = 8  # candidate lists are padded to whole gemm column blocks
 _BLOCK = 1 << 20  # matrix entries per kernel block
-_SLICE = 8192  # rows per membership-test slice
+_PRUNE_BLOCK = 1 << 18  # per prune-scan block: at 2^20 its blocks set example1's peak RSS
 _BATCH = 1 << 17  # stencil rows per mollifier call to the field
 _EPS = float(np.finfo(float).eps)
 
@@ -369,6 +369,7 @@ class ExtensionField(_FunctionLike):
         # fine cell key -> its refined list, and the offsets of a fine cell's
         # finer children keys from _NEST * its key
         self._unions: dict = {}
+        self._node_env = None  # ``node_envelope``, computed on first use
         d = self.support.points.shape[1]
         self._child_offsets = np.indices((_NEST,) * d).reshape(d, -1).T
 
@@ -385,6 +386,12 @@ class ExtensionField(_FunctionLike):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         _reject_outside(self.ball.contains_many(pts))
         return self._min_over_pairs(pts)
+
+    def node_envelope(self) -> np.ndarray:
+        """The raw envelope at ``support.node_points()``, computed once."""
+        if self._node_env is None:
+            self._node_env = self._min_over_pairs(self.support.node_points())
+        return self._node_env
 
     def evaluate_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -444,7 +451,9 @@ class ExtensionField(_FunctionLike):
                 return cand
             children = np.array(key) * _NEST + self._child_offsets
             kept = self._prune_cells(cand, children, self._sizes[2])
-            union = self._unions[key] = _pad(np.unique(np.concatenate(kept)))
+            # the run starts of the sorted ids: 1-D np.unique imports numpy.ma
+            ids = np.sort(np.concatenate(kept))
+            union = self._unions[key] = _pad(ids[np.r_[True, np.diff(ids) != 0]])
         return union
 
     def _scan(self, x, x_sq, start, stop, cand, out) -> None:
@@ -590,7 +599,7 @@ def build_extension(
     tol = _PRUNE_TOL * max(1.0, float(np.max(np.abs(support.values))))
     first, node = _node_index(support.points)
     z, u_z = support.points[first], support.values[first]
-    flagged = u_z - field._min_over_pairs(z) > tol
+    flagged = u_z - field.node_envelope() > tol
     if not flagged.any():
         return field
     z, u_z = z[flagged], u_z[flagged]
@@ -599,7 +608,7 @@ def build_extension(
     pairs = _pad(np.arange(k))
     worst = np.full(pairs.size, -np.inf)
     # rows-major: the nodes are fewer than the pairs
-    for idx in np.array_split(np.arange(z.shape[0]), -(-z.shape[0] * pairs.size // _BLOCK)):
+    for idx in np.array_split(np.arange(z.shape[0]), -(-z.shape[0] * pairs.size // _PRUNE_BLOCK)):
         vals = field._pair_values(z[idx], z_sq[idx], pairs, axis=1)
         if params.alpha == 1.0:
             vals += field.coefficient * z_sq[idx, None]
@@ -609,7 +618,7 @@ def build_extension(
     keep = worst <= tol
     # the least-violating pair of each node leads its group; orphaned nodes keep it
     order = np.lexsort((worst, node))
-    lead = order[np.unique(node[order], return_index=True)[1]]
+    lead = order[np.r_[True, np.diff(node[order]) != 0]]
     keep[lead[np.bincount(node[keep], minlength=first.size) == 0]] = True
     n_pruned = int(k - keep.sum())
     if n_pruned == 0:

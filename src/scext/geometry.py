@@ -33,6 +33,7 @@ _KINDS = ("disk", "box", "half-space", "capped-disk")
 
 # Smallest candidate batch of the closure sampler.
 _MIN_BATCH = 1024
+_SLICE = 8192  # rows per membership-test slice
 
 
 def _vec(x, dim: int | None = None) -> np.ndarray:
@@ -147,20 +148,23 @@ class DomainSpec:
     def _worst(self, pts: np.ndarray) -> np.ndarray:
         """Per-point max_i g_i over the constraint values g_i; the open domain
         is {max_i g_i < 0}.  Computed column by column, so every row gets the
-        bits it gets alone."""
-        cols = []
-        if self.kind in ("disk", "capped-disk"):
-            cols.append(_column_norms(pts - self.center) - self.radius)
-        if self.kind == "box":
-            g = np.abs(pts - self.center) - self.half_widths
-            cols.extend(g[:, j] for j in range(self.dimension))
-        if self.kind in ("half-space", "capped-disk"):
-            # a coordinate sum, not ``pts @ normal``: BLAS rounds that by
-            # batch shape, so a point one rounding from a tilted face could
-            # be open in one batch and not in another
-            proj = sum(pts[:, j] * self.normal[j] for j in range(self.dimension))
-            cols.append(self.offset - proj)
-        return functools.reduce(np.maximum, cols)
+        bits it gets alone, and _SLICE rows at a time."""
+        out = np.empty(pts.shape[0])
+        for lo in range(0, pts.shape[0], _SLICE):
+            rows, cols = pts[lo : lo + _SLICE], []
+            if self.kind in ("disk", "capped-disk"):
+                cols.append(_column_norms(rows - self.center) - self.radius)
+            if self.kind == "box":
+                g = np.abs(rows - self.center) - self.half_widths
+                cols.extend(g[:, j] for j in range(self.dimension))
+            if self.kind in ("half-space", "capped-disk"):
+                # a coordinate sum, not ``rows @ normal``: BLAS rounds that by
+                # batch shape, so a point one rounding from a tilted face could
+                # be open in one batch and not in another
+                proj = sum(rows[:, j] * self.normal[j] for j in range(self.dimension))
+                cols.append(self.offset - proj)
+            out[lo : lo + _SLICE] = functools.reduce(np.maximum, cols)
+        return out
 
     def contains_many(self, points, where: str = "closure") -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -55,8 +55,16 @@ _GOLDEN = 0.6180339887498949
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) matrix of distances between rows, with the bits of
-    np.linalg.norm(a[:, None] - b[None], axis=-1)."""
-    return _column_norms(a[:, None] - b[None])
+    np.linalg.norm(a[:, None] - b[None], axis=-1): squares summed into one
+    such matrix coordinate by coordinate (``_by_columns``), without the
+    difference tensor, which rows of 8 or more coordinates still take."""
+    if a.shape[1] >= 8:
+        return _column_norms(a[:, None] - b[None])
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for j in range(a.shape[1]):
+        e = np.subtract.outer(a[:, j], b[:, j])
+        out += np.multiply(e, e, out=e)
+    return np.sqrt(out, out=out)
 
 
 def _diameter(reps: np.ndarray) -> float:
@@ -158,65 +166,77 @@ def _refine_rings(domain, centres, radii, ring, pts, grads, budget, eps_c, sampl
     uniform rings miss narrow angular windows, so each ring spends up to
     budget more samples where its gradient field moves fastest.  Ring h has
     centre centres[h] and radius radii[h]; its samples are the rows of pts and
-    grads with ring == h, grouped by ring.  Every ring keeps its own heap of
-    gaps, keyed (-jump, phi_a, phi_b, a, b), and pops it in the order it
-    would alone; a round pops the top gap of every ring with budget left and
-    tests and samples all the midpoints at once.  Returns (grads, ring): each
-    ring's base gradients in angular order followed by those at its accepted
-    midpoints.
+    grads with ring == h, sorted by ring.  Every ring with a gap keeps its own
+    heap of gaps, keyed (-jump, phi_a, phi_b, a, b), and pops it in the order
+    it would alone; a round pops the top gap of every ring with budget left
+    and tests and samples all the midpoints at once.  Returns (grads, ring):
+    each ring's base gradients in angular order followed by those at its
+    accepted midpoints.  With no gap on any ring that is the sorted input,
+    returned at once; otherwise only the rings with a gap get angle and
+    gradient slots and a heap, and the output is written in one pass.
     """
     if pts.shape[1] != 2 or budget <= 0:
         return grads, ring
     n_rings = centres.shape[0]
-    count = np.bincount(ring, minlength=n_rings)
-    rel = pts - centres[ring]
-    angle = np.arctan2(rel[:, 1], rel[:, 0])
+    angle = np.arctan2(*(pts - centres[ring]).T[::-1])  # arctan2(y, x) of each offset
     order = np.lexsort((angle, ring))
     angle, grads = angle[order], grads[order]
-    slot = np.arange(ring.size) - (np.cumsum(count) - count)[ring]
-    phi = np.empty((n_rings, int(count.max(initial=0)) + budget))
-    ring_grads = np.empty(phi.shape + (2,))
-    phi[ring, slot], ring_grads[ring, slot] = angle, grads
-
-    heaps = [[] for _ in range(n_rings)]
     jump = _row_norms(grads[:-1] - grads[1:])
     width = angle[1:] - angle[:-1]
     gap = np.flatnonzero((ring[:-1] == ring[1:]) & (jump > eps_c) & (width > 1e-7))
+    if not gap.size:
+        return grads, ring
+    count = np.bincount(ring, minlength=n_rings)
+    slot = np.arange(ring.size) - (np.cumsum(count) - count)[ring]
+    # row l of the slots and heaps is live[l], the l-th ring with a gap; sample i's is row[i]
+    has_gap = np.bincount(ring[gap], minlength=n_rings) > 0
+    live, row, own = np.flatnonzero(has_gap), (np.cumsum(has_gap) - 1)[ring], has_gap[ring]
+    n = count[live]
+    phi = np.empty((live.size, int(n.max()) + budget))
+    ring_grads = np.empty(phi.shape + (2,))
+    phi[row[own], slot[own]], ring_grads[row[own], slot[own]] = angle[own], grads[own]
+
+    heaps = [[] for _ in range(live.size)]
     for i in gap.tolist():
-        heaps[ring[i]].append((-jump[i], angle[i], angle[i + 1], slot[i], slot[i] + 1))
+        heaps[row[i]].append((-jump[i], angle[i], angle[i + 1], slot[i], slot[i] + 1))
     for heap in heaps:
         heapq.heapify(heap)
 
-    left = np.full(n_rings, budget)
-    live = [h for h in range(n_rings) if heaps[h]]
-    while live:
-        top = [heapq.heappop(heaps[h]) for h in live]
-        h = np.array(live)
+    left = np.full(live.size, budget)
+    active = list(range(live.size))
+    while active:
+        top = [heapq.heappop(heaps[h]) for h in active]
+        h = np.array(active)
         left[h] -= 1
         a = np.array([t[3] for t in top])
         b = np.array([t[4] for t in top])
         mid = 0.5 * (phi[h, a] + phi[h, b])
         unit = np.array([(math.cos(t), math.sin(t)) for t in mid.tolist()])
-        cand = centres[h] + radii[h][:, None] * unit
+        cand = centres[live[h]] + radii[live[h]][:, None] * unit
         inside = np.flatnonzero(domain.contains_many(cand, "open"))
         ok, g = sampler(cand[inside])
         acc = inside[ok]
         h, a, b, mid = h[acc], a[acc], b[acc], mid[acc]
-        n = count[h]
-        phi[h, n], ring_grads[h, n] = mid, g
+        k = n[h]
+        phi[h, k], ring_grads[h, k] = mid, g
         jump_a = _row_norms(ring_grads[h, a] - g)
         jump_b = _row_norms(g - ring_grads[h, b])
         width_a = mid - phi[h, a]
         width_b = phi[h, b] - mid
         for i, hi in enumerate(h.tolist()):
             if jump_a[i] > eps_c and width_a[i] > 1e-7:
-                heapq.heappush(heaps[hi], (-jump_a[i], phi[hi, a[i]], mid[i], a[i], n[i]))
+                heapq.heappush(heaps[hi], (-jump_a[i], phi[hi, a[i]], mid[i], a[i], k[i]))
             if jump_b[i] > eps_c and width_b[i] > 1e-7:
-                heapq.heappush(heaps[hi], (-jump_b[i], mid[i], phi[hi, b[i]], n[i], b[i]))
-        count[h] += 1
-        live = [hi for hi in live if left[hi] > 0 and heaps[hi]]
-    kept = np.arange(phi.shape[1]) < count[:, None]
-    return ring_grads[kept], np.repeat(np.arange(n_rings), count)
+                heapq.heappush(heaps[hi], (-jump_b[i], mid[i], phi[hi, b[i]], k[i], b[i]))
+        n[h] += 1
+        active = [hi for hi in active if left[hi] > 0 and heaps[hi]]
+    count[live] = n
+    start = np.cumsum(count) - count
+    out = np.empty((int(count.sum()), 2))
+    out[start[ring] + slot] = grads
+    h, k = np.nonzero(np.arange(phi.shape[1]) < n[:, None])  # its base rows again, and more
+    out[start[live[h]] + k] = ring_grads[h, k]
+    return out, np.repeat(np.arange(n_rings), count)
 
 
 # Live groups at or below which the leader pass finishes each group alone
@@ -402,9 +422,10 @@ def _reachable_sets(func, domain, anchors, r0, k_max, m_a, eps_c, h_fd):
     candidates are tested with one contains_many and sampled with one
     gradient call, their gaps refined together (``_refine_rings``), and each
     anchor's pooled samples, ring by ring, clustered as one group of
-    ``_cluster``.  Returns the representatives and the number of samples per
-    anchor; an anchor without samples raises IsolationError (the first one
-    in anchor order).
+    ``_cluster``.  Every ring has as many candidates, laid out ring by ring,
+    so a sample's ring is its candidate index // that number.  Returns the
+    representatives and the number of samples per anchor; an anchor without
+    samples raises IsolationError (the first one in anchor order).
     """
     n, d = anchors.shape
     fd_domain = func.evaluation_domain
@@ -418,13 +439,12 @@ def _reachable_sets(func, domain, anchors, r0, k_max, m_a, eps_c, h_fd):
         [r * _annulus_directions(d, base_budget, k) for k, r in enumerate(radii)]
     ).reshape(k_max, 2 if d == 1 else base_budget, d)
     cand = (anchors[:, None, None, :] + offsets[None]).reshape(-1, d)
-    ring = np.repeat(np.arange(n * k_max), offsets.shape[1])
     inside = np.flatnonzero(domain.contains_many(cand, "open"))
-    ok, grads = sampler(cand[inside])
-    taken = inside[ok]
+    cand = cand[inside]
+    ok, grads = sampler(cand)
     grads, ring = _refine_rings(
         domain, np.repeat(anchors, k_max, axis=0), np.tile(radii, n),
-        ring[taken], cand[taken], grads, m_a - base_budget, eps_c, sampler,
+        inside[ok] // offsets.shape[1], cand[ok], grads, m_a - base_budget, eps_c, sampler,
     )
     sizes = np.bincount(ring // k_max, minlength=n)
     if not sizes.all():

@@ -511,7 +511,7 @@ def stage_extend(ctx: StageContext) -> tuple[dict, dict]:
     nodes = field.support.node_points()
     u_nodes = sc.func.evaluate_many(nodes)
     identity_max = float(np.max(np.abs(field.evaluate_many(nodes) - u_nodes)))
-    raw_identity_max = float(np.max(np.abs(field.envelope_values(nodes) - u_nodes)))
+    raw_identity_max = float(np.max(np.abs(field.node_envelope() - u_nodes)))
     metrics = {
         "coefficient": field.coefficient,
         "constant": field.constant,

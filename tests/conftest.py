@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from scext import (
     BallRegion,
@@ -38,6 +39,13 @@ EX3_SET = "vertical-unit-segment"
 
 # annulus-probe knobs shared by the gradient-set fixtures
 PROBE = dict(r0=0.02, k_max=8, m_a=200, eps_c=0.02)
+
+# finite values of every scale, subnormals, and the non-finite specials
+COORD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.floats(min_value=-1e-160, max_value=1e-160),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan]),
+)
 
 
 @pytest.fixture(scope="session")

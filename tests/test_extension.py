@@ -3,6 +3,11 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -685,6 +690,74 @@ class TestPruning:
         _assert_kept(field, support, keep)
         pts = np.vstack([ball_points(3000, seed=3, radius=0.999), nodes])
         assert np.array_equal(field.envelope_values(pts), _dense_envelope(field, pts))
+
+class TestNodeEnvelope:
+    def test_unpruned_field_keeps_the_node_call_of_its_build(self, affine_bundle):
+        # nothing is pruned, so build_extension returns the field whose
+        # node envelope it computed, and the extend stage reads that value
+        field = affine_bundle["field"]
+        assert field.n_pruned == 0 and field._node_env is not None
+        want = field.envelope_values(field.support.node_points())
+        assert field.node_envelope() is field.node_envelope()
+        assert field.node_envelope().tobytes() == want.tobytes()
+
+    def test_pruned_field_computes_its_own(self, ex1):
+        field = ex1["field"]
+        assert field.n_pruned > 0
+        want = field.envelope_values(field.support.node_points())
+        assert field.node_envelope().tobytes() == want.tobytes()
+
+
+# tracemalloc peaks of build_support_set before the support path's working
+# set was sized by the work done (numpy 2.4, 2-vCPU x86_64): the ball of the
+# affine-sanity scenario's cover, and example1's ball
+_PARENT_PEAK_MB = {"cover": 12.81, "example1": 13.85}
+
+
+class TestWorkingSet:
+    def test_no_masked_array_import(self):
+        # 1-D np.unique imports numpy.ma on its first call; the kernel's
+        # refined lists and the prune's group leaders do without it.  A fresh
+        # process: this one may have imported numpy.ma for other tests
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from scext import BallRegion, ModulusParams, build_extension, build_support_set\n"
+            "from scext import disk, named_function\n"
+            "dom = disk([1.0, 0.0], 1.0)\n"
+            "f = named_function('neg-norm', dimension=2, domain=dom)\n"
+            "support = build_support_set(f, dom, BallRegion([0.0, 0.0], 0.5), spacing=0.02)\n"
+            "field = build_extension(f, dom, support, ModulusParams(1.0, 1.0))\n"
+            "field.envelope_values(np.random.default_rng(0).uniform(-0.3, -0.29, (2000, 2)))\n"
+            "print(field.n_pruned, len(field._unions), 'numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        n_pruned, n_refined, loaded = proc.stdout.split()
+        assert int(n_pruned) > 0 and int(n_refined) > 0
+        assert loaded == "False"
+
+    @pytest.mark.parametrize("ball, bound", [("cover", 0.7), ("example1", 1.0)])
+    def test_support_build_peak(self, half_disk, ball, bound):
+        if ball == "cover":
+            dom = disk((0.0, 0.0), 1.0)
+            func = named_function("affine", dimension=2, domain=dom,
+                                  params={"p": [0.3, -0.7], "b": 0.1})
+            args = (func, dom, BallRegion((0.0, 0.0), 1.2))
+        else:
+            func = named_function("neg-norm", dimension=2, domain=half_disk)
+            args = (func, half_disk, BallRegion((0.0, 0.0), 1.0), 0.01)
+        tracemalloc.start()
+        try:
+            build_support_set(*args)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * _PARENT_PEAK_MB[ball]
+
 
 class TestGlue:
     def test_two_ball_cover_reproduces_u_in_1d(self):

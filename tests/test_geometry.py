@@ -23,10 +23,10 @@ from scext import (
     segment_in_closure,
 )
 from scext.funcspace import _abs_max
-from scext.geometry import _KINDS, _by_columns, _column_norms
+from scext.geometry import _KINDS, _SLICE, _by_columns, _column_norms
 from scext.semiconcavity import _sample_triples
 
-from conftest import ball_points
+from conftest import COORD, ball_points
 
 
 def _reference_sampler(domain, region, count, rng):
@@ -163,6 +163,14 @@ class TestColumnMembership:
             np.clip(-worst, 0.0, None).view(np.int64),
         )
 
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_slices_give_each_row_its_own_bits(self, kind):
+        # one row past a whole slice: the last row is a slice of its own
+        domain = _domain(kind, 3)
+        pts = np.random.default_rng(13).uniform(-1.2, 1.2, size=(_SLICE + 1, 3))
+        alone = np.concatenate([domain._worst(pts[i : i + 1]) for i in range(pts.shape[0])])
+        assert domain._worst(pts).tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_ball_norms_match_linalg_norm_bit_for_bit(self, d):
         rng = np.random.default_rng(12)
@@ -175,21 +183,13 @@ class TestColumnMembership:
         )
 
 
-# finite values of every scale, subnormals, and the non-finite specials
-_COORD = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False, width=64),
-    st.floats(min_value=-1e-160, max_value=1e-160),
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan]),
-)
-
-
 @st.composite
 def _row_blocks(draw):
     """(rows, d) or (a, b, d) arrays, d = 1-3 or 8-10, rows mixing the
-    coordinates of _COORD."""
+    coordinates of COORD."""
     d = draw(st.sampled_from([1, 2, 3, 8, 9, 10]))
     lead = draw(st.sampled_from([(17,), (1,), (3, 5)]))
-    return draw(hnp.arrays(np.float64, lead + (d,), elements=_COORD))
+    return draw(hnp.arrays(np.float64, lead + (d,), elements=COORD))
 
 
 class TestByColumns:

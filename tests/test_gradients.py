@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scext import (
     DimensionError,
@@ -37,13 +38,14 @@ from scext.gradients import (
     ReachableGradientSet,
     _annulus_directions,
     _cluster,
+    _distances,
     _gradient_samples,
     _reachable_sets,
     _refine_rings,
 )
 from scext.scenarios import hausdorff_to_reference
 
-from conftest import PROBE
+from conftest import COORD, PROBE
 
 
 def _edge_distance(poly, p) -> float:
@@ -89,6 +91,33 @@ class TestReachableSets:
         diff = np.linalg.norm(reps[:, None, :] - reps[None, :, :], axis=2)
         np.fill_diagonal(diff, np.inf)
         assert float(diff.min()) > ex1_u_set.eps_c
+
+
+@st.composite
+def _row_pairs(draw):
+    """Two arrays of rows of one width d = 1-3 or 8-10, with 0-6 and 1-6
+    rows of the coordinates of COORD."""
+    d = draw(st.sampled_from([1, 2, 3, 8, 9, 10]))
+    a = draw(hnp.arrays(np.float64, (draw(st.integers(0, 6)), d), elements=COORD))
+    b = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), d), elements=COORD))
+    return a, b
+
+
+@given(_row_pairs())
+def test_distances_have_the_bits_of_linalg_norm(ab):
+    a, b = ab
+    with np.errstate(all="ignore"):
+        want = np.linalg.norm(a[:, None] - b[None], axis=-1)
+        assert _distances(a, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 10])
+def test_distances_round_as_linalg_norm(d):
+    # rows of one scale, where the order of the sums shows in the last bit
+    rng = np.random.default_rng(d)
+    a, b = rng.standard_normal((300, d)), rng.standard_normal((200, d))
+    want = np.linalg.norm(a[:, None] - b[None], axis=-1)
+    assert _distances(a, b).tobytes() == want.tobytes()
 
 
 def _per_point_gradients(func, pts):
@@ -425,6 +454,42 @@ def _sequential_refine_ring(domain, x, r, base_pts, base_grads, budget, eps_c, s
     return grads[:n]
 
 
+def _refine_both(func, domain):
+    """Rings around seven anchors of the half disk, refined in lockstep and
+    one at a time: (lockstep grads, their rings, the ring index passed in,
+    the sequential result and the base samples, per ring)."""
+    eps_c, h_fd, m_a, base = 0.01, 1e-7, 64, 32
+    anchors = np.array([
+        [0.0, 0.0], [0.0, 0.01], [0.004, -0.003], [0.3, 0.0], [0.0, -0.5],
+        [0.6, 0.2], [0.05, 0.0],
+    ])
+    radii = [0.02 * 0.5**k for k in range(4)]
+
+    def sampler(pts):
+        return _gradient_samples(func, pts, domain, h_fd, eps_c)
+
+    want, centres, ring_r, ring, pts, grads = [], [], [], [], [], []
+    for x in anchors:
+        for k, r in enumerate(radii):
+            cand = x + r * _annulus_directions(2, base, k)
+            cand = cand[domain.contains_many(cand, "open")]
+            ok, g = sampler(cand)
+            want.append(_sequential_refine_ring(
+                domain, x, r, cand[ok], g, m_a - base, eps_c, sampler
+            ))
+            ring.extend([len(centres)] * int(ok.sum()))
+            centres.append(x)
+            ring_r.append(r)
+            pts.append(cand[ok])
+            grads.append(g)
+    ring = np.array(ring)
+    got, got_ring = _refine_rings(
+        domain, np.array(centres), np.array(ring_r), ring,
+        np.vstack(pts), np.vstack(grads), m_a - base, eps_c, sampler,
+    )
+    return got, got_ring, ring, want, pts
+
+
 class TestLockstepRefinement:
     @pytest.mark.parametrize("identifier, analytic", [
         ("neg-norm", True), ("neg-abs-x2", True), ("neg-abs-x2", False),
@@ -434,38 +499,25 @@ class TestLockstepRefinement:
         func = named_function(identifier, dimension=2, domain=half_disk)
         if not analytic:
             func = dataclasses.replace(func, _grad=None)
-        eps_c, h_fd, m_a, base = 0.01, 1e-7, 64, 32
-        anchors = np.array([
-            [0.0, 0.0], [0.0, 0.01], [0.004, -0.003], [0.3, 0.0], [0.0, -0.5],
-            [0.6, 0.2], [0.05, 0.0],
-        ])
-        radii = [0.02 * 0.5**k for k in range(4)]
-
-        def sampler(pts):
-            return _gradient_samples(func, pts, half_disk, h_fd, eps_c)
-
-        want, centres, ring_r, ring, pts, grads = [], [], [], [], [], []
-        for x in anchors:
-            for k, r in enumerate(radii):
-                cand = x + r * _annulus_directions(2, base, k)
-                cand = cand[half_disk.contains_many(cand, "open")]
-                ok, g = sampler(cand)
-                want.append(_sequential_refine_ring(
-                    half_disk, x, r, cand[ok], g, m_a - base, eps_c, sampler
-                ))
-                ring.extend([len(centres)] * int(ok.sum()))
-                centres.append(x)
-                ring_r.append(r)
-                pts.append(cand[ok])
-                grads.append(g)
-        got, got_ring = _refine_rings(
-            half_disk, np.array(centres), np.array(ring_r), np.array(ring),
-            np.vstack(pts), np.vstack(grads), m_a - base, eps_c, sampler,
-        )
+        got, got_ring, _, want, pts = _refine_both(func, half_disk)
         for h, ref in enumerate(want):
             assert np.array_equal(got[got_ring == h], ref)
         refined = [h for h, ref in enumerate(want) if ref.shape[0] > pts[h].shape[0]]
         assert len(refined) >= 4
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_rings_without_gaps_return_in_angular_order(self, half_disk, analytic):
+        # an affine u has one gradient everywhere, so no ring has a gap to
+        # refine: the rings come back at once, sorted by angle
+        func = named_function("affine", dimension=2, domain=half_disk,
+                              params={"p": [0.3, -0.7], "b": 0.1})
+        if not analytic:
+            func = dataclasses.replace(func, _grad=None)
+        got, got_ring, ring, want, pts = _refine_both(func, half_disk)
+        assert got_ring is ring
+        for h, ref in enumerate(want):
+            assert ref.shape[0] == pts[h].shape[0]
+            assert got[got_ring == h].tobytes() == ref.tobytes()
 
     def test_isolated_anchor_inside_a_batch(self, half_disk):
         func = named_function("neg-norm", dimension=2, domain=half_disk)
