@@ -4,7 +4,9 @@ Layering: built-in scenario defaults, then the config file, then command-line
 flags.  Every float in CSV artifacts is printed with 17 significant digits;
 JSON artifacts use Python's shortest lossless float repr.  Identical config
 plus seed produces byte-identical artifacts, so wall-clock timings go to a
-separate timings.json that is excluded from that guarantee.
+separate timings.json that is excluded from that guarantee: per stage its
+wall time, its write time and, where the ``resource`` module exists, the
+process's peak resident memory after its writes (``<stage>.peak_rss_mb``).
 
 Exit codes: 0 all stages passed, 1 a stage assertion failed, 2 usage or
 config error, 3 runtime error inside a stage.
@@ -20,6 +22,11 @@ import time
 from dataclasses import dataclass, field as dc_field
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on every platform: timings.json then omits the peaks
+    resource = None
 
 from .errors import ConfigError, ScextError
 from .geometry import BallRegion
@@ -75,6 +82,19 @@ class ScenarioConfig:
         }
 
 
+# stage entries that go to timings.json only, outside the byte-identity guarantee
+_TIMED = ("wall_time", "write_time", "peak_rss_mb")
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set so far, in MB (ru_maxrss is in KB on
+    Linux, in bytes on macOS)."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 @dataclass(eq=False)
 class RunReport:
     scenario: str
@@ -95,7 +115,7 @@ class RunReport:
             "version": VERSION,
             "config": self.config,
             "stages": [
-                {k: v for k, v in s.items() if k not in ("wall_time", "write_time")}
+                {k: v for k, v in s.items() if k not in _TIMED}
                 for s in self.stages
             ],
             "all_passed": self.all_passed,
@@ -236,6 +256,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             t0 = time.perf_counter()
             entry["artifacts"] = _write_artifacts(outdir, artifacts)
             entry["write_time"] = time.perf_counter() - t0
+            entry["peak_rss_mb"] = _peak_rss_mb()
         report.stages.append(entry)
         if entry["status"] == "error":
             break
@@ -245,6 +266,8 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         for s in report.stages:
             timings[s["name"]] = s["wall_time"]
             timings[f"{s['name']}.write"] = s["write_time"]
+            if s["peak_rss_mb"] is not None:
+                timings[f"{s['name']}.peak_rss_mb"] = s["peak_rss_mb"]
         write_json(outdir / "timings.json", timings)
     return report
 

@@ -77,6 +77,18 @@ group is scanned against its cell's candidate pairs only.
   min_j fl(A_j + s) = fl(min_j A_j + s) and the two agree bit for bit.
   The kept field is a new field over the kept pairs and builds its cells on
   use, like any other.
+* Stencils: the mollifier sends the field a batch of stencils, the rows x +
+  o for each centre x and each offset o, |o| <= rho (``stencil_values``).
+  The domain's max_i g_i is 1-Lipschitz, and so is the distance to the ball
+  centre (``geometry`` module docstring), so each row's value of either is
+  within rho of the centre's.  With a margin that bounds the rounding of
+  the rows and of both tests, a centre whose ball distance plus rho fits the
+  ball test and whose max_i g_i plus rho fits the closure test has every row
+  on the data region, and one whose max_i g_i minus rho fails the closure
+  test (ball test as before) has every row off it.  Only the stencils left
+  over are tested row by row, so each row goes where ``evaluate_many``
+  sends it, and the batch still makes one u call over its rows on the data
+  region and one kernel call over the rest.
 """
 
 from __future__ import annotations
@@ -92,7 +104,16 @@ from .errors import (
     PartitionError,
 )
 from .funcspace import _FunctionLike, _gemm
-from .geometry import _SLICE, BallRegion, DomainSpec, _ball_lattice, boundary_sample, closure_grid
+from .geometry import (
+    _SLICE,
+    BOUNDARY_TOL,
+    BallRegion,
+    DomainSpec,
+    _ball_lattice,
+    _column_norms,
+    boundary_sample,
+    closure_grid,
+)
 from .gradients import _gradient_samples, _reachable_sets, _row_norms
 from .semiconcavity import ModulusParams
 
@@ -102,10 +123,10 @@ _PRUNE_TOL = 5e-13
 _FINE_PER_RADIUS = 12  # fine envelope cells per ball radius
 _NEST = 3  # child cells per parent edge: coarse radius/4, finer radius/36
 _LANES = 8  # candidate lists are padded to whole gemm column blocks
-_BLOCK = 1 << 20  # matrix entries per kernel block
-_PRUNE_BLOCK = 1 << 18  # per prune-scan block: at 2^20 its blocks set example1's peak RSS
-_BATCH = 1 << 17  # stencil rows per mollifier call to the field
+_BLOCK = 1 << 18  # matrix entries per kernel or prune-scan block: 2 MiB of doubles
+_BATCH = 1 << 15  # stencil rows per mollifier call to the field, at most
 _EPS = float(np.finfo(float).eps)
+_MARGIN = 1e-9  # stencil domain-test margin, per unit of the field's scale
 
 
 def constant_bound(params: ModulusParams, coefficient: float | None = None) -> float:
@@ -395,23 +416,52 @@ class ExtensionField(_FunctionLike):
 
     def evaluate_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(pts.shape[0])
+        return self._split(pts, self._on_data(pts))
+
+    def stencil_values(self, centres: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """``evaluate_many`` at the rows centre + offset, one stencil of
+        ``offsets`` per centre, as an (n, L) array, bit for bit.  The domain
+        is tested once per stencil, and row by row only for the stencils
+        that straddle the data region's edge (module docstring, Stencils)."""
+        n, (n_off, d) = centres.shape[0], offsets.shape
+        rows = (centres[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+        # the margin: the tests' rounding scales with the magnitudes of the
+        # ball and of the domain's parameters
+        dom, ball = self.domain, self.ball
+        scale = [ball.center, ball.radius, dom.center, dom.radius, dom.half_widths, dom.offset]
+        margin = _MARGIN * max(1.0, *(float(np.abs(v).max()) for v in scale if v is not None))
+        reach = float(_column_norms(offsets).max()) + margin
+        worst = dom._worst(centres)
+        limit = ball.radius * (1.0 + 1e-12) + BOUNDARY_TOL  # ``BallRegion.contains_many``
+        in_ball = _column_norms(centres - ball.center) + reach <= limit
+        on = in_ball & (worst + reach <= BOUNDARY_TOL)
+        mixed = ~on & ~(in_ball & (worst - reach > BOUNDARY_TOL))
+        on, mixed = np.repeat(on, n_off), np.repeat(mixed, n_off)
+        if mixed.any():
+            on[mixed] = self._on_data(rows[mixed])
+        return self._split(rows, on).reshape(n, n_off)
+
+    def _on_data(self, pts: np.ndarray) -> np.ndarray:
+        """The rows in the data region; refuses rows outside the ball.  The
+        tests are elementwise; slices keep their temporaries in cache."""
         inside_ball = np.empty(pts.shape[0], dtype=bool)
-        off_data = np.empty(pts.shape[0], dtype=bool)
-        # the membership tests and u are elementwise; slices keep their
-        # temporaries in cache
+        on = np.empty(pts.shape[0], dtype=bool)
         for lo in range(0, pts.shape[0], _SLICE):
             rows = slice(lo, lo + _SLICE)
             inside_ball[rows] = self.ball.contains_many(pts[rows])
-            on_data = inside_ball[rows] & self.domain.contains_many(pts[rows], "closure")
-            off_data[rows] = ~on_data
-            if np.any(on_data):
-                # the envelope reproduces u there; return u itself so the
-                # identity is exact rather than spacing-limited
-                out[rows][on_data] = self.func.evaluate_many(pts[rows][on_data])
+            on[rows] = inside_ball[rows] & self.domain.contains_many(pts[rows], "closure")
         _reject_outside(inside_ball)
-        if np.any(off_data):
-            out[off_data] = self._min_over_pairs(pts[off_data])
+        return on
+
+    def _split(self, pts: np.ndarray, on: np.ndarray) -> np.ndarray:
+        """u on the rows ``on`` (the envelope reproduces u there; u itself
+        makes the identity exact rather than spacing-limited), the kernel on
+        the others: one call each."""
+        out = np.empty(pts.shape[0])
+        if on.any():
+            out[on] = self.func.evaluate_many(pts[on])
+        if not on.all():
+            out[~on] = self._min_over_pairs(pts[~on])
         return out
 
     def _min_over_pairs(self, pts: np.ndarray) -> np.ndarray:
@@ -608,7 +658,7 @@ def build_extension(
     pairs = _pad(np.arange(k))
     worst = np.full(pairs.size, -np.inf)
     # rows-major: the nodes are fewer than the pairs
-    for idx in np.array_split(np.arange(z.shape[0]), -(-z.shape[0] * pairs.size // _PRUNE_BLOCK)):
+    for idx in np.array_split(np.arange(z.shape[0]), -(-z.shape[0] * pairs.size // _BLOCK)):
         vals = field._pair_values(z[idx], z_sq[idx], pairs, axis=1)
         if params.alpha == 1.0:
             vals += field.coefficient * z_sq[idx, None]
@@ -789,7 +839,7 @@ def _mollifier_grid(dimension: int):
 class MollifiedApproximant(_FunctionLike):
     """u_h(x) = sum_i w_i E(x + y_i/h): smoothing at scale 1/h."""
 
-    field: object
+    field: ExtensionField
     h: int
 
     def __post_init__(self):
@@ -818,14 +868,13 @@ class MollifiedApproximant(_FunctionLike):
         out = np.empty(pts.shape[0])
         L = self.nodes.shape[0]
         # the weighted sums run on blocks of 8192 // L points, whose gemv
-        # rounding every value keeps; the field gets whole blocks, ~2^17
-        # stencil rows per call
+        # rounding every value keeps; the field gets whole blocks, at most
+        # _BATCH stencil rows per call
         step = max(1, 8192 // L)
         batch = step * max(1, _BATCH // (step * L))
+        offsets = self.nodes / self.h
         for lo in range(0, pts.shape[0], batch):
-            block = pts[lo : lo + batch]
-            stencil = (block[:, None, :] + self.nodes[None, :, :] / self.h).reshape(-1, block.shape[1])
-            vals = self.field.evaluate_many(stencil).reshape(block.shape[0], L)
-            for b in range(0, block.shape[0], step):
+            vals = self.field.stencil_values(pts[lo : lo + batch], offsets)
+            for b in range(0, vals.shape[0], step):
                 out[lo + b : lo + b + step] = vals[b : b + step] @ self.weights
         return out

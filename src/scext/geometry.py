@@ -14,6 +14,10 @@ is the absolute value of an affine map minus a constant, and offset - n.x
 constraints.  A sublevel set of a maximum of convex functions is convex, so
 a segment lies in the closure exactly when both of its endpoints do
 (``segment_in_closure``).  A new kind must keep this invariant.
+
+Every g_i is also 1-Lipschitz (a norm of x - c, one coordinate of it, or a
+unit normal's projection, each less a constant), and so is their maximum:
+a point within distance r of x has max_i g_i within r of its value at x.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -419,50 +420,78 @@ def write_json(path: Path, payload) -> None:
 _PAIR_BLOCK = 2048
 
 
+def _spellings(col: np.ndarray, spell: Callable, after: str) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each entry of the float column ``col`` followed by
+    ``after``, each distinct bit pattern spelled once by ``spell`` (a list of
+    floats to a list of strings): the distinct texts and each entry's index
+    into them.  0.0 and -0.0 stay apart, as do NaN payloads.  Found by a
+    sort: 1-D np.unique imports numpy.ma."""
+    bits = np.ascontiguousarray(col, dtype=float).view(np.int64)
+    order = np.argsort(bits)
+    first = np.r_[True, bits[order[1:]] != bits[order[:-1]]]
+    index = np.empty(bits.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    words = spell(bits[order[first]].view(float).tolist())
+    return np.array([w + after for w in words], dtype=object), index
+
+
 def write_pairs_json(path: Path, header: dict, support: SupportSet) -> None:
     """Write what ``write_json`` writes for ``header`` with the pairs of
     ``support.to_dict()`` in place of its one empty ``"pairs"`` list, byte
     for byte, a block of pairs at a time and without building their dicts.
 
-    Each float column goes through the C encoder (no indent), which spells a
-    float as the indenting encoder does, ``NaN`` and ``Infinity`` included;
-    a ``%s`` template from ``json.dumps`` lays each pair out."""
+    A pair's layout, from ``json.dumps``, is cut at its slots p, source, u
+    and y; each slot's text carries the layout up to the next slot.  Each
+    float column is spelled once per distinct value for the whole file
+    (``_spellings``) by the C encoder (no indent), which spells a float as
+    the indenting encoder does, ``NaN`` and ``Infinity`` included; a
+    block's text joins the slots' texts pair by pair."""
     head, tail = json.dumps(header, indent=2, sort_keys=True).split('"pairs": []')
     indent = "\n" + head[head.rindex("\n") + 1:] + "  "  # a pair's own indent
     d = support.points.shape[1]
     slots = {"p": ["%s"] * d, "source": "%s", "u": "%s", "y": ["%s"] * d}
     layout = json.dumps(slots, indent=2, sort_keys=True).replace('"%s"', "%s")
-    template = "," + indent + layout.replace("\n", indent)  # slots p, source, u, y
-    spelled = {s: json.dumps(s) for s in set(support.sources)}
-    values = np.asarray(support.values, dtype=float)
+    lead, *after = ("," + indent + layout.replace("\n", indent)).split("%s")
+
+    def spell(values):
+        return json.dumps(values)[1:-1].split(", ")
+
+    columns = [*support.gradients.T, support.values, *support.points.T]
+    floats = [_spellings(col, spell, a) for col, a in zip(columns, after[:d] + after[d + 1:])]
+    spelled = {s: json.dumps(s) + after[d] for s in set(support.sources)}
     with open(path, "w") as fh:
         fh.write(head + '"pairs": [')
         for start in range(0, support.size, _PAIR_BLOCK):
             block = slice(start, start + _PAIR_BLOCK)
-            cols = [*support.gradients[block].T, values[block], *support.points[block].T]
-            cols = [json.dumps(col.tolist())[1:-1].split(", ") for col in cols]
+            cols = [words[index[block]] for words, index in floats]
             cols.insert(d, [spelled[s] for s in support.sources[block]])
-            text = "".join([template % row for row in zip(*cols)])
+            text = "".join(chain.from_iterable(zip(repeat(lead), *cols)))
             fh.write(text[1:] if start == 0 else text)  # no comma before the first
         fh.write(indent[:-2] + "]" + tail + "\n")
 
 
-def emit_grid(field, region: BallRegion, spacing: float, fmt: str, path) -> Path:
+def emit_grid(field, region: BallRegion, spacing: float, fmt: str, path, values=None) -> Path:
     """One row per lattice node of the region: coordinates then value,
-    rows in lexicographic node order."""
+    rows in lexicographic node order.  ``values``, when given, are the
+    field's values at those nodes (``_ball_lattice(region, spacing)``), which
+    the caller has already computed."""
     if fmt not in GRID_FORMATS:
         raise InputError(f"unknown grid format {fmt!r}; expected one of {GRID_FORMATS}")
     nodes = _ball_lattice(region, spacing)
-    values = np.asarray(field.evaluate_many(nodes), dtype=float)
+    if values is None:
+        values = field.evaluate_many(nodes)
+    values = np.asarray(values, dtype=float)
     names = [f"x{j + 1}" for j in range(nodes.shape[1])]
     path = Path(path)
-    rows = np.column_stack([nodes, values])
     if fmt == "csv":
-        header = ",".join(names + ["value"])
-        template = ",".join(["%.17g"] * rows.shape[1])
-        body = "\n".join([template % tuple(row) for row in rows.tolist()])
-        path.write_text(header + "\n" + body + "\n")
+        # each distinct value of a column spelled once with %.17g
+        seps = [","] * nodes.shape[1] + ["\n"]
+        cols = [words[index] for words, index in (
+            _spellings(col, lambda v: ["%.17g" % x for x in v], sep)
+            for col, sep in zip([*nodes.T, values], seps))]
+        path.write_text(",".join(names + ["value"]) + "\n" + "".join(chain.from_iterable(zip(*cols))))
     else:
+        rows = np.column_stack([nodes, values])
         write_json(
             path,
             {"columns": names + ["value"], "spacing": spacing, "rows": rows.tolist()},
@@ -519,10 +548,12 @@ def stage_extend(ctx: StageContext) -> tuple[dict, dict]:
         "identity_max": identity_max,
         "raw_identity_max": raw_identity_max,
     }
+    sweep = None  # the field on the grid's lattice, when the stage computes it
     if sc.reference_envelope is not None:
         pts = _ball_lattice(sc.ball, kn["sweep_spacing"])
         ref = sc.reference_envelope(pts, field.params.alpha, field.coefficient)
-        err = np.abs(field.evaluate_many(pts) - ref)
+        sweep = field.evaluate_many(pts)
+        err = np.abs(sweep - ref)
         metrics["sup_error"] = float(np.max(err))
         metrics["n_sweep"] = int(pts.shape[0])
         metrics["passed"] = metrics["sup_error"] <= 0.02
@@ -535,7 +566,7 @@ def stage_extend(ctx: StageContext) -> tuple[dict, dict]:
         write_pairs_json(path, field.header(), field.support)
 
     def write_grid(path):
-        emit_grid(field, sc.ball, kn["sweep_spacing"], ctx.fmt, path)
+        emit_grid(field, sc.ball, kn["sweep_spacing"], ctx.fmt, path, values=sweep)
 
     return metrics, {"field.json": write_field, f"field_grid.{ctx.fmt}": write_grid}
 

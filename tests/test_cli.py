@@ -14,7 +14,7 @@ import pytest
 from scext.cli import ScenarioConfig, emit_grid, main, run_scenario
 from scext.errors import ConfigError, InputError
 from scext.extension import ExtensionField, SupportSet, build_support_set
-from scext.geometry import BallRegion
+from scext.geometry import BallRegion, _ball_lattice
 from scext.scenarios import (
     _PAIR_BLOCK,
     SCENARIOS,
@@ -85,6 +85,28 @@ class TestEmitGrid:
         )
         for line in path.read_text().strip().split("\n")[1:]:
             assert line.split(",")[-1] == "0"
+
+    def test_csv_spells_repeats_signed_zeros_and_nan_payloads(self, tmp_path):
+        # the CSV spells each distinct value of a column once; the bytes are
+        # those of one %.17g template per row
+        region = BallRegion((0.0, 0.0), 1.0)
+        nodes = _ball_lattice(region, 0.1)
+        values = np.tile([0.5, -0.0, 0.0, 1.0 / 3.0, np.inf], nodes.shape[0])[: nodes.shape[0]]
+        values[7::9] = np.array([0x7FF8000000000001], np.uint64).view(float)[0]
+        values[8::9] = np.array([0xFFF8000000000000], np.uint64).view(float)[0]
+        path = emit_grid(_Zero(), region, 0.1, "csv", tmp_path / "g.csv", values=values)
+        rows = np.column_stack([nodes, values]).tolist()
+        want = "x1,x2,value\n" + "\n".join("%.17g,%.17g,%.17g" % tuple(r) for r in rows) + "\n"
+        text = path.read_text()
+        assert ",-0\n" in text and ",0\n" in text and "nan" in text
+        assert text == want
+
+    def test_given_values_are_the_fields_own(self, ex2, tmp_path):
+        region = BallRegion((0.0, 0.0), 1.0)
+        values = ex2["field"].evaluate_many(_ball_lattice(region, 0.3))
+        given = emit_grid(_Zero(), region, 0.3, "csv", tmp_path / "a.csv", values=values)
+        computed = emit_grid(ex2["field"], region, 0.3, "csv", tmp_path / "b.csv")
+        assert given.read_bytes() == computed.read_bytes()
 
     def test_unknown_format_rejected(self, ex2, tmp_path):
         with pytest.raises(InputError):
@@ -468,6 +490,25 @@ class TestPairWriter:
         assert "NaN" in text and "-Infinity" in text and "-0.0" in text
         assert text == _dumped(support)
 
+    def test_repeated_values_signed_zeros_and_nan_payloads(self, tmp_path):
+        # each distinct bit pattern is spelled once per column: repeats share
+        # a spelling, while 0.0 and -0.0 (and NaNs of any payload) keep their own
+        support = _synthetic_support(_PAIR_BLOCK + 7)
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000ABC], np.uint64)
+        support.values[::3] = 0.25
+        support.values[1::7] = -0.0
+        support.values[2::11] = nans.view(float)[0]
+        support.values[5::13] = nans.view(float)[1]
+        support.values[-1] = nans.view(float)[2]
+        payloads = support.values[np.isnan(support.values)].view(np.uint64)
+        assert set(payloads.tolist()) == set(nans.tolist())
+        support.points[::5, 0] = 0.0
+        support.points[1::5, 0] = -0.0
+        support.gradients[::4] = [1e300, -5e-324]
+        text = _streamed(tmp_path, support, support)
+        assert "-0.0" in text and "NaN" in text and "5e-324" in text
+        assert text == _dumped(support)
+
     def test_stages_stream_without_building_the_pairs(self, tmp_path, monkeypatch):
         def forbidden(self):
             raise AssertionError("to_dict called")
@@ -483,8 +524,13 @@ class TestPairWriter:
                 "--out", str(tmp_path)]
         assert main(argv) == 0
         timings = json.loads((tmp_path / "timings.json").read_text())
-        assert sorted(timings) == ["certify", "certify.write", "support", "support.write"]
+        assert sorted(timings) == [
+            "certify", "certify.peak_rss_mb", "certify.write",
+            "support", "support.peak_rss_mb", "support.write",
+        ]
         assert timings["support.write"] >= 0.0
+        # the process's running peak, read after each stage's writes
+        assert 0.0 < timings["certify.peak_rss_mb"] <= timings["support.peak_rss_mb"]
         report = json.loads((tmp_path / "report.json").read_text())
         assert all("write_time" not in s for s in report["stages"])
 

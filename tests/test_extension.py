@@ -33,7 +33,7 @@ from scext import (
     named_function,
     partition_weights,
 )
-from scext.extension import _FINE_PER_RADIUS, _NEST, _node_index, _pad
+from scext.extension import _BATCH, _FINE_PER_RADIUS, _NEST, _node_index, _pad
 from scext.funcspace import FunctionSpec, _stencil
 from scext.geometry import boundary_sample, capped_disk, closure_grid
 from scext.gradients import _gradient_samples, reachable_gradients
@@ -891,22 +891,90 @@ class TestMollify:
             assert abs(approx.evaluate_many(x)[0] - exact) <= 2.0 / h
 
     @pytest.mark.parametrize("h", [10, 40])
-    def test_batches_equal_per_point_stencils(self, ex2, h):
+    def test_batches_equal_per_point_stencils(self, request, h):
         # the field takes several points' stencils per call; each field value
         # must be the one the point's stencil gets alone, and the weighted
         # sums run on blocks of 8192 // L points (per-point approx(x) sums one
-        # row, which BLAS rounds differently)
-        approx = MollifiedApproximant(ex2["field"], h=h)
-        pts = ball_points(500, seed=17, radius=0.49)
-        step = 8192 // approx.nodes.shape[0]
-        per_point = np.vstack(
-            [ex2["field"].evaluate_many(x + approx.nodes / h) for x in pts]
-        )
-        want = np.concatenate(
-            [per_point[lo : lo + step] @ approx.weights for lo in range(0, pts.shape[0], step)]
-        )
-        assert np.array_equal(approx.evaluate_many(pts), want)
-        assert np.array_equal(approx.evaluate_many(pts[:step]), want[:step])
+        # row, which BLAS rounds differently).  Centres near the face x1 = 0
+        # give stencils inside, outside, across and within the test margin of
+        # the data region's edge (ex1's field is pruned; affine_bundle's data
+        # region is its whole ball)
+        for name in ("ex1", "ex2", "half_alpha", "affine_bundle"):
+            fixture = request.getfixturevalue(name)
+            field = fixture if isinstance(fixture, ExtensionField) else fixture["field"]
+            approx = MollifiedApproximant(field, h=h)
+            rho = float(np.linalg.norm(approx.nodes, axis=1).max()) / h
+            gaps = [0.0, 1 / h, 1 / h + 1e-9, 1 / h - 1e-9, rho, rho + 2e-9, rho - 2e-9,
+                    rho + 5e-10, rho - 5e-10]
+            edge = [[sign * gap, x2] for gap in gaps for sign in (1.0, -1.0)
+                    for x2 in (-0.3, 0.0, 0.2)]
+            pts = np.vstack([ball_points(500, seed=17, radius=0.49), edge])
+            step = 8192 // approx.nodes.shape[0]
+            per_point = np.vstack([field.evaluate_many(x + approx.nodes / h) for x in pts])
+            want = np.concatenate(
+                [per_point[lo : lo + step] @ approx.weights for lo in range(0, pts.shape[0], step)]
+            )
+            assert np.array_equal(approx.evaluate_many(pts), want), name
+            assert np.array_equal(approx.evaluate_many(pts[:step]), want[:step]), name
+
+    def test_only_stencils_at_the_edge_are_tested_row_by_row(self, ex2, monkeypatch):
+        # a stencil of radius rho clear of the face x1 = 0 by more than rho
+        # plus the margin goes whole to u or to the kernel; one within it,
+        # even if all its rows lie on one side, is tested row by row
+        field = ex2["field"]
+        approx = MollifiedApproximant(field, h=10)
+        offsets = approx.nodes / 10
+        rho = float(np.linalg.norm(offsets, axis=1).max())
+        centres = np.array([[0.3, 0.1], [-0.3, 0.1], [0.0, 0.1], [rho + 5e-10, 0.1],
+                            [-rho - 2e-9, 0.1]])
+        tested = []
+        on_data = field._on_data
+
+        def spy(rows):
+            tested.append(rows.copy())
+            return on_data(rows)
+
+        monkeypatch.setattr(field, "_on_data", spy)
+        got = field.stencil_values(centres, offsets)
+        assert len(tested) == 1
+        assert np.array_equal(tested[0], (centres[2:4, None] + offsets).reshape(-1, 2))
+        for x, row in zip(centres, got):
+            assert np.array_equal(row, field.evaluate_many(x + offsets))
+
+    @pytest.mark.parametrize("x1", [0.95, -0.95])
+    def test_stencils_leaving_the_ball_are_refused(self, ex2, x1):
+        # at x1 = -0.95 the whole stencil is off the closure, yet some rows
+        # leave the ball: it must not go to the kernel unchecked
+        field = ex2["field"]
+        offsets = MollifiedApproximant(field, h=10).nodes / 10
+        with pytest.raises(InputError, match="outside the source ball"):
+            field.stencil_values(np.array([[0.0, 0.0], [x1, 0.0]]), offsets)
+
+    def test_field_calls_hold_at_most_batch_rows(self, ex2, monkeypatch):
+        field = ex2["field"]
+        approx = MollifiedApproximant(field, h=10)
+        seen = {"stencil": [], "kernel": [], "u": []}
+
+        def spy(what, fn, rows):
+            def counted(*args):
+                seen[what].append(rows(*args))
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(field, "stencil_values", spy(
+            "stencil", field.stencil_values, lambda c, o: c.shape[0] * o.shape[0]))
+        monkeypatch.setattr(field, "_min_over_pairs", spy(
+            "kernel", field._min_over_pairs, lambda p: p.shape[0]))
+        monkeypatch.setattr(field, "func", dataclasses.replace(field.func))
+        monkeypatch.setattr(field.func, "evaluate_many", spy(
+            "u", field.func.evaluate_many, lambda p: p.shape[0]))
+        pts = ball_points(1000, seed=3, radius=0.49)
+        approx.evaluate_many(pts)
+        assert len(seen["stencil"]) > 1
+        assert sum(seen["stencil"]) == pts.shape[0] * approx.nodes.shape[0]
+        for what in ("stencil", "kernel", "u"):
+            assert 0 < len(seen[what]) <= len(seen["stencil"])
+            assert max(seen[what]) <= _BATCH
 
     def test_quadrature_weights_normalized_and_even(self, ex2):
         approx = MollifiedApproximant(ex2["field"], h=10)
