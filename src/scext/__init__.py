@@ -11,13 +11,11 @@ from .errors import (
     DegenerateDirectionError,
     DimensionError,
     EvaluationError,
-    HypothesisError,
     InputError,
     IsolationError,
     PartitionError,
     SamplingError,
     ScextError,
-    StencilError,
 )
 from .extension import (
     ExtensionField,
@@ -28,14 +26,9 @@ from .extension import (
     build_support_set,
     constant_bound,
     glue_global,
-    holder_ratio,
     partition_weights,
 )
-from .funcspace import (
-    FunctionSpec,
-    gradient,
-    named_function,
-)
+from .funcspace import FunctionSpec, named_function
 from .geometry import (
     BallRegion,
     DomainSpec,
@@ -46,7 +39,6 @@ from .geometry import (
     disk,
     half_space,
     sample_closure_points,
-    segment_in_closure,
 )
 from .gradients import (
     ConvexPolytope,
@@ -56,14 +48,12 @@ from .gradients import (
     normal_cone_directions,
     polytope_distance,
     reachable_gradients,
-    supergradient_defect,
 )
 from .semiconcavity import (
     ModulusParams,
     SemiconcavityCertificate,
     SemiconcavityTriple,
     certify,
-    defect,
     estimate_constant,
 )
 from .singularity import (
@@ -71,7 +61,6 @@ from .singularity import (
     check_condition_h,
     propagation_directions,
     select_p0,
-    singularity_indicator,
     trace_singular_arc,
 )
 
@@ -85,7 +74,6 @@ __all__ = [
     "ExtensionField",
     "FunctionSpec",
     "GlobalExtension",
-    "HypothesisError",
     "InputError",
     "IsolationError",
     "ModulusParams",
@@ -97,7 +85,6 @@ __all__ = [
     "SemiconcavityCertificate",
     "SemiconcavityTriple",
     "SingularArc",
-    "StencilError",
     "SupportSet",
     "boundary_sample",
     "box",
@@ -109,13 +96,10 @@ __all__ = [
     "closure_grid",
     "constant_bound",
     "convex_hull",
-    "defect",
     "disk",
     "estimate_constant",
     "glue_global",
-    "gradient",
     "half_space",
-    "holder_ratio",
     "hull_gap",
     "named_function",
     "normal_cone_directions",
@@ -124,9 +108,6 @@ __all__ = [
     "propagation_directions",
     "reachable_gradients",
     "sample_closure_points",
-    "segment_in_closure",
     "select_p0",
-    "singularity_indicator",
-    "supergradient_defect",
     "trace_singular_arc",
 ]

@@ -39,7 +39,7 @@ from .scenarios import (
     StageContext,
     build_scenario,
     _real,
-    emit_grid,  # re-exported: the grid writer stays part of the CLI API
+    emit_grid,  # unused here; perfbench/layers.py wraps cli.emit_grid by name
     resolve_knobs,
     scenario_from_spec,
     write_json,

@@ -23,14 +23,6 @@ class EvaluationError(ScextError):
     """A function could not be evaluated at the requested point."""
 
 
-class StencilError(ScextError):
-    """A finite-difference stencil leaves the admissible domain."""
-
-
-class HypothesisError(ScextError):
-    """Test data violates the hypothesis of the inequality being probed."""
-
-
 class SamplingError(ScextError):
     """No admissible sample could be drawn within the retry budget."""
 

@@ -114,7 +114,7 @@ from .geometry import (
     boundary_sample,
     closure_grid,
 )
-from .gradients import _gradient_samples, _reachable_sets, _row_norms
+from .gradients import _gradient_samples, _reachable_sets
 from .semiconcavity import ModulusParams
 
 DEFAULT_SPACING_SCALE = 0.01  # support spacing as a fraction of the ball radius
@@ -133,46 +133,6 @@ def constant_bound(params: ModulusParams, coefficient: float | None = None) -> f
     """Semiconcavity constant of the envelope: coeff*(1+alpha)*(1+2^(2-alpha))."""
     coeff = params.C + 1.0 if coefficient is None else float(coefficient)
     return coeff * (1.0 + params.alpha) * (1.0 + 2.0 ** (2.0 - params.alpha))
-
-
-def holder_ratio(
-    y, x, z, params: ModulusParams, coefficient: float
-) -> float | np.ndarray:
-    """|Dv_y(x) - Dv_y(z)| / |x-z|^alpha for the kernel v_y = coeff*|w-y|^(1+a).
-
-    Dv_y(w) = coeff*(1+a)*|w-y|^(a-1)*(w-y), with Dv_y(y) = 0.  The ratio is
-    bounded by coeff*(1+a)*(1+2^(2-a)) for every admissible triple.  Takes one
-    triple of points and returns a float, or (n, d) arrays of n triples and
-    returns n ratios, each bit for bit the one its triple gives alone.
-    """
-    single = np.ndim(x) < 2
-    y, x, z = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (y, x, z))
-    gap = _row_norms(x - z)
-    if np.any(gap == 0.0):
-        raise InputError("holder_ratio requires x != z")
-    a = params.alpha
-    ratio = (_row_norms(_kernel_grad(x, y, a) - _kernel_grad(z, y, a))
-             * coefficient / _pow(gap, a))
-    return float(ratio[0]) if single else ratio
-
-
-def _pow(base: np.ndarray, e: float) -> np.ndarray:
-    """base**e through the C library's pow, element by element: numpy's
-    vectorised power rounds differently on some CPUs."""
-    return np.array([b**e for b in base.tolist()])
-
-
-def _kernel_grad(w: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """(1+alpha)|w-y|^(alpha-1)(w-y) per row, with the removable singularity
-    at w=y."""
-    r = w - y
-    if alpha == 1.0:
-        return 2.0 * r
-    n = _row_norms(r)
-    out = np.zeros_like(r)
-    nz = n != 0.0
-    out[nz] = ((1.0 + alpha) * _pow(n[nz], alpha - 1.0))[:, None] * r[nz]
-    return out
 
 
 def _cell_runs(pts: np.ndarray, size: float):
@@ -254,26 +214,14 @@ class SupportSet:
         return self.points[_node_index(self.points)[0]]
 
     def header(self) -> dict:
-        """``to_dict()`` with an empty ``pairs`` list, for writers that
-        stream the pairs in its place."""
+        """The support's JSON record with an empty ``pairs`` list, for
+        writers that stream the pairs in its place (``write_pairs_json``)."""
         return {
             "n_pairs": self.size,
             "ball": {"center": self.ball.center.tolist(), "radius": self.ball.radius},
             "spacing": self.spacing,
             "pairs": [],
         }
-
-    def to_dict(self) -> dict:
-        pairs = [
-            {
-                "y": self.points[i].tolist(),
-                "p": self.gradients[i].tolist(),
-                "u": float(self.values[i]),
-                "source": self.sources[i],
-            }
-            for i in range(self.size)
-        ]
-        return {**self.header(), "pairs": pairs}
 
 
 def _node_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,6 +346,7 @@ class ExtensionField(_FunctionLike):
     def ball(self) -> BallRegion:
         return self.support.ball
 
+    # no scext run calls this; kept because perfbench/layers.py calls it by name
     def in_data_region(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.domain.contains_many(pts, "closure") & self.ball.contains_many(pts)
@@ -612,8 +561,8 @@ class ExtensionField(_FunctionLike):
         return [kept[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     def header(self) -> dict:
-        """``to_dict()`` with the support's ``header()`` in place of the
-        support."""
+        """The field's JSON record, with the support's ``header()`` as its
+        support, for writers that stream the pairs (``write_pairs_json``)."""
         return {
             "identifier": self.identifier,
             "alpha": self.params.alpha,
@@ -623,9 +572,6 @@ class ExtensionField(_FunctionLike):
             "n_pruned": self.n_pruned,
             "support": self.support.header(),
         }
-
-    def to_dict(self) -> dict:
-        return {**self.header(), "support": self.support.to_dict()}
 
 
 def build_extension(

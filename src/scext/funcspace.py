@@ -14,25 +14,21 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, EvaluationError, InputError, StencilError
+from .errors import DimensionError, EvaluationError, InputError
 from .geometry import DomainSpec, _by_columns, _column_norms, disk
 
 _Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
 class _FunctionLike:
-    """The single-point call f(x) of a function-like, and by default its
-    evaluation domain: the closed ball ``self.ball`` it is defined on."""
+    """The default evaluation domain of a function-like: the closed ball
+    ``self.ball`` it is defined on."""
 
     @property
     def evaluation_domain(self) -> DomainSpec | None:
         """Region outside which evaluation is refused, if declared; also where
         finite-difference stencils may be placed."""
         return disk(self.ball.center, self.ball.radius)
-
-    def __call__(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.evaluate_many(x[None, :])[0])
 
 
 @dataclass(eq=False)
@@ -252,29 +248,3 @@ def _stencil(pts: np.ndarray, h: float, centre: bool = False) -> np.ndarray:
         rows.insert(0, pts[:, None, :])
     return np.concatenate(rows, axis=1).reshape(-1, pts.shape[1])
 
-
-def gradient(func, x, h_fd: float | None = None) -> np.ndarray:
-    """Gradient at x: analytic when declared, else central differences.
-
-    An EvaluationError reports a point where the analytic form is singular.
-    The finite-difference stencil must stay inside the closure of the
-    declared domain (when there is one); otherwise a StencilError asks the
-    caller to shrink h_fd or move inward.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if getattr(func, "has_gradient", False):
-        g = func.gradient_many(x[None, :])[0]
-        if np.isnan(g).any():
-            raise EvaluationError(f"gradient undefined at {x.tolist()}: singular point")
-        return g
-    if h_fd is None or not h_fd > 0.0:
-        raise InputError("central differences need a positive step h_fd")
-    stencil = _stencil(x[None, :], h_fd)
-    dom = func.evaluation_domain
-    if dom is not None and not np.all(dom.contains_many(stencil, "closure")):
-        raise StencilError(
-            f"stencil of radius {h_fd:g} leaves the domain at {x.tolist()}"
-        )
-    vals = func.evaluate_many(stencil)
-    d = x.size
-    return (vals[:d] - vals[d:]) / (2.0 * h_fd)

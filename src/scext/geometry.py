@@ -12,8 +12,8 @@ Invariant: every closure is convex.  The closure of each kind is
 is the absolute value of an affine map minus a constant, and offset - n.x
 (half-space) is affine; the capped disk combines the disk and half-space
 constraints.  A sublevel set of a maximum of convex functions is convex, so
-a segment lies in the closure exactly when both of its endpoints do
-(``segment_in_closure``).  A new kind must keep this invariant.
+a segment lies in the closure exactly when both of its endpoints do.  A new
+kind must keep this invariant.
 
 Every g_i is also 1-Lipschitz (a norm of x - c, one coordinate of it, or a
 unit normal's projection, each less a constant), and so is their maximum:
@@ -394,13 +394,6 @@ def capped_disk(center, radius: float, normal, offset: float) -> DomainSpec:
 
 
 # -- operations -----------------------------------------------------------
-
-
-def segment_in_closure(domain: DomainSpec, a, b) -> bool:
-    """Whether the segment [a, b] lies in closure(domain): exactly when both
-    endpoints do, since every closure is convex (module docstring)."""
-    ends = np.vstack([_vec(a, domain.dimension), _vec(b, domain.dimension)])
-    return bool(np.all(domain.contains_many(ends, "closure")))
 
 
 def closure_grid(domain: DomainSpec, region: BallRegion, spacing: float) -> np.ndarray:

@@ -27,18 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    HypothesisError,
-    InputError,
-    IsolationError,
-)
+from .errors import DimensionError, InputError, IsolationError
 from .funcspace import _stencil
 from .geometry import (
     DomainSpec, _by_columns, _column_norms, _fibonacci_sphere, _polygon_walk, _vec,
-    segment_in_closure,
 )
-from .semiconcavity import ModulusParams
 
 DEFAULT_RATIO = 0.5
 DEFAULT_K_MAX = 8
@@ -497,26 +490,6 @@ def reachable_gradients(
         n_samples=n_samples,
         methods={method_key: n_samples},
     )
-
-
-def supergradient_defect(
-    func,
-    domain: DomainSpec,
-    x,
-    p,
-    y,
-    params: ModulusParams,
-) -> float:
-    """u(y) - u(x) - <p, y-x> - C|y-x|^(1+alpha); nonpositive when p is a
-    reachable gradient at x and C is a valid constant."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    p = _vec(p, domain.dimension)
-    if not segment_in_closure(domain, x, y):
-        raise HypothesisError("segment [x, y] leaves the closure of the domain")
-    gap = float(np.linalg.norm(y - x))
-    vals = func.evaluate_many(np.vstack([y, x]))
-    return float(vals[0] - vals[1] - p @ (y - x) - params.C * gap ** (1.0 + params.alpha))
 
 
 # -- convex hulls ------------------------------------------------------------

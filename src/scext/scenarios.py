@@ -436,8 +436,9 @@ def _spellings(col: np.ndarray, spell: Callable, after: str) -> tuple[np.ndarray
 
 
 def write_pairs_json(path: Path, header: dict, support: SupportSet) -> None:
-    """Write what ``write_json`` writes for ``header`` with the pairs of
-    ``support.to_dict()`` in place of its one empty ``"pairs"`` list, byte
+    """Write what ``write_json`` writes for ``header`` with the support's
+    pairs, pair i as {"y": points[i], "p": gradients[i], "u": values[i],
+    "source": sources[i]}, in place of its one empty ``"pairs"`` list, byte
     for byte, a block of pairs at a time and without building their dicts.
 
     A pair's layout, from ``json.dumps``, is cut at its slots p, source, u

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, InputError, SamplingError
-from .geometry import BallRegion, DomainSpec, sample_closure_points, segment_in_closure
+from .errors import InputError, SamplingError
+from .geometry import BallRegion, DomainSpec, sample_closure_points
 
 # Chunk size of the triple sampler; part of the deterministic draw order.
 _CHUNK = 4096
@@ -89,30 +89,6 @@ class SemiconcavityCertificate:
             "seed": self.seed,
             "sampler": SAMPLER_VERSION,
         }
-
-
-def defect(
-    func,
-    triple: SemiconcavityTriple,
-    params: ModulusParams,
-    domain: DomainSpec | None = None,
-) -> float:
-    """Inequality defect for one triple; nonpositive iff the triple passes.
-
-    When a domain is given (or the function declares one) the segment [x, y]
-    must lie in its closure.
-    """
-    dom = domain if domain is not None else func.evaluation_domain
-    if dom is not None and not segment_in_closure(dom, triple.x, triple.y):
-        raise HypothesisError("segment [x, y] leaves the closure of the domain")
-    vals = _defect_batch(
-        func,
-        triple.x[None, :],
-        triple.y[None, :],
-        np.array([triple.lam]),
-        params,
-    )
-    return float(vals[0])
 
 
 def _defect_batch(func, X, Y, lam, params: ModulusParams) -> np.ndarray:

@@ -112,19 +112,6 @@ def _spreads(grads: np.ndarray) -> np.ndarray:
     return np.array([_diameter(r) for r in reps])
 
 
-def singularity_indicator(field, x, rho: float) -> float:
-    """Diameter of clustered gradient samples on B_rho(x); near-zero at
-    smooth points, about the gradient jump across a crease."""
-    (x,) = _ball_points(field, x)
-    if not rho > 0.0:
-        raise InputError("probe radius must be positive")
-    h_fd = _FD_STEP * rho
-    ball = field.ball
-    if np.linalg.norm(x - ball.center) + rho + h_fd > ball.radius * (1.0 + 1e-12):
-        raise InputError("probe ball escapes the field's ball")
-    return float(_spreads(_indicator_grads(field, x[None, :], rho))[0])
-
-
 # -- arc tracing --------------------------------------------------------------
 
 

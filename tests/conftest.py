@@ -2,7 +2,8 @@
 
 The builds are session-scoped because the support sets are reused by the
 extension, gradient, singularity, and acceptance tests.  Build wall time is
-recorded so the envelope-oracle test can bound end-to-end runtime.
+recorded so the envelope-oracle test can bound end-to-end runtime.  Also the
+kernel-gradient Holder ratio, the reference the bound tests compare against.
 """
 
 import time
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from scext import (
     BallRegion,
+    InputError,
     ModulusParams,
     build_extension,
     build_support_set,
@@ -22,6 +24,7 @@ from scext import (
     named_function,
     reachable_gradients,
 )
+from scext.gradients import _row_norms
 
 settings.register_profile(
     "ci",
@@ -134,3 +137,43 @@ def ball_points(n: int, seed: int, radius: float = 1.0) -> np.ndarray:
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
     phi = rng.uniform(0.0, 2.0 * np.pi, n)
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+
+
+def holder_ratio(
+    y, x, z, params: ModulusParams, coefficient: float
+) -> float | np.ndarray:
+    """|Dv_y(x) - Dv_y(z)| / |x-z|^alpha for the kernel v_y = coeff*|w-y|^(1+a).
+
+    Dv_y(w) = coeff*(1+a)*|w-y|^(a-1)*(w-y), with Dv_y(y) = 0.  The ratio is
+    bounded by coeff*(1+a)*(1+2^(2-a)) for every admissible triple.  Takes one
+    triple of points and returns a float, or (n, d) arrays of n triples and
+    returns n ratios, each bit for bit the one its triple gives alone.
+    """
+    single = np.ndim(x) < 2
+    y, x, z = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (y, x, z))
+    gap = _row_norms(x - z)
+    if np.any(gap == 0.0):
+        raise InputError("holder_ratio requires x != z")
+    a = params.alpha
+    ratio = (_row_norms(_kernel_grad(x, y, a) - _kernel_grad(z, y, a))
+             * coefficient / _pow(gap, a))
+    return float(ratio[0]) if single else ratio
+
+
+def _pow(base: np.ndarray, e: float) -> np.ndarray:
+    """base**e through the C library's pow, element by element: numpy's
+    vectorised power rounds differently on some CPUs."""
+    return np.array([b**e for b in base.tolist()])
+
+
+def _kernel_grad(w: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
+    """(1+alpha)|w-y|^(alpha-1)(w-y) per row, with the removable singularity
+    at w=y."""
+    r = w - y
+    if alpha == 1.0:
+        return 2.0 * r
+    n = _row_norms(r)
+    out = np.zeros_like(r)
+    nz = n != 0.0
+    out[nz] = ((1.0 + alpha) * _pow(n[nz], alpha - 1.0))[:, None] * r[nz]
+    return out

@@ -20,7 +20,6 @@ from scext import (
     constant_bound,
     estimate_constant,
     glue_global,
-    holder_ratio,
     named_function,
     partition_weights,
     propagation_directions,
@@ -29,7 +28,7 @@ from scext import (
 )
 from scext.geometry import BallRegion, box, closure_grid, disk
 
-from conftest import PROBE, ball_points
+from conftest import PROBE, ball_points, holder_ratio
 
 SWEEP_BUDGET_SECONDS = 120.0
 ENVELOPE_C = constant_bound(ModulusParams(alpha=1.0, C=0.0), coefficient=1.0)  # 6.0

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scext import scenarios
 from scext.cli import ScenarioConfig, emit_grid, main, run_scenario
 from scext.errors import ConfigError, InputError
 from scext.extension import ExtensionField, SupportSet, build_support_set
@@ -430,7 +431,21 @@ class TestBenchmarkReference:
         assert worker.artifact_digests(tmp_path) == reference["digests"]
 
 def _dumped(obj) -> str:
-    return json.dumps(obj.to_dict(), indent=2, sort_keys=True, default=_json_default) + "\n"
+    """What ``write_json`` writes for a support set or a field: its
+    ``header()`` with the support's pairs built as dicts in the empty list."""
+    support = getattr(obj, "support", obj)
+    record = obj.header()
+    body = record if support is obj else record["support"]
+    body["pairs"] = [
+        {
+            "y": support.points[i].tolist(),
+            "p": support.gradients[i].tolist(),
+            "u": float(support.values[i]),
+            "source": support.sources[i],
+        }
+        for i in range(support.size)
+    ]
+    return json.dumps(record, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _streamed(tmp_path, obj, support) -> str:
@@ -449,7 +464,8 @@ def _synthetic_support(k: int, d: int = 2) -> SupportSet:
 
 
 class TestPairWriter:
-    """write_pairs_json writes the bytes write_json writes for to_dict()."""
+    """write_pairs_json writes the bytes write_json writes for ``_dumped``'s
+    record of the support set or field."""
 
     @pytest.mark.parametrize("scenario", ["affine-sanity", "example1", "example2", "example3"])
     def test_builtin_support_and_field(self, scenario, tmp_path):
@@ -510,14 +526,21 @@ class TestPairWriter:
         assert text == _dumped(support)
 
     def test_stages_stream_without_building_the_pairs(self, tmp_path, monkeypatch):
-        def forbidden(self):
-            raise AssertionError("to_dict called")
+        # the package has no per-pair dict rendering, and the stages write
+        # both pair files through the streamed writer
+        assert not hasattr(SupportSet, "to_dict")
+        assert not hasattr(ExtensionField, "to_dict")
+        streamed = []
 
-        monkeypatch.setattr(SupportSet, "to_dict", forbidden)
-        monkeypatch.setattr(ExtensionField, "to_dict", forbidden)
+        def spy(path, header, support):
+            streamed.append(Path(path).name)
+            write_pairs_json(path, header, support)
+
+        monkeypatch.setattr(scenarios, "write_pairs_json", spy)
         argv = ["--scenario", "example2", "--stages", "support,extend", "--out", str(tmp_path)]
         assert main(argv) == 0
         assert (tmp_path / "field.json").exists()
+        assert sorted(streamed) == ["field.json", "support.json"]
 
     def test_timings_record_each_stage_write(self, tmp_path):
         argv = ["--scenario", "example2", "--stages", "certify,support", "--triples", "1500",

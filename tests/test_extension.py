@@ -29,7 +29,6 @@ from scext import (
     constant_bound,
     disk,
     glue_global,
-    holder_ratio,
     named_function,
     partition_weights,
 )
@@ -39,7 +38,7 @@ from scext.geometry import boundary_sample, capped_disk, closure_grid
 from scext.gradients import _gradient_samples, reachable_gradients
 from scext.scenarios import build_scenario, envelope_neg_abs_x2
 
-from conftest import ball_points
+from conftest import ball_points, holder_ratio
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -236,16 +235,16 @@ class TestSupportSet:
 
 class TestEnvelope:
     def test_grid_node_value_matches_u(self, ex1):
-        v = ex1["field"]((0.5, 0.5))
+        v = ex1["field"].evaluate_many([(0.5, 0.5)])[0]
         assert v == pytest.approx(-SQRT_HALF, abs=1e-6)
         assert v == pytest.approx(-0.7071067811865476, abs=1e-12)
 
     def test_left_half_plane_closed_form_for_neg_norm(self, ex1):
         # continuation of -|x| beyond the flat face: -|x2| + x1^2
-        assert ex1["field"]((-0.5, 0.3)) == pytest.approx(-0.05, abs=0.02)
+        assert ex1["field"].evaluate_many([(-0.5, 0.3)])[0] == pytest.approx(-0.05, abs=0.02)
 
     def test_left_half_plane_closed_form_for_quartic(self, ex3):
-        assert ex3["field"]((-0.2, -0.4)) == pytest.approx(-0.36, abs=0.02)
+        assert ex3["field"].evaluate_many([(-0.2, -0.4)])[0] == pytest.approx(-0.36, abs=0.02)
 
     def test_affine_reproduced_everywhere(self, affine_bundle):
         field = affine_bundle["field"]
@@ -1043,7 +1042,8 @@ class TestFunctionLikes:
         assert isinstance(vals, np.ndarray)
         assert vals.dtype == np.float64 and vals.shape == (40,)
         for x in pts:
-            one = f(x)
+            # a lone row gives a float, and the same bits on a repeat call
+            one = f.evaluate_many(x[None])[0]
             assert isinstance(one, float)
             assert one == f.evaluate_many(x[None])[0]
         assert isinstance(f.identifier, str)

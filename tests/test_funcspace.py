@@ -8,11 +8,10 @@ import pytest
 from scext import (
     BallRegion,
     DimensionError,
-    EvaluationError,
-    gradient,
     named_function,
 )
 from scext.funcspace import _REGISTRY
+from scext.gradients import _gradient_samples
 
 
 def _origin(pts):
@@ -43,6 +42,10 @@ _UNDERFLOW_GRADIENTS = {
 }
 
 
+# one-sided quotients must agree this closely, as in ``build_support_set``
+_EPS_C = 0.01
+
+
 class _NoGradient:
     """Evaluation-only wrapper that forces the finite-difference path."""
 
@@ -70,41 +73,43 @@ def functions(half_disk):
 
 class TestEvaluate:
     def test_neg_norm_on_unit_vector(self, functions):
-        assert functions["neg-norm"]((0.6, 0.8)) == pytest.approx(-1.0, abs=1e-15)
+        assert functions["neg-norm"].evaluate_many([(0.6, 0.8)])[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_neg_abs_x2(self, functions):
-        assert functions["neg-abs-x2"]((0.5, -0.3)) == -0.3
+        assert functions["neg-abs-x2"].evaluate_many([(0.5, -0.3)])[0] == -0.3
 
     def test_neg_sqrt(self, functions):
-        assert functions["neg-sqrt"]((1.0, 0.0)) == pytest.approx(-1.0, abs=1e-15)
+        assert functions["neg-sqrt"].evaluate_many([(1.0, 0.0)])[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_declared_domain_present(self, functions, half_disk):
         assert functions["neg-norm"].evaluation_domain is half_disk
 
     def test_affine_and_constant(self, functions):
-        assert functions["affine"]((0.25, 0.7)) == pytest.approx(0.5, abs=1e-15)
-        assert functions["constant"]((0.1, 0.2)) == 1.25
+        assert functions["affine"].evaluate_many([(0.25, 0.7)])[0] == pytest.approx(0.5, abs=1e-15)
+        assert functions["constant"].evaluate_many([(0.1, 0.2)])[0] == 1.25
 
     def test_batch_matches_scalar(self, functions):
         pts = np.array([[0.3, 0.1], [0.5, -0.2], [0.9, 0.05]])
         for f in functions.values():
             batch = f.evaluate_many(pts)
-            assert np.array_equal(batch, [f(p) for p in pts])
+            assert np.array_equal(batch, [f.evaluate_many(p[None])[0] for p in pts])
 
 
 class TestGradient:
     def test_neg_norm_analytic(self, functions):
-        g = gradient(functions["neg-norm"], (0.6, 0.8))
+        g = functions["neg-norm"].gradient_many([(0.6, 0.8)])[0]
         assert np.allclose(g, (-0.6, -0.8), atol=1e-15)
 
     def test_neg_abs_x2_signs(self, functions):
-        assert np.allclose(gradient(functions["neg-abs-x2"], (0.5, 0.2)), (0.0, -1.0))
-        assert np.allclose(gradient(functions["neg-abs-x2"], (0.5, -0.2)), (0.0, 1.0))
+        g = functions["neg-abs-x2"].gradient_many([(0.5, 0.2), (0.5, -0.2)])
+        assert np.allclose(g[0], (0.0, -1.0))
+        assert np.allclose(g[1], (0.0, 1.0))
 
-    def test_central_difference_matches_analytic(self, functions):
+    def test_central_difference_matches_analytic(self, functions, half_disk):
         shim = _NoGradient(functions["sq-norm"])
-        g = gradient(shim, (0.3, 0.4), h_fd=1e-4)
-        assert np.allclose(g, (0.6, 0.8), atol=1e-8)
+        mask, g = _gradient_samples(shim, np.array([[0.3, 0.4]]), half_disk, 1e-4, _EPS_C)
+        assert mask.all()
+        assert np.allclose(g[0], (0.6, 0.8), atol=1e-8)
 
     @pytest.mark.parametrize("identifier", sorted(_REGISTRY))
     def test_nan_rows_exactly_on_the_singular_set(self, identifier):
@@ -124,11 +129,14 @@ class TestGradient:
         for row, want in _UNDERFLOW_GRADIENTS.get(identifier, []):
             np.testing.assert_allclose(grads[row], want, rtol=1e-15, atol=0.0)
 
-    def test_gradient_undefined_on_crease(self, functions):
-        with pytest.raises(EvaluationError):
-            gradient(functions["neg-abs-x2"], (0.5, 0.0))
+    def test_gradient_undefined_on_crease(self, functions, half_disk):
+        # the gradient samplers take the NaN row there as not differentiable
+        pts = np.array([[0.5, 0.0], [0.5, 0.2]])
+        mask, g = _gradient_samples(functions["neg-abs-x2"], pts, half_disk, 1e-4, _EPS_C)
+        assert mask.tolist() == [False, True]
+        assert np.isfinite(g).all()
 
-    def test_analytic_agrees_with_central_differences(self, functions):
+    def test_analytic_agrees_with_central_differences(self, functions, half_disk):
         # smooth probes: away from the origin and from the x2 = 0 crease
         rng = np.random.default_rng(31)
         r = rng.uniform(0.3, 0.9, 100)
@@ -138,11 +146,10 @@ class TestGradient:
         h_fd = 1e-4
         for name in ("neg-norm", "neg-abs-x2", "neg-sqrt", "affine", "sq-norm"):
             f = functions[name]
-            shim = _NoGradient(f)
-            for p in pts:
-                exact = gradient(f, p)
-                approx = gradient(shim, p, h_fd=h_fd)
-                assert np.allclose(exact, approx, atol=1e-5), (name, p)
+            exact = f.gradient_many(pts)
+            mask, approx = _gradient_samples(_NoGradient(f), pts, half_disk, h_fd, _EPS_C)
+            assert mask.all(), name
+            assert np.allclose(exact, approx, atol=1e-5), name
 
 
 # parameters that make each named form depend on every coordinate

@@ -16,7 +16,6 @@ from scext import (
     DimensionError,
     InputError,
     IsolationError,
-    ModulusParams,
     check_condition_h,
     convex_hull,
     estimate_constant,
@@ -28,7 +27,6 @@ from scext import (
     reachable_gradients,
     sample_closure_points,
     select_p0,
-    supergradient_defect,
 )
 from scext import gradients, singularity
 from scext.funcspace import _REGISTRY
@@ -528,31 +526,6 @@ class TestLockstepRefinement:
 
 
 class TestSupergradientDefect:
-    def test_hand_values_vanish(self, ex1, ex2, half_disk):
-        p0 = ModulusParams(alpha=1.0, C=0.0)
-        d1 = supergradient_defect(
-            ex1["func"], half_disk, (0.0, 0.0), (-1.0, 0.0), (0.5, 0.0), p0
-        )
-        assert d1 == 0.0
-        d2 = supergradient_defect(
-            ex2["func"], half_disk, (0.0, 0.0), (0.0, -1.0), (0.3, 0.4), p0
-        )
-        assert d2 == 0.0
-
-    def test_y_equal_x_is_zero(self, ex1, half_disk):
-        p0 = ModulusParams(alpha=1.0, C=0.0)
-        d = supergradient_defect(
-            ex1["func"], half_disk, (0.3, 0.2), (-0.8, -0.5), (0.3, 0.2), p0
-        )
-        assert d == 0.0
-
-    def test_gradient_of_wrong_dimension_rejected(self, ex1, half_disk):
-        p0 = ModulusParams(alpha=1.0, C=0.0)
-        with pytest.raises(DimensionError):
-            supergradient_defect(
-                ex1["func"], half_disk, (0.0, 0.0), (1.0,), (0.5, 0.0), p0
-            )
-
     @pytest.mark.parametrize("bundle_name,set_name", [
         ("ex1", "ex1_u_set"), ("ex2", "ex2_u_set"), ("ex3", "ex3_u_set"),
     ])
@@ -571,17 +544,6 @@ class TestSupergradientDefect:
         for p in rset.representatives:
             vals = uy - ux - ys @ p - C * gaps**2
             assert float(vals.max()) <= 5e-3
-        # API spot check against the vectorized formula above
-        p = rset.representatives[0]
-        for y in ys[::200]:
-            api = supergradient_defect(
-                func, half_disk, x0, p, y, ModulusParams(alpha=1.0, C=C)
-            )
-            ref = float(
-                func.evaluate_many(y[None, :])[0] - ux - p @ y
-                - C * np.linalg.norm(y) ** 2
-            )
-            assert api == pytest.approx(ref, abs=1e-12)
 
 
 class TestConvexHull:

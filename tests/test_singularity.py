@@ -18,7 +18,6 @@ from scext import (
     propagation_directions,
     select_p0,
     singularity,
-    singularity_indicator,
     trace_singular_arc,
 )
 from scext.geometry import disk
@@ -100,13 +99,20 @@ class TestDirections:
             propagation_directions(square, (0.0, 0.0))
 
 
+def _indicator(field, x, rho: float) -> float:
+    """The indicator at one point, by the tracer's path: the dimension guard
+    on x, then the spread of one probe ball's gradients."""
+    (x,) = singularity._ball_points(field, x)
+    return float(singularity._spreads(singularity._indicator_grads(field, x[None], rho))[0])
+
+
 class TestIndicator:
     def test_crease_jump_detected(self, ex2):
-        v = singularity_indicator(ex2["field"], (-0.3, 0.0), rho=0.01)
+        v = _indicator(ex2["field"], (-0.3, 0.0), rho=0.01)
         assert 1.8 <= v <= 2.1
 
     def test_smooth_point_quiet(self, ex2):
-        assert singularity_indicator(ex2["field"], (-0.3, 0.2), rho=0.01) <= 0.1
+        assert _indicator(ex2["field"], (-0.3, 0.2), rho=0.01) <= 0.1
 
     def test_affine_field_is_zero(self, half_disk, unit_ball):
         from scext import ModulusParams, build_extension, build_support_set, named_function
@@ -118,7 +124,7 @@ class TestIndicator:
         field = build_extension(
             func, half_disk, support, ModulusParams(1.0, 0.0), coefficient=1.0
         )
-        assert singularity_indicator(field, (0.3, 0.1), rho=0.01) <= 1e-9
+        assert _indicator(field, (0.3, 0.1), rho=0.01) <= 1e-9
 
 
 class _StubField:
@@ -142,14 +148,14 @@ class TestDimensionGuard:
     def test_three_dimensional_ball_rejected_before_evaluation(self):
         field = _StubField((0.0, 0.0, 0.0))
         with pytest.raises(DimensionError):
-            singularity_indicator(field, (0.0, 0.0, 0.0), rho=0.01)
+            _indicator(field, (0.0, 0.0, 0.0), rho=0.01)
         with pytest.raises(DimensionError):
             trace_singular_arc(field, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 0.05, 0.2)
 
     def test_indicator_rejects_a_point_of_the_wrong_size(self):
         field = _StubField((0.0, 0.0), _diagonal_crease)
         with pytest.raises(DimensionError):
-            singularity_indicator(field, (0.3,), rho=0.01)
+            _indicator(field, (0.3,), rho=0.01)
 
     def test_tracer_rejects_a_direction_of_the_wrong_size(self):
         # a one-entry theta used to broadcast to the diagonal, which this
@@ -162,7 +168,7 @@ class TestDimensionGuard:
 
     def test_one_dimensional_kink_jump_detected(self):
         field = _StubField((0.0,), lambda pts: -np.abs(pts[:, 0]))
-        v = singularity_indicator(field, (0.0,), rho=0.01)
+        v = _indicator(field, (0.0,), rho=0.01)
         assert v == pytest.approx(2.0, abs=1e-6)
 
 
