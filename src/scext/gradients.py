@@ -14,8 +14,10 @@ call, their angular gaps refined with one call per round, and their samples
 clustered in one ``_cluster`` call over all groups, which the tracer also
 uses for every probe ball of an arc.  ``_cluster`` runs the leader pass in
 lockstep while many groups are live and finishes the last few long ones in
-Python floats, then merges close means of all groups in lockstep.  Every
-value is computed by the expression that serves one base point alone.
+Python floats, then merges close means of all groups in lockstep.  It reads
+each group's rows where the sort left them, and gives every group as many
+mean slots as the most means any group holds.  Every value is computed by
+the expression that serves one base point alone.
 """
 
 from __future__ import annotations
@@ -290,6 +292,14 @@ def _sweep(rows: list, means: list, counts: list, half: float) -> None:
             counts.append(1.0)
 
 
+def _widen(means: np.ndarray, counts: np.ndarray, width: int):
+    """means and counts with width mean slots per group, the new ones at inf
+    and 0."""
+    extra = width - means.shape[1]
+    return (np.pad(means, ((0, 0), (0, extra), (0, 0)), constant_values=np.inf),
+            np.pad(counts, ((0, 0), (0, extra))))
+
+
 def _merge(means: np.ndarray, counts: np.ndarray, k: np.ndarray, eps_c: float) -> np.ndarray:
     """Merge the closest pair of means of every group, count-weighted, until
     each group's means are pairwise more than eps_c apart; updates means in
@@ -347,8 +357,12 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     leader pass over its lexicographically sorted rows: a row joins the
     nearest running mean (first minimum) within 0.5*eps_c or starts a new
     one.  The pass runs one sample index at a time over every group that
-    still has samples, with unused mean slots at inf; groups go by
-    decreasing size so those are a prefix.  Once at most _SWEEP_GROUPS
+    still has samples, reading each one's row at its first-row offset in the
+    sorted samples; groups go by decreasing size so those are a prefix.
+    Every group has the same number of mean slots, inf until a mean fills
+    one: min(largest group, 32) at first, doubled when a live group's means
+    fill them, or as many as a swept group's means (``_widen``).  So they
+    follow the most means any group holds.  Once at most _SWEEP_GROUPS
     groups are live, each finishes alone in Python floats (``_sweep``),
     unless one of them has a non-finite row (numpy's argmin returns the
     first NaN distance, the sweep would skip it) or the rows have 8 or more
@@ -365,13 +379,11 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     by_size = np.argsort(-sizes, kind="stable")
     rank = np.empty(n_groups, dtype=np.intp)
     rank[by_size] = np.arange(n_groups)
-    slot = np.arange(group.size) - (np.cumsum(sizes) - sizes)[group]
+    first = (np.cumsum(sizes) - sizes)[by_size]  # row offset of each group, by rank
     n_max = int(sizes.max(initial=0))
-    padded = np.empty((n_groups, n_max, d))
-    padded[rank[group], slot] = pts
     n_live = (sizes[:, None] > np.arange(n_max)).sum(axis=0)
-    means = np.full_like(padded, np.inf)
-    counts = np.zeros((n_groups, n_max))
+    means = np.full((n_groups, min(n_max, 32), d), np.inf)
+    counts = np.zeros(means.shape[:2])
     k = np.zeros(n_groups, dtype=np.intp)
     half = 0.5 * eps_c
     finite = _by_columns(np.logical_and, np.isfinite(samples))
@@ -380,8 +392,10 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     t = 0
     while t < n_max and n_live[t] > stop:
         live = int(n_live[t])
-        p = padded[:live, t]
+        p = pts[first[:live] + t]
         top = int(k[:live].max())
+        if top == means.shape[1]:
+            means, counts = _widen(means, counts, min(2 * top, n_max))
         join = np.zeros(live, dtype=bool)
         if top:
             dist = _column_norms(means[:live, :top] - p[:, None, :])
@@ -397,8 +411,10 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
         t += 1
     for r in range(int(n_live[t]) if t < n_max else 0):
         m, c = means[r, : k[r]].tolist(), counts[r, : k[r]].tolist()
-        _sweep(padded[r, t : sizes[by_size[r]]].tolist(), m, c, half)
+        _sweep(pts[first[r] + t : first[r] + sizes[by_size[r]]].tolist(), m, c, half)
         k[r] = len(m)
+        if k[r] > means.shape[1]:
+            means, counts = _widen(means, counts, int(k[r]))
         means[r, : k[r]], counts[r, : k[r]] = m, c
     alive = _merge(means, counts, k, eps_c)
     reps = means[alive]

@@ -3,10 +3,12 @@
 The builds are session-scoped because the support sets are reused by the
 extension, gradient, singularity, and acceptance tests.  Build wall time is
 recorded so the envelope-oracle test can bound end-to-end runtime.  Also the
-kernel-gradient Holder ratio, the reference the bound tests compare against.
+kernel-gradient Holder ratio, the reference the bound tests compare against,
+and the tracemalloc peak the working-set tests bound.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +139,17 @@ def ball_points(n: int, seed: int, radius: float = 1.0) -> np.ndarray:
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
     phi = rng.uniform(0.0, 2.0 * np.pi, n)
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak of the memory numpy and Python allocate while fn(*args) runs, in
+    MB, as tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def holder_ratio(

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from scext.geometry import boundary_sample, capped_disk, closure_grid
 from scext.gradients import _gradient_samples, reachable_gradients
 from scext.scenarios import build_scenario, envelope_neg_abs_x2
 
-from conftest import ball_points, holder_ratio
+from conftest import ball_points, holder_ratio, traced_peak_mb
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -709,8 +708,10 @@ class TestNodeEnvelope:
 
 # tracemalloc peaks of build_support_set before the support path's working
 # set was sized by the work done (numpy 2.4, 2-vCPU x86_64): the ball of the
-# affine-sanity scenario's cover, and example1's ball
-_PARENT_PEAK_MB = {"cover": 12.81, "example1": 13.85}
+# affine-sanity scenario's cover, and example1's ball; and alpha-half's
+# support while _cluster still gave every group mean slots for as many rows
+# as the largest group
+_PARENT_PEAK_MB = {"cover": 12.81, "example1": 13.85, "alpha-half": 6.83}
 
 
 class TestWorkingSet:
@@ -739,7 +740,9 @@ class TestWorkingSet:
         assert int(n_pruned) > 0 and int(n_refined) > 0
         assert loaded == "False"
 
-    @pytest.mark.parametrize("ball, bound", [("cover", 0.7), ("example1", 1.0)])
+    @pytest.mark.parametrize("ball, bound", [
+        ("cover", 0.7), ("example1", 0.75), ("alpha-half", 0.95),
+    ])
     def test_support_build_peak(self, half_disk, ball, bound):
         if ball == "cover":
             dom = disk((0.0, 0.0), 1.0)
@@ -747,15 +750,10 @@ class TestWorkingSet:
                                   params={"p": [0.3, -0.7], "b": 0.1})
             args = (func, dom, BallRegion((0.0, 0.0), 1.2))
         else:
-            func = named_function("neg-norm", dimension=2, domain=half_disk)
-            args = (func, half_disk, BallRegion((0.0, 0.0), 1.0), 0.01)
-        tracemalloc.start()
-        try:
-            build_support_set(*args)
-            peak = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * _PARENT_PEAK_MB[ball]
+            identifier, spacing = ("neg-norm", 0.01) if ball == "example1" else ("neg-abs-x2", 0.02)
+            func = named_function(identifier, dimension=2, domain=half_disk)
+            args = (func, half_disk, BallRegion((0.0, 0.0), 1.0), spacing)
+        assert traced_peak_mb(build_support_set, *args) <= bound * _PARENT_PEAK_MB[ball]
 
 
 class TestGlue:

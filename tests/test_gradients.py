@@ -43,7 +43,7 @@ from scext.gradients import (
 )
 from scext.scenarios import hausdorff_to_reference
 
-from conftest import COORD, PROBE
+from conftest import COORD, PROBE, traced_peak_mb
 
 
 def _edge_distance(poly, p) -> float:
@@ -327,6 +327,12 @@ class TestCluster:
         assert digest == _PINNED_REPRESENTATIVES[identifier, x]
 
 
+# tracemalloc peaks of _cluster on test_slots_follow_the_means_held's calls
+# while every group had mean slots for as many rows as the largest group
+# (numpy 2.4, 2-vCPU x86_64)
+_PARENT_CLUSTER_PEAK_MB = {"skewed": 4.90, "probes": 3.01}
+
+
 class TestLockstepCluster:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_mixed_groups_match_list_reference(self, d):
@@ -390,6 +396,86 @@ class TestLockstepCluster:
         assert _same_bits(got, [_list_cluster(g, 0.1) for g in groups])
         assert len(entered) == gradients._SWEEP_GROUPS
         assert all(n_rows > 0 and n_means > 0 for n_rows, n_means in entered)
+
+    @staticmethod
+    def _spy_slots(monkeypatch):
+        """Record, in call order, every widening of the mean slots as
+        ("widen", old width, new width) and every swept group as ("sweep",
+        its means on entry, its means on exit)."""
+        events = []
+        widen, sweep = gradients._widen, gradients._sweep
+
+        def spy_widen(means, counts, width):
+            events.append(("widen", means.shape[1], width))
+            return widen(means, counts, width)
+
+        def spy_sweep(rows, means, counts, half):
+            n_in = len(means)
+            sweep(rows, means, counts, half)
+            events.append(("sweep", n_in, len(means)))
+
+        monkeypatch.setattr(gradients, "_widen", spy_widen)
+        monkeypatch.setattr(gradients, "_sweep", spy_sweep)
+        return events
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_group_widens_the_slots_in_lockstep(self, d, monkeypatch):
+        # 12 groups of 80 rows stay live to the end, so no group is swept.
+        # The first is a chain of leaders 0.3 apart (eps_c = 0.5), 80 means
+        # before the merge; the others hold a few means each
+        rng = np.random.default_rng(80 + d)
+        chain = np.zeros((80, d))
+        chain[:, 0] = 0.3 * np.arange(80)
+        centres = rng.uniform(-1.0, 1.0, size=(11, 3, d))
+        groups = [chain[rng.permutation(80)]] + [
+            c[rng.integers(0, 3, 80)] + rng.uniform(-0.05, 0.05, size=(80, d)) for c in centres
+        ]
+        events = self._spy_slots(monkeypatch)
+        got = _cluster(np.vstack(groups), [80] * 12, 0.5)
+        assert _same_bits(got, [_list_cluster(g, 0.5) for g in groups])
+        assert events and all(e[0] == "widen" for e in events)
+        assert events[0][1] < 80 == events[-1][2]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_swept_group_widens_the_slots(self, d, monkeypatch):
+        # 20 groups of 10 rows keep the pass in lockstep for 10 rows; then
+        # two groups of 200 rows are swept.  The chain of leaders 0.3 apart
+        # enters the sweep with 10 means and leaves it with 200
+        rng = np.random.default_rng(90 + d)
+        chain = np.zeros((200, d))
+        chain[:, 0] = 0.3 * np.arange(200)
+        centres = rng.uniform(-1.0, 1.0, size=(21, 3, d))
+        groups = [
+            c[rng.integers(0, 3, n)] + rng.uniform(-0.05, 0.05, size=(n, d))
+            for c, n in zip(centres, [10] * 20 + [200])
+        ] + [chain[rng.permutation(200)]]
+        events = self._spy_slots(monkeypatch)
+        got = _cluster(np.vstack(groups), [g.shape[0] for g in groups], 0.5)
+        assert _same_bits(got, [_list_cluster(g, 0.5) for g in groups])
+        assert [e[0] for e in events] == ["sweep", "sweep", "widen"]
+        assert events[1] == ("sweep", 10, 200) and events[2][1:] == (32, 200)
+
+    @pytest.mark.parametrize("call, bound", [("skewed", 0.5), ("probes", 0.85)])
+    def test_slots_follow_the_means_held(self, call, bound):
+        # "skewed": 281 groups of 47 to 199 rows, one of 318 (a support
+        # call's shape), two means each; "probes": 1,221 groups of 24 rows,
+        # at most three means each (the tracer's probe balls).  The parent
+        # peak is the tracemalloc peak when every group had as many mean
+        # slots as the largest group has rows, and the rows were copied
+        # into such slots too
+        rng = np.random.default_rng(281 if call == "skewed" else 1221)
+        if call == "skewed":
+            sizes, eps_c = np.append(rng.integers(47, 200, 280), 318), 0.01
+        else:
+            sizes, eps_c = np.full(1221, 24), 0.02
+        n_centres = 2 if call == "skewed" else 3
+        centres = rng.uniform(-1.0, 1.0, size=(sizes.size, n_centres, 2))
+        samples = np.vstack([
+            c[rng.integers(0, n_centres, n)] + rng.uniform(-0.004, 0.004, (n, 2))
+            for c, n in zip(centres, sizes)
+        ])
+        peak = traced_peak_mb(_cluster, samples, sizes, eps_c)
+        assert peak <= bound * _PARENT_CLUSTER_PEAK_MB[call]
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("entries", [None, 64])
