@@ -750,7 +750,8 @@ class TestWorkingSet:
                                   params={"p": [0.3, -0.7], "b": 0.1})
             args = (func, dom, BallRegion((0.0, 0.0), 1.2))
         else:
-            identifier, spacing = ("neg-norm", 0.01) if ball == "example1" else ("neg-abs-x2", 0.02)
+            identifier, spacing = {"example1": ("neg-norm", 0.01),
+                                   "alpha-half": ("neg-abs-x2", 0.02)}[ball]
             func = named_function(identifier, dimension=2, domain=half_disk)
             args = (func, half_disk, BallRegion((0.0, 0.0), 1.0), spacing)
         assert traced_peak_mb(build_support_set, *args) <= bound * _PARENT_PEAK_MB[ball]

@@ -458,17 +458,16 @@ class TestLockstepCluster:
     @pytest.mark.parametrize("call, bound", [("skewed", 0.5), ("probes", 0.85)])
     def test_slots_follow_the_means_held(self, call, bound):
         # "skewed": 281 groups of 47 to 199 rows, one of 318 (a support
-        # call's shape), two means each; "probes": 1,221 groups of 24 rows,
-        # at most three means each (the tracer's probe balls).  The parent
+        # call's shape), two clusters each; "probes": 1,221 groups of 24 rows,
+        # three clusters each (the tracer's probe balls).  The parent
         # peak is the tracemalloc peak when every group had as many mean
         # slots as the largest group has rows, and the rows were copied
         # into such slots too
         rng = np.random.default_rng(281 if call == "skewed" else 1221)
         if call == "skewed":
-            sizes, eps_c = np.append(rng.integers(47, 200, 280), 318), 0.01
+            sizes, eps_c, n_centres = np.append(rng.integers(47, 200, 280), 318), 0.01, 2
         else:
-            sizes, eps_c = np.full(1221, 24), 0.02
-        n_centres = 2 if call == "skewed" else 3
+            sizes, eps_c, n_centres = np.full(1221, 24), 0.02, 3
         centres = rng.uniform(-1.0, 1.0, size=(sizes.size, n_centres, 2))
         samples = np.vstack([
             c[rng.integers(0, n_centres, n)] + rng.uniform(-0.004, 0.004, (n, 2))
