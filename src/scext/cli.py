@@ -238,7 +238,10 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     outdir: Path | None = None
     if config.out:
         outdir = Path(config.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create artifact directory {outdir}: {err}") from err
     report = RunReport(scenario=scenario.name, config=config.echo())
     for name in stage_names:
         t0 = time.perf_counter()

@@ -31,6 +31,8 @@ from scext.scenarios import (
 )
 from scext.semiconcavity import ModulusParams, certify
 
+_ROOT = Path(__file__).resolve().parents[1]
+
 
 class _Zero:
     def evaluate_many(self, pts):
@@ -241,6 +243,12 @@ class TestExitCodes:
         assert main(["--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_created_is_usage_error(self, out, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["--scenario", "glue-1d", "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot create artifact directory")
+
     def test_null_modulus_and_spacing_keep_their_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -300,36 +308,6 @@ class TestExitCodes:
         assert "[pass] certify" in capsys.readouterr().out
 
 
-# SHA-256 of every artifact but timings.json of `scext --scenario S --out DIR`
-_PINNED_ARTIFACTS = {
-    "example2": {
-        "arcs.json": "5d467fd440f52368bcc70eaa82fc0bda8011235879e8b00fe739fe8a9935fc32",
-        "certify.json": "a729f05d17854cb7473f3900a82b9def83a50242a836fcb4bd34583cc37c1b72",
-        "condition.json": "15dcd2f0562c331d3bd098379624e880cdfd37180db2f801ec5f95e1767c98f3",
-        "field.json": "b0376fde8df3b5c3c16bed107409d817389c0169902d2b87c092ca6763820aa4",
-        "field_grid.csv": "e02db68dee548a5929516ab5cc77adef4a77ea44bb34a390cd0fc27439db50ee",
-        "gradients.json": "bd81b3cfe49d9807d73ddbc1f3e3d18ed4084bb70a7b5612fea2e4643f8c8614",
-        "report.json": "b944a4775a4b91fd5414f6fa7b030cf93c030be79e785d24fc44b0f40bcd8b9d",
-        "support.json": "cfb863df7115f0157d9de1cd230f0e49bb6d05eb07dcf44f9a70a189e18761d2",
-    },
-    "example3": {
-        "arcs.json": "748206c0a0ce9f954b1c6e54e0b4c7ff0d4ccecd015cf77167f17538d9abc827",
-        "certify.json": "5942c27142c62d49a98bae17a708df93c461f7f09f8fe696bf610dbfbb4bf8c3",
-        "condition.json": "b04a53ec1d3f150d1a7ee3b98596abc80e0877525af349e50aa83014e8a6aecf",
-        "field.json": "faee07b2767cc69af5cc8a588cd95bb83d26d6607c806c38b01d12c820798c23",
-        "field_grid.csv": "d2b901e5359444dbc37b0f8052345be7438ddba59ff3d8ac85bdd3136d82e291",
-        "gradients.json": "d30e81353055f55843bcc7614b34472c49eb9f8c40251bc94b79f171b2d0c046",
-        "report.json": "7e4f7121439432d51156c4dc6ddf8a7976c58788af2cf977486cf3081fb22be7",
-        "support.json": "fc6599de21af19971b455b11750d582e4b86fd2404bd5159f7b2153396165310",
-    },
-    "glue-1d": {
-        "certify.json": "6102fe2dc02081cccee6a939d7d51c867cbacf3acdf4bf2870ec9b1d7667be11",
-        "glue.json": "0eb9321b510147bc0e6cabb87eb15b6037dfcc96bdfe3e600a68a1772acb80c4",
-        "report.json": "abc338f30e246ab25076ca07ddffa0054e15b885e5d8417495bcc87bf90f284b",
-    },
-}
-
-
 def _failing_certify_config(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(
@@ -382,10 +360,9 @@ class TestArtifactContract:
 class TestBenchmarkTracer:
     def test_layer_tracer_installs_and_sees_the_grid_writer(self, tmp_path):
         # run in a subprocess: the tracer monkeypatches scext module globals
-        root = Path(__file__).resolve().parents[1]
         code = (
             "import sys\n"
-            f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
+            f"sys.path[:0] = [{str(_ROOT / 'perfbench')!r}, {str(_ROOT / 'src')!r}]\n"
             "from layers import Tracer\n"
             "from scext import cli\n"
             "tracer = Tracer()\n"
@@ -408,27 +385,52 @@ class TestBenchmarkTracer:
 
 def test_cli_import_loads_no_scipy():
     # a fresh process: this one may have imported scipy for other tests
-    root = Path(__file__).resolve().parents[1]
     code = "import sys, scext.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-class TestBenchmarkReference:
-    @pytest.mark.parametrize("workload", ["example1", "affine-glue", "alpha-half"])
-    def test_workload_artifacts_match_reference(self, workload, tmp_path, monkeypatch, capsys):
-        # the benchmark's workloads at its recorded seed, hashed as its worker
-        # hashes them: every Tier-1 run checks byte-identity against
-        # perfbench/reference.json, which it only reads
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        bench, worker = importlib.import_module("run"), importlib.import_module("worker")
-        reference = json.loads(bench.REFERENCE.read_text())[workload]
-        argv = bench.WORKLOADS[workload] + ["--seed", str(reference["seed"])]
-        assert main(argv + ["--out", str(tmp_path)]) == 0
-        assert worker.artifact_digests(tmp_path) == reference["digests"]
+# the stores of pinned runs: the benchmark's workloads, and the Tier-1 runs
+_STORES = {"reference": _ROOT / "perfbench/reference.json", "pins": _ROOT / "tests/pins.json"}
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    # perfbench/worker.py: artifact_digests is the one rule for pinned bytes
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    return importlib.import_module("worker")
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize(
+        "store, name",
+        [(store, name) for store, path in _STORES.items() for name in json.loads(path.read_text())],
+    )
+    def test_run_matches_its_store(self, store, name, worker, tmp_path, monkeypatch):
+        # every entry of both stores, run from the repository root as the
+        # recorders run it; both stores are only read here.  example3 traces
+        # its fallback direction, and capped-ball-3d keeps the reachable-
+        # gradient sampler dimension-generic (the sphere directions of the annuli)
+        monkeypatch.chdir(_ROOT)
+        bench, pins = importlib.import_module("run"), importlib.import_module("pins")
+        entry = json.loads(_STORES[store].read_text())[name]
+        argv = entry.pop("argv", None) or bench.WORKLOADS[name] + ["--seed", str(entry["seed"])]
+        recorded = pins.record(argv, tmp_path)
+        assert recorded == entry
+        # the worker's report.json rule moves no digest: each is its file's own
+        plain = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in tmp_path.iterdir() if p.name != "timings.json"}
+        assert recorded["digests"] == plain
+
+    @pytest.mark.parametrize("store", sorted(_STORES))
+    def test_store_is_in_the_recorders_layout(self, store):
+        # a re-record then diffs only the digests that moved
+        text = _STORES[store].read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
 
 def _dumped(obj) -> str:
     """What ``write_json`` writes for a support set or a field: its
@@ -593,7 +595,7 @@ class TestScenarioSpecs:
 
 
 class TestLayeringAndDeterminism:
-    def test_flags_beat_config_and_reruns_are_byte_identical(self, tmp_path):
+    def test_flags_beat_config_and_reruns_are_byte_identical(self, worker, tmp_path):
         out = tmp_path / "artifacts"
         cfg = tmp_path / "c.json"
         cfg.write_text(
@@ -608,8 +610,7 @@ class TestLayeringAndDeterminism:
         )
         argv = ["--config", str(cfg), "--triples", "1500", "--spacing", "0.05"]
         assert main(argv) == 0
-        first = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert set(first) == {
+        assert {p.name for p in out.iterdir()} == {
             "certify.json",
             "support.json",
             "field.json",
@@ -617,74 +618,26 @@ class TestLayeringAndDeterminism:
             "report.json",
             "timings.json",
         }
-        report = json.loads(first["report.json"])
+        report = json.loads((out / "report.json").read_text())
         assert report["all_passed"] is True
         # the flag wins over the config knob and is echoed everywhere
         assert report["config"]["knobs"]["triples"] == 1500
-        cert = json.loads(first["certify.json"])
+        cert = json.loads((out / "certify.json").read_text())
         assert cert["n_triples"] == 1500
+        first = worker.artifact_digests(out)
         assert main(argv) == 0
-        second = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert set(second) == set(first)
-        for name in first:
-            if name == "timings.json":
-                continue
-            assert second[name] == first[name], name
+        assert worker.artifact_digests(out) == first
 
-    def test_same_run_in_two_directories_is_byte_identical(self, tmp_path):
+    def test_same_run_in_two_directories_is_byte_identical(self, worker, tmp_path):
         argv = ["--scenario", "example2", "--stages", "certify,support,extend",
                 "--triples", "1500", "--spacing", "0.05"]
         runs = []
         for name in ("first", "second"):
             out = tmp_path / name
             assert main(argv + ["--out", str(out)]) == 0
-            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert set(runs[0]) == set(runs[1])
+            runs.append(worker.artifact_digests(out))
         assert "report.json" in runs[0]
-        for name in runs[0]:
-            if name != "timings.json":
-                assert runs[0][name] == runs[1][name], name
-
-    def test_three_dimensional_support_is_pinned(self, tmp_path, capsys):
-        # the reachable-gradient sampler stays dimension-generic: a 3D custom
-        # run goes through the sphere directions of the annuli
-        cfg = tmp_path / "c.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "scenario": "custom",
-                    "domain": {
-                        "kind": "capped-disk",
-                        "center": [0.0, 0.0, 0.0],
-                        "radius": 1.0,
-                        "normal": [1.0, 0.0, 0.0],
-                        "offset": 0.0,
-                    },
-                    "function": {"identifier": "neg-norm"},
-                    "ball": {"center": [0.0, 0.0, 0.0], "radius": 0.5},
-                }
-            )
-        )
-        out = tmp_path / "artifacts"
-        argv = ["--config", str(cfg), "--stages", "support", "--spacing", "0.15"]
-        assert main(argv + ["--out", str(out)]) == 0
-        assert "[pass] support" in capsys.readouterr().out
-        digest = hashlib.sha256((out / "support.json").read_bytes()).hexdigest()
-        assert digest == (
-            "d57b6a6c1d2aacb27e5e076d6e88e38386d424018df1da7861c2b9105a9d02e1"
-        )
-
-    @pytest.mark.parametrize("scenario", sorted(_PINNED_ARTIFACTS))
-    def test_default_run_artifacts_are_pinned(self, scenario, tmp_path, capsys):
-        # the built-in scenarios that perfbench/reference.json does not pin;
-        # example3 traces its fallback direction
-        assert main(["--scenario", scenario, "--out", str(tmp_path)]) == 0
-        digests = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in tmp_path.iterdir()
-            if p.name != "timings.json"
-        }
-        assert digests == _PINNED_ARTIFACTS[scenario]
+        assert runs[0] == runs[1]
 
     def test_example3_condition_records_false(self, tmp_path):
         out = tmp_path / "artifacts"
