@@ -52,7 +52,6 @@ from .gradients import (
 from .semiconcavity import (
     ModulusParams,
     SemiconcavityCertificate,
-    SemiconcavityTriple,
     certify,
     estimate_constant,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "SamplingError",
     "ScextError",
     "SemiconcavityCertificate",
-    "SemiconcavityTriple",
     "SingularArc",
     "SupportSet",
     "boundary_sample",

@@ -185,10 +185,6 @@ class DomainSpec:
             return (worst <= BOUNDARY_TOL) & (worst >= -BOUNDARY_TOL)
         raise InputError(f"where must be 'open', 'closure' or 'boundary', got {where!r}")
 
-    def contains(self, x, where: str = "closure") -> bool:
-        """Exact membership test against the domain's defining inequalities."""
-        return bool(self.contains_many(_vec(x, self.dimension)[None, :], where)[0])
-
     def interior_distance(self, points) -> np.ndarray:
         """Distance to the boundary for interior points, clipped to 0 outside."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

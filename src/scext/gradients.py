@@ -365,8 +365,7 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     follow the most means any group holds.  Once at most _SWEEP_GROUPS
     groups are live, each finishes alone in Python floats (``_sweep``),
     unless one of them has a non-finite row (numpy's argmin returns the
-    first NaN distance, the sweep would skip it) or the rows have 8 or more
-    coordinates (numpy then sums them pairwise).  Then every group merges
+    first NaN distance, the sweep would skip it).  Then every group merges
     its closest means until all are more than eps_c apart (``_merge``).  A
     group's representatives depend on its own rows only, and have the same
     bits whichever path computes them.  Returns one lexicographically sorted
@@ -388,7 +387,7 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     half = 0.5 * eps_c
     finite = _by_columns(np.logical_and, np.isfinite(samples))
     first_bad = rank[group[~finite]].min(initial=n_groups)
-    stop = min(_SWEEP_GROUPS, int(first_bad)) if d < 8 else 0
+    stop = min(_SWEEP_GROUPS, int(first_bad))
     t = 0
     while t < n_max and n_live[t] > stop:
         live = int(n_live[t])
@@ -485,10 +484,10 @@ def reachable_gradients(
     otherwise central differences guarded by the one-sided-quotient filter,
     with stencils kept inside the function's declared domain.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _vec(x, domain.dimension)
     if not r0 > 0.0:
         raise InputError("r0 must be positive")
-    if not domain.contains(x, "closure"):
+    if not domain.contains_many(x[None], "closure")[0]:
         raise InputError("base point must lie in the closure of the domain")
     if h_fd is None:
         h_fd = DEFAULT_FD_FRACTION * r0

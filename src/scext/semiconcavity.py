@@ -42,23 +42,6 @@ class ModulusParams:
         return self.C * lam * (1.0 - lam) * gap ** (1.0 + self.alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class SemiconcavityTriple:
-    x: np.ndarray
-    y: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
-        object.__setattr__(self, "lam", float(self.lam))
-        if not 0.0 <= self.lam <= 1.0:
-            raise InputError(f"lambda must lie in [0, 1], got {self.lam}")
-
-    def to_dict(self) -> dict:
-        return {"x": self.x.tolist(), "y": self.y.tolist(), "lambda": self.lam}
-
-
 @dataclass(eq=False)
 class SemiconcavityCertificate:
     function_id: str
@@ -66,7 +49,7 @@ class SemiconcavityCertificate:
     params: ModulusParams
     n_triples: int
     max_defect: float
-    witnesses: list[tuple[SemiconcavityTriple, float]]
+    witnesses: list[dict]  # rows with keys x, y, lambda and defect
     seed: int
 
     @property
@@ -83,9 +66,7 @@ class SemiconcavityCertificate:
             "max_defect": self.max_defect,
             "passed": self.passed,
             "n_witnesses": len(self.witnesses),
-            "witnesses": [
-                {**t.to_dict(), "defect": d} for t, d in self.witnesses
-            ],
+            "witnesses": self.witnesses,
             "seed": self.seed,
             "sampler": SAMPLER_VERSION,
         }
@@ -158,7 +139,9 @@ def certify(
     defects = _defect_batch(func, X, Y, lam, params)
     bad = np.flatnonzero(defects > 0.0)
     witnesses = [
-        (SemiconcavityTriple(X[i], Y[i], lam[i]), float(defects[i])) for i in bad
+        {"x": X[i].tolist(), "y": Y[i].tolist(), "lambda": float(lam[i]),
+         "defect": float(defects[i])}
+        for i in bad
     ]
     return SemiconcavityCertificate(
         function_id=getattr(func, "identifier", type(func).__name__),

@@ -34,6 +34,20 @@ from scext.semiconcavity import ModulusParams, certify
 _ROOT = Path(__file__).resolve().parents[1]
 
 
+# sq-norm is convex, so at C = 0 every nondegenerate triple is a witness
+_FAILING_CERTIFICATE = {
+    "scenario": "custom",
+    "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+    "function": {"identifier": "sq-norm"},
+    "ball": {"center": [0.0, 0.0], "radius": 0.8},
+    "stages": ["certify"],
+    "knobs": {"C": 0.0, "triples": 800},
+}
+_FAILING_CERTIFICATE_DIGEST = (
+    "a5d575bb54dcd0a38490264c875405bad2c5b42e02fb1b2cc7ef41e8ea8e269b"
+)
+
+
 class _Zero:
     def evaluate_many(self, pts):
         return np.zeros(np.atleast_2d(pts).shape[0])
@@ -265,20 +279,20 @@ class TestExitCodes:
 
     def test_failed_certificate_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "scenario": "custom",
-                    "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
-                    "function": {"identifier": "sq-norm"},
-                    "ball": {"center": [0.0, 0.0], "radius": 0.8},
-                    "stages": ["certify"],
-                    "knobs": {"C": 0.0, "triples": 800},
-                }
-            )
-        )
+        cfg.write_text(json.dumps(_FAILING_CERTIFICATE))
         assert main(["--config", str(cfg)]) == 1
         assert "[fail] certify" in capsys.readouterr().out
+
+    def test_failed_certificate_witnesses_are_pinned(self, tmp_path, capsys):
+        # no pinned run writes a witness, since every certificate there passes
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(_FAILING_CERTIFICATE))
+        out = tmp_path / "artifacts"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        cert = json.loads((out / "certify.json").read_text())
+        assert cert["n_witnesses"] > 0
+        digest = hashlib.sha256((out / "certify.json").read_bytes()).hexdigest()
+        assert digest == _FAILING_CERTIFICATE_DIGEST
 
     def test_missing_glue_setup_exits_three(self, capsys):
         assert main(["--scenario", "example2", "--stages", "glue"]) == 3

@@ -55,3 +55,14 @@ def test_every_error_class_is_raised():
     assert classes
     for cls in classes:
         assert any(issubclass(r, cls) for r in raised), cls.__name__
+
+
+def test_no_class_has_a_single_point_twin():
+    # every quantity has one code path, the batch one: a public class that
+    # defines both ``name`` and ``name_many`` keeps a second path to one value
+    classes = [c for c in map(scext.__dict__.get, scext.__all__) if isinstance(c, type)]
+    assert classes
+    for cls in classes:
+        methods = {n for c in cls.__mro__ for n in vars(c) if not n.startswith("_")}
+        twins = sorted(n for n in methods if n + "_many" in methods)
+        assert not twins, f"{cls.__name__}: {twins}"

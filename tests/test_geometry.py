@@ -44,7 +44,8 @@ def _reference_sampler(domain, region, count, rng):
             raise SamplingError(f"drew {got}/{count} admissible points")
         cand = rng.uniform(lo, hi)
         tries += 1
-        if domain.contains(cand, "closure") and region.contains_many(cand[None, :])[0]:
+        row = cand[None, :]
+        if domain.contains_many(row, "closure")[0] and region.contains_many(row)[0]:
             out[got] = cand
             got += 1
     return out
@@ -82,33 +83,33 @@ _BOUNDARY_DIGESTS = {
 
 class TestContains:
     def test_interior_point_of_half_disk(self, half_disk):
-        assert half_disk.contains((0.5, 0.0), "open")
+        assert half_disk.contains_many([(0.5, 0.0)], "open")[0]
 
     def test_flat_face_is_boundary(self, half_disk):
-        assert half_disk.contains((0.0, 0.5), "boundary")
+        assert half_disk.contains_many([(0.0, 0.5)], "boundary")[0]
 
     def test_left_half_plane_outside_closure(self, half_disk):
-        assert not half_disk.contains((-0.1, 0.0), "closure")
+        assert not half_disk.contains_many([(-0.1, 0.0)], "closure")[0]
 
     def test_arc_is_boundary(self, half_disk):
         p = (math.cos(0.3), math.sin(0.3))
-        assert half_disk.contains(p, "boundary")
-        assert not half_disk.contains(p, "open")
+        assert half_disk.contains_many([p], "boundary")[0]
+        assert not half_disk.contains_many([p], "open")[0]
 
     def test_dimension_mismatch_rejected(self, half_disk):
         with pytest.raises(DimensionError):
-            half_disk.contains((0.5, 0.0, 0.0), "open")
+            half_disk.contains_many([(0.5, 0.0, 0.0)], "open")[0]
 
     def test_other_kinds(self):
         b = box(center=(0.5,), half_widths=(0.5,))
-        assert b.contains((0.25,), "open")
-        assert b.contains((1.0,), "boundary")
+        assert b.contains_many([(0.25,)], "open")[0]
+        assert b.contains_many([(1.0,)], "boundary")[0]
         h = half_space(normal=(0.0, 1.0), offset=-0.5)
-        assert h.contains((3.0, 0.0), "open")
-        assert h.contains((3.0, -0.5), "boundary")
-        assert not h.contains((0.0, -1.0), "closure")
+        assert h.contains_many([(3.0, 0.0)], "open")[0]
+        assert h.contains_many([(3.0, -0.5)], "boundary")[0]
+        assert not h.contains_many([(0.0, -1.0)], "closure")[0]
         d = disk((1.0, 1.0), 2.0)
-        assert d.contains((1.0, 2.9), "open")
+        assert d.contains_many([(1.0, 2.9)], "open")[0]
 
 
     @pytest.mark.parametrize("domain", [
@@ -236,19 +237,19 @@ class TestClosureGrid:
 
     def test_every_node_in_closure(self, half_disk, unit_ball):
         grid = closure_grid(half_disk, unit_ball, 0.07)
-        assert all(half_disk.contains(p, "closure") for p in grid)
+        assert half_disk.contains_many(grid, "closure").all()
 
     def test_huge_spacing_keeps_only_members(self, half_disk, unit_ball):
         grid = closure_grid(half_disk, unit_ball, 5.0)
         assert 1 <= grid.shape[0] <= 4
-        assert all(half_disk.contains(p, "closure") for p in grid)
+        assert half_disk.contains_many(grid, "closure").all()
 
     def test_covering_radius(self, half_disk, unit_ball):
         # brute-force oracle: every point of the closure has a grid node
         # within half the lattice diagonal times two
         grid = closure_grid(half_disk, unit_ball, 0.5)
         pts = ball_points(4000, seed=101)
-        keep = np.array([half_disk.contains(p, "closure") for p in pts])
+        keep = half_disk.contains_many(pts, "closure")
         pts = pts[keep][:1000]
         assert pts.shape[0] == 1000
         dists = np.linalg.norm(pts[:, None, :] - grid[None, :, :], axis=2).min(axis=1)
@@ -270,7 +271,7 @@ class TestBoundarySample:
 
     def test_every_point_on_boundary(self, half_disk, unit_ball):
         pts = boundary_sample(half_disk, unit_ball, 0.13)
-        assert all(half_disk.contains(p, "boundary") for p in pts)
+        assert half_disk.contains_many(pts, "boundary").all()
 
     def test_capped_ball_emits_each_point_once(self):
         # the last ring of the flat face is the rim of the cap
@@ -305,7 +306,7 @@ class TestSampler:
 
     def test_samples_lie_in_closure(self, half_disk, unit_ball):
         pts = sample_closure_points(half_disk, unit_ball, 100, np.random.default_rng(9))
-        assert all(half_disk.contains(p, "closure") for p in pts)
+        assert half_disk.contains_many(pts, "closure").all()
 
     @staticmethod
     def _assert_matches_reference(domain, region, seed):

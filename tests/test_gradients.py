@@ -90,6 +90,16 @@ class TestReachableSets:
         np.fill_diagonal(diff, np.inf)
         assert float(diff.min()) > ex1_u_set.eps_c
 
+    @pytest.mark.parametrize("x, error", [
+        ((-0.1, 0.0), InputError),  # outside the closure
+        (((0.5, 0.0),), InputError),  # not one point
+        ((0.5, 0.0, 0.0), DimensionError),
+    ])
+    def test_base_point_is_checked(self, half_disk, x, error):
+        f = named_function("neg-norm", dimension=2, domain=half_disk)
+        with pytest.raises(error):
+            reachable_gradients(f, half_disk, x, **PROBE)
+
 
 @st.composite
 def _row_pairs(draw):
@@ -525,7 +535,7 @@ def _sequential_refine_ring(domain, x, r, base_pts, base_grads, budget, eps_c, s
         mid_phi = 0.5 * (phi[a] + phi[b])
         cand = x + r * np.array([math.cos(mid_phi), math.sin(mid_phi)])
         budget -= 1
-        if not domain.contains(cand, "open"):
+        if not domain.contains_many(cand[None], "open")[0]:
             continue
         ok, g = sampler(cand[None, :])
         if not ok[0]:

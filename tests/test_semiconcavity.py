@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scext import (
     BallRegion,
     ModulusParams,
-    SemiconcavityTriple,
     box,
     certify,
     disk,
@@ -24,9 +23,10 @@ from scext.semiconcavity import _defect_batch
 NEG_NORM_DEFECT = -0.6 + 0.3 * math.sqrt(2.0)  # = -0.17573593128807147
 
 
-def defect(func, t: SemiconcavityTriple, params: ModulusParams) -> float:
-    """The defect of one triple, by the batch path ``certify`` runs."""
-    return float(_defect_batch(func, t.x[None], t.y[None], np.array([t.lam]), params)[0])
+def defect(func, x, y, lam: float, params: ModulusParams) -> float:
+    """The defect of the triple (x, y, lam), by the batch path ``certify`` runs."""
+    X, Y = (np.asarray(v, dtype=float)[None] for v in (x, y))
+    return float(_defect_batch(func, X, Y, np.array([lam], dtype=float), params)[0])
 
 
 @pytest.fixture(scope="module")
@@ -51,24 +51,21 @@ def neg_sq_norm(full_disk):
 
 class TestDefect:
     def test_neg_norm_hand_value(self, ex1):
-        t = SemiconcavityTriple(x=(0.6, 0.0), y=(0.0, 0.6), lam=0.5)
-        d = defect(ex1["func"], t, ModulusParams(alpha=1.0, C=0.0))
+        d = defect(ex1["func"], (0.6, 0.0), (0.0, 0.6), 0.5, ModulusParams(alpha=1.0, C=0.0))
         assert d == pytest.approx(NEG_NORM_DEFECT, abs=1e-15)
         assert d == pytest.approx(-0.17573593128807147, abs=1e-15)
 
     def test_endpoints_vanish_exactly(self, ex1):
         params = ModulusParams(alpha=1.0, C=3.7)
         for lam in (0.0, 1.0):
-            t = SemiconcavityTriple(x=(0.6, 0.0), y=(0.0, 0.6), lam=lam)
-            assert defect(ex1["func"], t, params) == 0.0
+            assert defect(ex1["func"], (0.6, 0.0), (0.0, 0.6), lam, params) == 0.0
 
     def test_squared_norm_identity_1d(self):
         dom = box(center=(0.5,), half_widths=(0.5,))
         f = named_function(
             "quadratic", dimension=1, domain=dom, params={"a": 1.0, "b": [0.0], "c": 0.0}
         )
-        t = SemiconcavityTriple(x=(0.0,), y=(1.0,), lam=0.5)
-        assert defect(f, t, ModulusParams(alpha=1.0, C=1.0)) == 0.0
+        assert defect(f, (0.0,), (1.0,), 0.5, ModulusParams(alpha=1.0, C=1.0)) == 0.0
 
 
 class TestEstimateConstant:
@@ -99,14 +96,17 @@ class TestCertify:
         assert cert.witnesses == []
 
     def test_underestimated_constant_fails_with_witnesses(self, sq_norm, full_disk, disk_ball):
-        cert = certify(
-            sq_norm, full_disk, disk_ball, ModulusParams(alpha=1.0, C=0.5), 10_000, seed=2
-        )
+        params = ModulusParams(alpha=1.0, C=0.5)
+        cert = certify(sq_norm, full_disk, disk_ball, params, 10_000, seed=2)
         assert not cert.passed
         assert cert.max_defect > 0.0
         assert len(cert.witnesses) > 0
         # pass <=> max_defect <= 0 <=> witnesses empty
-        assert cert.max_defect == max(d for _, d in cert.witnesses)
+        assert cert.max_defect == max(w["defect"] for w in cert.witnesses)
+        for w in cert.witnesses[:20]:
+            assert sorted(w) == ["defect", "lambda", "x", "y"]
+            d = defect(sq_norm, w["x"], w["y"], w["lambda"], params)
+            assert d == pytest.approx(w["defect"], abs=1e-12)
 
     def test_fractional_alpha_concave_passes(self, ex2, half_disk, unit_ball):
         cert = certify(
@@ -142,8 +142,8 @@ _lam = st.floats(0.0, 1.0)
 @given(x1=_coord, x2=_coord, y1=_coord, y2=_coord, lam=_lam)
 def test_defect_symmetric_under_triple_swap(sq_norm, x1, x2, y1, y2, lam):
     params = ModulusParams(alpha=1.0, C=0.7)
-    d1 = defect(sq_norm, SemiconcavityTriple((x1, x2), (y1, y2), lam), params)
-    d2 = defect(sq_norm, SemiconcavityTriple((y1, y2), (x1, x2), 1.0 - lam), params)
+    d1 = defect(sq_norm, (x1, x2), (y1, y2), lam, params)
+    d2 = defect(sq_norm, (y1, y2), (x1, x2), 1.0 - lam, params)
     assert d1 == pytest.approx(d2, abs=1e-12)
 
 
@@ -151,16 +151,14 @@ def test_defect_symmetric_under_triple_swap(sq_norm, x1, x2, y1, y2, lam):
 def test_defect_zero_at_lambda_endpoints(sq_norm, x1, x2, y1, y2):
     params = ModulusParams(alpha=0.5, C=-2.0)
     for lam in (0.0, 1.0):
-        t = SemiconcavityTriple((x1, x2), (y1, y2), lam)
-        assert defect(sq_norm, t, params) == 0.0
+        assert defect(sq_norm, (x1, x2), (y1, y2), lam, params) == 0.0
 
 
 @given(x1=_coord, x2=_coord, y1=_coord, y2=_coord, lam=st.floats(0.01, 0.99))
 def test_defect_affine_and_decreasing_in_constant(sq_norm, x1, x2, y1, y2, lam):
     x, y = np.array([x1, x2]), np.array([y1, y2])
-    t = SemiconcavityTriple(x, y, lam)
-    d0 = defect(sq_norm, t, ModulusParams(alpha=1.0, C=0.0))
-    d1 = defect(sq_norm, t, ModulusParams(alpha=1.0, C=1.5))
+    d0 = defect(sq_norm, x, y, lam, ModulusParams(alpha=1.0, C=0.0))
+    d1 = defect(sq_norm, x, y, lam, ModulusParams(alpha=1.0, C=1.5))
     predicted_drop = 1.5 * lam * (1.0 - lam) * float(np.linalg.norm(x - y)) ** 2
     assert d1 - d0 == pytest.approx(-predicted_drop, abs=1e-12)
     if predicted_drop > 1e-9:
