@@ -28,17 +28,18 @@ group is scanned against its cell's candidate pairs only.
   the box, and at alpha = 1 the bound is the exact minimum of the affine
   v_j - v_b.  Computed coordinate by coordinate on (cells x candidates)
   arrays.  Candidates: the pairs whose bound is at most the slack.
-* Levels: coarse cells (radius/4) filter all pairs and fine cells (radius/12)
-  their coarse parent's candidates; a cell's parent is its key // 3, and
-  both levels are cached on the field.  Every query is keyed at the finer
-  edge (radius/36), so its coarse and fine cells are nested boxes that hold
-  it.  A call scans each fine cell's rows once: against the cell's cached
-  refined list when it exists or the rows outnumber what building it costs
-  (``_pays_to_refine``), and against the fine cell's candidates otherwise.
-  The refined list is the union of what one bound pass over the fine cell's
-  candidates keeps for each of its 3^d finer children (radius/36).  A row's
-  finer cell list is part of it, and a minimum over any list between a
-  cell's candidates and all pairs is the full one (Exactness).
+* Levels: coarse cells (radius/4) filter all pairs, whose columns the bound
+  pass reads in place, and fine cells (radius/12) their coarse parent's
+  candidates; a cell's parent is its key // 3, and both levels are cached.
+  Every query is keyed at the finer edge (radius/36), so its coarse and fine
+  cells are nested boxes that hold it.  A call scans each fine cell's rows
+  once: against the cell's cached refined list when it exists or the rows
+  outnumber what building it costs (``_pays_to_refine``), and against the
+  fine cell's candidates otherwise.  The refined list is the union of what
+  one bound pass over the fine cell's candidates keeps for each of its 3^d
+  finer children (radius/36).  A row's finer cell list is part of it, and a
+  minimum over any list between a cell's candidates and all pairs is the
+  full one (Exactness).
 * Exactness: if every computed value in the cell is within e of the exact
   one and j* attains the computed minimum at x, then v_j*(x) <= v_b(x) + 2e,
   so the bound of j*, a lower bound of v_j* - v_b at x, is at most 2e.  A
@@ -87,8 +88,9 @@ group is scanned against its cell's candidate pairs only.
   on the data region, and one whose max_i g_i minus rho fails the closure
   test (ball test as before) has every row off it.  Only the stencils left
   over are tested row by row, so each row goes where ``evaluate_many``
-  sends it, and the batch still makes one u call over its rows on the data
-  region and one kernel call over the rest.
+  sends it, and the batch makes at most one u call over its rows on the
+  data region and at most one kernel call over the rest.  Those rows skip
+  u's own closure test where u is declared on the field's domain (``_split``).
 """
 
 from __future__ import annotations
@@ -103,13 +105,14 @@ from .errors import (
     InputError,
     PartitionError,
 )
-from .funcspace import _FunctionLike, _gemm
+from .funcspace import FunctionSpec, _FunctionLike, _gemm
 from .geometry import (
     _SLICE,
     BOUNDARY_TOL,
     BallRegion,
     DomainSpec,
     _ball_lattice,
+    _by_columns,
     _column_norms,
     boundary_sample,
     closure_grid,
@@ -228,9 +231,14 @@ def _node_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each distinct node, in order of appearance, and the node
     of every point; nodes are told apart at the 1e-9 scale."""
     keys = np.round(points / 1e-9).astype(np.int64)
-    _, first, node = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.lexsort(keys.T[::-1])  # stable: each run of equal keys starts at its first point
+    keys = keys[order]
+    new = np.r_[True, _by_columns(np.logical_or, keys[1:] != keys[:-1])][: order.size]
+    first = order[new]
     rank = np.argsort(first)
-    return first[rank], np.argsort(rank)[node.reshape(-1)]
+    node = np.empty_like(order)
+    node[order] = np.argsort(rank)[np.cumsum(new) - 1]
+    return first[rank], node
 
 
 def build_support_set(
@@ -405,12 +413,21 @@ class ExtensionField(_FunctionLike):
     def _split(self, pts: np.ndarray, on: np.ndarray) -> np.ndarray:
         """u on the rows ``on`` (the envelope reproduces u there; u itself
         makes the identity exact rather than spacing-limited), the kernel on
-        the others: one call each."""
+        the others: at most one call each, and no gather where one takes all.
+        The rows ``on`` are in closure(domain) (``_on_data``, or the stencil
+        test with margin), so u does not test them again where u is declared
+        on this very domain, or on none."""
+        at_u = (self.func._evaluate_in_closure if isinstance(self.func, FunctionSpec)
+                and self.func.domain in (None, self.domain) else self.func.evaluate_many)
+        if not on.any():
+            return self._min_over_pairs(pts)
         out = np.empty(pts.shape[0])
-        if on.any():
-            out[on] = self.func.evaluate_many(pts[on])
-        if not on.all():
-            out[~on] = self._min_over_pairs(pts[~on])
+        if on.all():
+            # C order in (BLAS rounds by layout) and a fresh array out, as below
+            out[:] = at_u(np.ascontiguousarray(pts))
+            return out
+        out[on] = at_u(pts[on])
+        out[~on] = self._min_over_pairs(pts[~on])
         return out
 
     def _min_over_pairs(self, pts: np.ndarray) -> np.ndarray:
@@ -502,24 +519,21 @@ class ExtensionField(_FunctionLike):
                 parent = tuple(k // _NEST for k in key) if level else key
                 siblings.setdefault(parent, []).append(key)
         for parent, cells in siblings.items():
-            if level:
-                cand = self._candidates(level - 1, [parent])[0]
-            else:
-                cand = np.arange(self.support.size, dtype=np.int32)
+            cand = self._candidates(level - 1, [parent])[0] if level else None
             lists = self._prune_cells(cand, np.array(cells), self._sizes[level])
             for key, cell in zip(cells, lists):
                 # scanned lists are padded to whole gemm column blocks
                 index[key] = _pad(cell) if level else cell
         return [index[k] for k in keys]
 
-    def _prune_cells(self, cand: np.ndarray, keys: np.ndarray, size: float):
+    def _prune_cells(self, cand: np.ndarray | None, keys: np.ndarray, size: float):
         """For each cell of ``keys`` (edge ``size``), the pairs j of ``cand``
-        whose lower bound of v_j - v_b over the cell is within the slack, b
-        being the cell's reference pair: the first pair of the smallest
-        computed value at the cell centre (module docstring).  One (cells x
-        candidates) pass, coordinate by coordinate."""
+        (None: all pairs) whose lower bound of v_j - v_b over the cell is
+        within the slack, b being the cell's reference pair: the first pair
+        of the smallest computed value at the cell centre (module docstring).
+        One (cells x candidates) pass, coordinate by coordinate."""
         c, e, d = self.coefficient, 1.0 + self.params.alpha, keys.shape[1]
-        cols = self._bound_cols[:, cand]
+        cols = self._bound_cols if cand is None else np.take(self._bound_cols, cand, axis=1)
         m = (keys + 0.5) * size
         # widened by the rounding of x/size: the box holds every point keyed to it
         h = 0.5 * size + 4.0 * _EPS * (np.abs(m) + size)
@@ -556,7 +570,8 @@ class ExtensionField(_FunctionLike):
             s = rx + r_y
             err += tol * c * (s * s + s**e) + c * (tol * s * s) ** (0.5 * e)
         keep = lin <= (top + 4.0 * err)[:, None]
-        kept = cand[np.nonzero(keep)[1]]
+        kept = np.flatnonzero(keep) % keep.shape[1]  # 2-D np.nonzero is 5x slower
+        kept = kept.astype(np.int32) if cand is None else cand[kept]
         ends = np.cumsum(keep.sum(axis=1)).tolist()
         return [kept[lo:hi] for lo, hi in zip([0] + ends, ends)]
 

@@ -47,16 +47,21 @@ class FunctionSpec(_FunctionLike):
 
     def evaluate_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dimension:
-            raise DimensionError(
-                f"points have dimension {pts.shape[1]}, function expects {self.dimension}"
-            )
-        if self.domain is not None:
+        if self.domain is not None and pts.shape[1] == self.dimension:  # else refused below
             ok = self.domain.contains_many(pts, "closure")
             if not np.all(ok):
                 raise EvaluationError(
                     f"{int((~ok).sum())} evaluation point(s) outside the declared domain"
                 )
+        return self._evaluate_in_closure(pts)
+
+    def _evaluate_in_closure(self, pts: np.ndarray) -> np.ndarray:
+        """``evaluate_many`` on (N, d) rows the caller has already placed in
+        the closure of ``domain``, whose test it does not repeat."""
+        if pts.shape[1] != self.dimension:
+            raise DimensionError(
+                f"points have dimension {pts.shape[1]}, function expects {self.dimension}"
+            )
         vals = np.asarray(self._fn(pts), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise EvaluationError(f"{self.identifier} produced non-finite values")

@@ -12,8 +12,10 @@ Reachable sets are estimated for many base points in lockstep
 (``_reachable_sets``): the rings of all of them are sampled in one gradient
 call, their angular gaps refined with one call per round, and their samples
 clustered in one ``_cluster`` call over all groups, which the tracer also
-uses for every probe ball of an arc.  ``_cluster`` runs the leader pass in
-lockstep while many groups are live and finishes the last few long ones in
+uses for every probe ball of an arc.  ``_cluster`` gives each group that
+fits a box of diagonal 0.5*eps_c, less a rounding margin, its one running
+mean in a lockstep of its own.  Over the other groups it runs the leader
+pass in lockstep while many are live and finishes the last few long ones in
 Python floats, then merges close means of all groups in lockstep.  It reads
 each group's rows where the sort left them, and gives every group as many
 mean slots as the most means any group holds.  Every value is computed by
@@ -46,6 +48,7 @@ DEFAULT_FD_FRACTION = 5e-6
 _N_DIRS = 8  # most normal-cone generators returned
 
 _GOLDEN = 0.6180339887498949
+_EPS = float(np.finfo(float).eps)
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -356,38 +359,66 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     The rows of samples form groups of the given sizes.  Each group gets a
     leader pass over its lexicographically sorted rows: a row joins the
     nearest running mean (first minimum) within 0.5*eps_c or starts a new
-    one.  The pass runs one sample index at a time over every group that
-    still has samples, reading each one's row at its first-row offset in the
-    sorted samples; groups go by decreasing size so those are a prefix.
-    Every group has the same number of mean slots, inf until a mean fills
-    one: min(largest group, 32) at first, doubled when a live group's means
-    fill them, or as many as a swept group's means (``_widen``).  So they
-    follow the most means any group holds.  Once at most _SWEEP_GROUPS
-    groups are live, each finishes alone in Python floats (``_sweep``),
-    unless one of them has a non-finite row (numpy's argmin returns the
-    first NaN distance, the sweep would skip it).  Then every group merges
-    its closest means until all are more than eps_c apart (``_merge``).  A
-    group's representatives depend on its own rows only, and have the same
-    bits whichever path computes them.  Returns one lexicographically sorted
-    (k, d) array per group.
+    one.  A group whose bounding box is at most 0.5*eps_c across, less a
+    margin for the rounding of the box, of the distances and of the running
+    mean (which leaves the box by count roundings at most), keeps one mean:
+    ``_running_means`` computes m + (p - m)/count for all such groups in
+    lockstep.  The pass over the others runs one sample index at a time over
+    every group that still has samples, reading each one's row at its
+    first-row offset in the sorted samples; groups go by decreasing size so
+    those are a prefix.  Every group has the same number of mean slots, inf
+    until a mean fills one: min(largest group, 32) at first, doubled when a
+    live group's means fill them, or as many as a swept group's means
+    (``_widen``).  So they follow the most means any group holds.  Once at
+    most _SWEEP_GROUPS groups are live, each finishes alone in Python floats
+    (``_sweep``), unless one of them has a non-finite row (numpy's argmin
+    returns the first NaN distance, the sweep would skip it).  Then every
+    group merges its closest means until all are more than eps_c apart
+    (``_merge``).  A group's representatives depend on its own rows only,
+    and have the same bits whichever path computes them.  Returns one
+    lexicographically sorted (k, d) array per group.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     n_groups, d = sizes.size, samples.shape[1]
-    group = np.repeat(np.arange(n_groups), sizes)
-    pts = samples[np.lexsort((*samples.T[::-1], group))]
-    by_size = np.argsort(-sizes, kind="stable")
-    rank = np.empty(n_groups, dtype=np.intp)
-    rank[by_size] = np.arange(n_groups)
-    first = (np.cumsum(sizes) - sizes)[by_size]  # row offset of each group, by rank
+    pts = samples[np.lexsort((*samples.T[::-1], np.repeat(np.arange(n_groups), sizes)))]
+    first, half = np.cumsum(sizes) - sizes, 0.5 * eps_c
+    # each nonempty group's bounding box, non-finite where a row is
+    full = np.flatnonzero(sizes)
+    lo, hi = (op.reduceat(pts, first[full], axis=0) if full.size else np.empty((0, d))
+              for op in (np.minimum, np.maximum))
+    with np.errstate(invalid="ignore"):  # inf - inf where a row is inf
+        width, top = hi - lo, _by_columns(np.maximum, np.maximum(np.abs(lo), np.abs(hi)))
+    one, bad = np.zeros(n_groups, dtype=bool), np.zeros(n_groups, dtype=bool)
+    one[full] = _column_norms(width) + 16.0 * d * (sizes[full] + d) * _EPS * (top + half) <= half
+    bad[full] = ~_by_columns(np.logical_and, np.isfinite(width))
+    by_size = np.argsort(-sizes, kind="stable")  # each path takes its groups by decreasing size
+    ones, multi = by_size[one[by_size]], by_size[~one[by_size]]
+    parts = [*_running_means(pts, first[ones], sizes[ones])[:, None],
+             *_leader_pass(pts, first[multi], sizes[multi], bad[multi], eps_c)]
+    return [parts[r] for r in np.argsort(np.concatenate([ones, multi])).tolist()]
+
+
+def _running_means(pts: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The running mean of each group's rows pts[first:first + size], in
+    lockstep over the groups, which go by decreasing size."""
+    means = pts[first]
+    for t in range(1, int(sizes.max(initial=0))):
+        m = means[: np.searchsorted(-sizes, -t)]  # the groups with more than t rows
+        m += (pts[first[: m.shape[0]] + t] - m) / float(t + 1)
+    return means
+
+
+def _leader_pass(pts, first, sizes, bad, eps_c: float) -> list[np.ndarray]:
+    """``_cluster``'s leader pass and merge for groups by decreasing size,
+    of rows pts[first:first + size]; bad marks a group with a non-finite row."""
+    n_groups, d = sizes.size, pts.shape[1]
     n_max = int(sizes.max(initial=0))
-    n_live = (sizes[:, None] > np.arange(n_max)).sum(axis=0)
+    n_live = np.searchsorted(-sizes, -np.arange(n_max))  # groups with more rows than t
     means = np.full((n_groups, min(n_max, 32), d), np.inf)
     counts = np.zeros(means.shape[:2])
     k = np.zeros(n_groups, dtype=np.intp)
     half = 0.5 * eps_c
-    finite = _by_columns(np.logical_and, np.isfinite(samples))
-    first_bad = rank[group[~finite]].min(initial=n_groups)
-    stop = min(_SWEEP_GROUPS, int(first_bad))
+    stop = min(_SWEEP_GROUPS, int(np.flatnonzero(bad).min(initial=n_groups)))
     t = 0
     while t < n_max and n_live[t] > stop:
         live = int(n_live[t])
@@ -410,7 +441,7 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
         t += 1
     for r in range(int(n_live[t]) if t < n_max else 0):
         m, c = means[r, : k[r]].tolist(), counts[r, : k[r]].tolist()
-        _sweep(pts[first[r] + t : first[r] + sizes[by_size[r]]].tolist(), m, c, half)
+        _sweep(pts[first[r] + t : first[r] + sizes[r]].tolist(), m, c, half)
         k[r] = len(m)
         if k[r] > means.shape[1]:
             means, counts = _widen(means, counts, int(k[r]))
@@ -419,8 +450,7 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     reps = means[alive]
     reps = reps[np.lexsort((*reps.T[::-1], np.nonzero(alive)[0]))]
     ends = np.cumsum(alive.sum(axis=1)).tolist()
-    parts = [reps[a:b] for a, b in zip([0] + ends, ends)]
-    return [parts[r] for r in rank.tolist()]
+    return [reps[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _reachable_sets(func, domain, anchors, r0, k_max, m_a, eps_c, h_fd):

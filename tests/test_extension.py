@@ -17,6 +17,7 @@ from scext import (
     BallRegion,
     DimensionError,
     DomainSpec,
+    EvaluationError,
     ExtensionField,
     GlobalExtension,
     InputError,
@@ -714,6 +715,123 @@ class TestNodeEnvelope:
 _PARENT_PEAK_MB = {"cover": 12.81, "example1": 13.85, "alpha-half": 6.83}
 
 
+def _unique_node_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: ``_node_index`` by np.unique(axis=0), as first written."""
+    keys = np.round(points / 1e-9).astype(np.int64)
+    _, first, node = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rank = np.argsort(first)
+    return first[rank], np.argsort(rank)[node.reshape(-1)]
+
+
+class TestNodeIndex:
+    @staticmethod
+    def _agree(points):
+        got, want = _node_index(points), _unique_node_index(points)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        return got
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_unique_on_duplicates_and_near_rows(self, d):
+        rng = np.random.default_rng(30 + d)
+        base = rng.uniform(-1.0, 1.0, size=(300, d))
+        near = base[:100] + rng.choice([-1e-10, 1e-10], size=(100, d))
+        pts = np.vstack([base[rng.integers(0, 300, 900)], near, -np.abs(base[:50])])
+        first, _ = self._agree(pts[rng.permutation(pts.shape[0])])
+        assert first.size < pts.shape[0]
+
+    def test_rows_that_differ_only_in_a_later_column(self):
+        pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0],
+                        [0.0, -2.0, 1.0], [0.0, 0.0, -1.0], [-3.0, 0.0, 1.0]])
+        first, node = self._agree(pts)
+        assert first.tolist() == [0, 1, 3, 5] and node.tolist() == [0, 1, 0, 2, 1, 3]
+
+    def test_matches_unique_on_example_1s_support(self, ex1):
+        first, _ = self._agree(ex1["support"].points)
+        assert first.size < ex1["support"].size
+
+
+class TestDataRegionEntry:
+    """The field hands its rows on the data region to u once: through
+    ``_evaluate_in_closure`` when u is declared on the field's own domain,
+    through ``evaluate_many`` (with u's own closure test) otherwise."""
+
+    @staticmethod
+    def _spy(monkeypatch, field):
+        calls = {"_evaluate_in_closure": [], "evaluate_many": [], "_min_over_pairs": []}
+        monkeypatch.setattr(field, "func", dataclasses.replace(field.func))
+        for name, owner in [("_evaluate_in_closure", field.func), ("evaluate_many", field.func),
+                            ("_min_over_pairs", field)]:
+            def counted(pts, fn=getattr(owner, name), rows=calls[name]):
+                rows.append(pts.shape[0])
+                return fn(pts)
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_a_foreign_domain_keeps_u_own_test(self, affine_bundle, monkeypatch):
+        field, func = affine_bundle["field"], affine_bundle["func"]
+        x = np.array([[0.8, 0.0]])
+
+        def foreign(u_domain):
+            u = dataclasses.replace(func, domain=u_domain)
+            return ExtensionField(field.support, field.params, field.coefficient, u, field.domain)
+
+        # x is on the field's data region but outside u's smaller disk
+        smaller = foreign(disk((0.0, 0.0), 0.5))
+        with pytest.raises(EvaluationError):
+            smaller.evaluate_many(x)
+        with pytest.raises(EvaluationError):
+            smaller.stencil_values(x, np.array([[0.0, 0.0], [0.01, 0.0]]))
+        # the field's disk again, as another object: u's own test still runs
+        twin = foreign(disk((0.0, 0.0), 1.0))
+        calls = self._spy(monkeypatch, twin)
+        assert twin.evaluate_many(x)[0] == field.evaluate_many(x)[0]
+        assert calls["evaluate_many"] == [1]
+
+    def test_a_batch_on_data_makes_one_u_call(self, affine_bundle, monkeypatch):
+        field, func = affine_bundle["field"], affine_bundle["func"]
+        calls = self._spy(monkeypatch, field)
+        pts = ball_points(500, seed=4, radius=0.9)
+        offsets = np.array([[0.0, 0.0], [0.05, 0.0], [0.0, -0.05]])
+        got = field.evaluate_many(pts)
+        assert calls == {"_evaluate_in_closure": [500], "evaluate_many": [], "_min_over_pairs": []}
+        assert got.tobytes() == func.evaluate_many(pts).tobytes()
+        rows = field.stencil_values(pts, offsets)
+        assert calls["_evaluate_in_closure"] == [500, 1500] and not calls["_min_over_pairs"]
+        want = func.evaluate_many((pts[:, None] + offsets[None]).reshape(-1, 2))
+        assert rows.tobytes() == want.tobytes()
+
+    def test_a_batch_off_data_makes_no_u_call(self, ex2, monkeypatch):
+        field = ex2["field"]
+        pts = ball_points(2000, seed=5, radius=0.9)
+        pts = pts[~field.in_data_region(pts)][:300]
+        want = field.envelope_values(pts)
+        calls = self._spy(monkeypatch, field)
+        got = field.evaluate_many(pts)
+        assert calls == {"_evaluate_in_closure": [], "evaluate_many": [], "_min_over_pairs": [300]}
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fn", [lambda p: 0.25, lambda p: p.ravel()[: p.shape[0]]],
+                             ids=["scalar", "view"])
+    def test_a_batch_on_data_gets_a_fresh_output(self, affine_bundle, fn):
+        # u's result is written into an array of the field's own: a scalar
+        # broadcasts over the rows, and a view of the query is not handed back
+        field = affine_bundle["field"]
+        u = dataclasses.replace(field.func, _fn=fn)
+        swapped = ExtensionField(field.support, field.params, field.coefficient, u, field.domain)
+        pts = np.ascontiguousarray(ball_points(50, seed=6, radius=0.9))
+        got = swapped.evaluate_many(pts)
+        assert got.shape == (50,) and not np.shares_memory(got, pts)
+        assert got.tobytes() == np.broadcast_to(fn(pts), (50,)).astype(float).tobytes()
+        rows = swapped.stencil_values(pts, np.zeros((2, 2)))
+        assert rows.shape == (50, 2)
+
+    def test_an_empty_query_returns_an_empty_array(self, ex2):
+        field = ex2["field"]
+        assert field.evaluate_many(np.empty((0, 2))).shape == (0,)
+        assert field.stencil_values(np.empty((0, 2)), np.zeros((5, 2))).shape == (0, 5)
+
+
 class TestWorkingSet:
     def test_no_masked_array_import(self):
         # 1-D np.unique imports numpy.ma on its first call; the kernel's
@@ -963,9 +1081,10 @@ class TestMollify:
             "stencil", field.stencil_values, lambda c, o: c.shape[0] * o.shape[0]))
         monkeypatch.setattr(field, "_min_over_pairs", spy(
             "kernel", field._min_over_pairs, lambda p: p.shape[0]))
+        # the field hands its on-data rows to u's entry for rows in its closure
         monkeypatch.setattr(field, "func", dataclasses.replace(field.func))
-        monkeypatch.setattr(field.func, "evaluate_many", spy(
-            "u", field.func.evaluate_many, lambda p: p.shape[0]))
+        monkeypatch.setattr(field.func, "_evaluate_in_closure", spy(
+            "u", field.func._evaluate_in_closure, lambda p: p.shape[0]))
         pts = ball_points(1000, seed=3, radius=0.49)
         approx.evaluate_many(pts)
         assert len(seen["stencil"]) > 1

@@ -508,6 +508,108 @@ class TestLockstepCluster:
         assert all(w.shape[0] < g.shape[0] for g, w in zip(groups, want))
 
 
+def _box_group(rng, n, centre, diag):
+    """n rows in the box [centre, centre + w], |w| = diag: two opposite
+    corners and n - 2 rows inside, shuffled."""
+    w = rng.uniform(0.5, 1.0, centre.size)
+    w *= diag / np.linalg.norm(w)
+    rows = centre + rng.uniform(0.0, 1.0, (n, centre.size)) * w
+    rows[:2] = centre, centre + w
+    return rows[rng.permutation(n)]
+
+
+def _one_mean_limit(rows, half):
+    """The box diagonal of rows and the most a group of them may have and
+    still take ``_cluster``'s one-mean path: 0.5*eps_c less the margin."""
+    n, d = rows.shape
+    lo, hi = rows.min(axis=0), rows.max(axis=0)
+    top = float(np.maximum(np.abs(lo), np.abs(hi)).max())
+    margin = 16.0 * d * (n + d) * np.finfo(float).eps * (top + half)
+    return float(np.linalg.norm(hi - lo)), half - margin, margin
+
+
+class TestOneMeanGroups:
+    @staticmethod
+    def _spy_one_mean(monkeypatch):
+        """Record the sizes of the groups ``_cluster`` gives one mean."""
+        sizes = []
+        running = gradients._running_means
+
+        def spy(pts, first, n):
+            sizes.extend(n.tolist())
+            return running(pts, first, n)
+
+        monkeypatch.setattr(gradients, "_running_means", spy)
+        return sizes
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_list_reference_at_the_margin(self, d, scale, monkeypatch):
+        # one call of four groups of 40 to 43 rows, whose box diagonals are
+        # half a margin under the limit, half a margin over it (both under
+        # 0.5*eps_c), just over 0.5*eps_c, and 1.5*eps_c
+        rng = np.random.default_rng(int(7 * d + scale))
+        eps_c, half = 0.02, 0.01
+        groups = []
+        for n, case in [(40, "under"), (41, "over"), (42, "past half"), (43, "wide")]:
+            centre = scale * rng.uniform(-1.0, 1.0, d)
+            _, limit, margin = _one_mean_limit(_box_group(rng, n, centre, half), half)
+            diag = {"under": limit - 0.5 * margin, "over": limit + 0.5 * margin,
+                    "past half": half * (1.0 + 1e-6), "wide": 3.0 * half}[case]
+            rows = _box_group(rng, n, centre, diag)
+            got_diag, got_limit, _ = _one_mean_limit(rows, half)
+            assert (got_diag <= got_limit) == (case == "under")
+            assert (got_diag <= half) == (case in ("under", "over"))
+            groups.append(rows)
+        one_mean = self._spy_one_mean(monkeypatch)
+        got = _cluster(np.vstack(groups), [g.shape[0] for g in groups], eps_c)
+        assert _same_bits(got, [_list_cluster(g, eps_c) for g in groups])
+        assert one_mean == [40]
+        assert got[0].shape == got[1].shape == (1, d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_non_finite_row_takes_the_leader_pass(self, d, monkeypatch):
+        # tight boxes of 30 rows, one with a NaN coordinate in one row: only
+        # the clean one has one mean
+        rng = np.random.default_rng(50 + d)
+        groups = [_box_group(rng, 30, rng.uniform(-1.0, 1.0, d), 0.001) for _ in range(2)]
+        groups[1][7, -1] = np.nan
+        one_mean = self._spy_one_mean(monkeypatch)
+        for sizes in ([30, 30], [60]):
+            one_mean.clear()
+            samples = np.vstack(groups)
+            parts = np.split(samples, np.cumsum(sizes)[:-1])
+            got = _cluster(samples, sizes, 0.02)
+            assert _same_bits(got, [_list_cluster(g, 0.02) for g in parts])
+            assert one_mean == ([30] if len(sizes) == 2 else [])
+        assert _cluster(groups[0], [30], 0.02)[0].shape == (1, d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_calls_match_list_reference(self, d, monkeypatch):
+        # one call of 150 groups of 0 to 80 rows: empty groups, single rows,
+        # tight boxes of one mean at magnitudes up to 1e6, and groups around
+        # two or three centres; the lockstep of each path retires groups as
+        # they run out of rows
+        rng = np.random.default_rng(20 + d)
+        groups = []
+        for _ in range(150):
+            n = int(rng.integers(0, 81))
+            kind = rng.integers(0, 3)
+            centre = 10.0 ** rng.integers(0, 7) * rng.uniform(-1.0, 1.0, d)
+            if kind == 0 or n < 2:
+                rows = _box_group(rng, max(n, 2), centre, rng.uniform(0.0, 0.004))[:n]
+            else:
+                centres = centre + rng.uniform(-1.0, 1.0, (int(kind) + 1, d))
+                rows = centres[rng.integers(0, kind + 1, n)] + rng.uniform(-0.003, 0.003, (n, d))
+            groups.append(rows)
+        one_mean = self._spy_one_mean(monkeypatch)
+        sizes = [g.shape[0] for g in groups]
+        got = _cluster(np.vstack(groups), sizes, 0.01)
+        assert _same_bits(got, [_list_cluster(g, 0.01) if g.shape[0] else np.empty((0, d))
+                                for g in groups])
+        assert 30 < len(one_mean) and sum(s > 0 for s in sizes) - len(one_mean) > 30
+
+
 def _sequential_refine_ring(domain, x, r, base_pts, base_grads, budget, eps_c, sampler):
     """Reference: one ring at a time, one midpoint per gradient call, as
     first written."""
