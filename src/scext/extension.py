@@ -83,14 +83,15 @@ group is scanned against its cell's candidate pairs only.
   The domain's max_i g_i is 1-Lipschitz, and so is the distance to the ball
   centre (``geometry`` module docstring), so each row's value of either is
   within rho of the centre's.  With a margin that bounds the rounding of
-  the rows and of both tests, a centre whose ball distance plus rho fits the
-  ball test and whose max_i g_i plus rho fits the closure test has every row
-  on the data region, and one whose max_i g_i minus rho fails the closure
-  test (ball test as before) has every row off it.  Only the stencils left
-  over are tested row by row, so each row goes where ``evaluate_many``
-  sends it, and the batch makes at most one u call over its rows on the
-  data region and at most one kernel call over the rest.  Those rows skip
-  u's own closure test where u is declared on the field's domain (``_split``).
+  the rows and of both tests, a centre whose ball distance plus rho is at
+  most the ball's ``limit`` and whose max_i g_i plus rho fits the closure
+  test has every row on the data region, and one whose max_i g_i minus rho
+  fails the closure test (ball test as before) has every row off it.  Only
+  the stencils left over are tested row by row (``_on_data``), so each row
+  goes where ``evaluate_many`` sends it, and the batch makes at most one u
+  call over its rows on the data region and at most one kernel call over
+  the rest.  Those rows skip u's own closure test where u is declared on
+  the field's domain (``_split``).
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ from .errors import (
 )
 from .funcspace import FunctionSpec, _FunctionLike, _gemm
 from .geometry import (
-    _SLICE,
     BOUNDARY_TOL,
     BallRegion,
     DomainSpec,
@@ -389,8 +389,7 @@ class ExtensionField(_FunctionLike):
         margin = _MARGIN * max(1.0, *(float(np.abs(v).max()) for v in scale if v is not None))
         reach = float(_column_norms(offsets).max()) + margin
         worst = dom._worst(centres)
-        limit = ball.radius * (1.0 + 1e-12) + BOUNDARY_TOL  # ``BallRegion.contains_many``
-        in_ball = _column_norms(centres - ball.center) + reach <= limit
+        in_ball = _column_norms(centres - ball.center) + reach <= ball.limit
         on = in_ball & (worst + reach <= BOUNDARY_TOL)
         mixed = ~on & ~(in_ball & (worst - reach > BOUNDARY_TOL))
         on, mixed = np.repeat(on, n_off), np.repeat(mixed, n_off)
@@ -399,16 +398,10 @@ class ExtensionField(_FunctionLike):
         return self._split(rows, on).reshape(n, n_off)
 
     def _on_data(self, pts: np.ndarray) -> np.ndarray:
-        """The rows in the data region; refuses rows outside the ball.  The
-        tests are elementwise; slices keep their temporaries in cache."""
-        inside_ball = np.empty(pts.shape[0], dtype=bool)
-        on = np.empty(pts.shape[0], dtype=bool)
-        for lo in range(0, pts.shape[0], _SLICE):
-            rows = slice(lo, lo + _SLICE)
-            inside_ball[rows] = self.ball.contains_many(pts[rows])
-            on[rows] = inside_ball[rows] & self.domain.contains_many(pts[rows], "closure")
+        """The rows in the data region; refuses rows outside the ball."""
+        inside_ball = self.ball.contains_many(pts)
         _reject_outside(inside_ball)
-        return on
+        return inside_ball & self.domain.contains_many(pts, "closure")
 
     def _split(self, pts: np.ndarray, on: np.ndarray) -> np.ndarray:
         """u on the rows ``on`` (the envelope reproduces u there; u itself

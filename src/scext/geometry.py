@@ -3,8 +3,9 @@
 Domains are intersections of closed-form constraints (disk, axis-aligned
 box, half-space, and a half-space-capped disk).  Membership is decided
 exactly from the defining inequalities, with a thin band tolerance only
-for telling boundary from interior.  Boundary points are generated
-parametrically on the defining surfaces, never by band filtering.
+for telling boundary from interior; a ball holds the points within its
+``limit`` of its centre.  Boundary points are generated parametrically on
+the defining surfaces, never by band filtering.
 
 Invariant: every closure is convex.  The closure of each kind is
 {max_i g_i <= BOUNDARY_TOL} with every constraint g_i convex: |x - c| - r
@@ -91,15 +92,20 @@ class BallRegion:
         object.__setattr__(self, "radius", float(self.radius))
         if not 0.0 < self.radius < math.inf:
             raise InputError(f"ball radius must be positive and finite, got {self.radius}")
+        # the largest distance from the centre that contains_many accepts
+        object.__setattr__(self, "limit", self.radius * (1.0 + 1e-12) + BOUNDARY_TOL)
 
     @property
     def dimension(self) -> int:
         return self.center.size
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
+        """Rows within ``limit`` of the centre, _SLICE rows at a time."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = _column_norms(pts - self.center)
-        return d <= self.radius * (1.0 + 1e-12) + BOUNDARY_TOL
+        out = np.empty(pts.shape[0], dtype=bool)
+        for lo in range(0, pts.shape[0], _SLICE):
+            out[lo : lo + _SLICE] = _column_norms(pts[lo : lo + _SLICE] - self.center) <= self.limit
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ from scext import (
     named_function,
     partition_weights,
 )
-from scext.extension import _BATCH, _FINE_PER_RADIUS, _NEST, _node_index, _pad
+from scext.extension import _BATCH, _FINE_PER_RADIUS, _MARGIN, _NEST, _node_index, _pad
 from scext.funcspace import FunctionSpec, _stencil
 from scext.geometry import boundary_sample, capped_disk, closure_grid
 from scext.gradients import _gradient_samples, reachable_gradients
@@ -1056,6 +1056,45 @@ class TestMollify:
         assert np.array_equal(tested[0], (centres[2:4, None] + offsets).reshape(-1, 2))
         for x, row in zip(centres, got):
             assert np.array_equal(row, field.evaluate_many(x + offsets))
+
+    def test_stencils_at_the_ball_limit_route_as_evaluate_many(self, monkeypatch):
+        # the domain holds the ball, so only the ball test decides: centres t
+        # left of the ball centre, t within a few ulps of limit - reach, are
+        # whole stencils on one side of the test and on the other; every row
+        # goes to u or the kernel as evaluate_many sends it
+        dom = disk((0.0, 0.0), 2.0)
+        ball = BallRegion((0.25, -0.5), 0.5)
+        func = named_function("affine", dimension=2, domain=dom, params={"p": [0.3, -0.7]})
+        support = build_support_set(func, dom, ball, spacing=0.05)
+        field = build_extension(func, dom, support, ModulusParams(alpha=1.0, C=0.0), 1.0)
+        offsets = MollifiedApproximant(field, h=10).nodes / 10
+        # the margin's scale is the largest parameter, the domain's radius 2
+        reach = float(np.linalg.norm(offsets, axis=1).max()) + _MARGIN * 2.0
+        t0 = ball.limit - reach
+        ts = [t0 + k * math.ulp(t0) for k in range(-3, 4)]
+        # 0.25 - t and its difference from the centre are exact
+        centres = np.array([[0.25 - t, -0.5] for t in ts])
+        assert (np.linalg.norm(centres - ball.center, axis=1) == ts).all()
+        tested, routed = [], []
+        on_data, split = field._on_data, field._split
+
+        def spy_on_data(rows):
+            tested.append(rows.copy())
+            return on_data(rows)
+
+        def spy_split(pts, on):
+            routed.append(on.copy())
+            return split(pts, on)
+
+        monkeypatch.setattr(field, "_on_data", spy_on_data)
+        monkeypatch.setattr(field, "_split", spy_split)
+        got = field.stencil_values(centres, offsets)
+        whole = [t + reach <= ball.limit for t in ts]
+        assert any(whole) and not all(whole)
+        rows = (centres[:, None] + offsets).reshape(-1, 2)
+        assert np.array_equal(tested[0], rows[np.repeat(np.logical_not(whole), len(offsets))])
+        want = field.evaluate_many(rows)
+        assert np.array_equal(routed[0], routed[-1]) and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("x1", [0.95, -0.95])
     def test_stencils_leaving_the_ball_are_refused(self, ex2, x1):

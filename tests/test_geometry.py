@@ -182,6 +182,26 @@ class TestColumnMembership:
             region.contains_many(v), want <= region.radius * (1.0 + 1e-12) + 1e-12
         )
 
+    def test_ball_slices_match_the_unsliced_test(self):
+        # 3 slices and 5 rows, with rows at the limit and one ulp either side
+        # of it on both sides of each slice boundary; -0.5 + t is exact for t
+        # near 0.7 and so is its difference from the centre, so those rows lie
+        # exactly at distance t
+        region = BallRegion((-0.5, 2.0), 0.7)
+        limit = 0.7 * (1.0 + 1e-12) + 1e-12
+        rng = np.random.default_rng(14)
+        pts = region.center + rng.uniform(-0.71, 0.71, size=(3 * _SLICE + 5, 2))
+        edge = [np.nextafter(limit, 0.0), limit, np.nextafter(limit, 1.0)]
+        rows = [0, _SLICE - 1, _SLICE, 2 * _SLICE - 1, 2 * _SLICE, 3 * _SLICE, 3 * _SLICE + 4]
+        for i, row in enumerate(rows):
+            pts[row] = (-0.5 + edge[i % 3], 2.0)
+        dist = _column_norms(pts - region.center)
+        assert dist[rows].tolist() == [edge[i % 3] for i in range(len(rows))]
+        got = region.contains_many(pts)
+        assert np.array_equal(got, dist <= limit)
+        assert got[rows].tolist() == [i % 3 < 2 for i in range(len(rows))]
+        assert region.limit == limit
+
 
 @st.composite
 def _row_blocks(draw):
