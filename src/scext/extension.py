@@ -495,9 +495,14 @@ class ExtensionField(_FunctionLike):
             vals += per_pair(self._lin_b)
             return vals
         x_sq = x_sq[:, None] if axis else x_sq
-        d_sq = np.clip(per_pair(self._y_sq) + x_sq - dot(self._y2), 0.0, None)
-        vals = dot(self.support.gradients) + per_pair(self._offs)
-        vals += c * d_sq ** (0.5 * (1.0 + a))
+        # two block buffers, each step in place and in the expression's order
+        d_sq = per_pair(self._y_sq) + x_sq
+        d_sq -= dot(self._y2)
+        np.power(np.maximum(d_sq, 0.0, out=d_sq), 0.5 * (1.0 + a), out=d_sq)
+        d_sq *= c
+        vals = dot(self.support.gradients)
+        vals += per_pair(self._offs)
+        vals += d_sq
         return vals
 
     def _candidates(self, level: int, keys: list) -> list:
