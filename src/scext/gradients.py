@@ -393,8 +393,11 @@ def _cluster(samples: np.ndarray, sizes, eps_c: float) -> list[np.ndarray]:
     bad[full] = ~_by_columns(np.logical_and, np.isfinite(width))
     by_size = np.argsort(-sizes, kind="stable")  # each path takes its groups by decreasing size
     ones, multi = by_size[one[by_size]], by_size[~one[by_size]]
-    parts = [*_running_means(pts, first[ones], sizes[ones])[:, None],
-             *_leader_pass(pts, first[multi], sizes[multi], bad[multi], eps_c)]
+    # a bad group's inf row meets inf - inf in the leader pass and the merge;
+    # argmin takes the NaN distance first, as the docstring says
+    with np.errstate(invalid="ignore"):
+        leaders = _leader_pass(pts, first[multi], sizes[multi], bad[multi], eps_c)
+    parts = [*_running_means(pts, first[ones], sizes[ones])[:, None], *leaders]
     return [parts[r] for r in np.argsort(np.concatenate([ones, multi])).tolist()]
 
 

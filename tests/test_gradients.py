@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import heapq
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -381,6 +382,22 @@ class TestLockstepCluster:
         assert _same_bits(got, [np.empty((0, 2)), _list_cluster(rows, 0.1), np.empty((0, 2))])
         assert _cluster(np.empty((0, 2)), [0, 0], 0.1)[0].shape == (0, 2)
         assert _cluster(np.empty((0, 2)), [], 0.1) == []
+
+    def test_an_inf_row_raises_no_warning(self):
+        # 12 groups of 30 rows, one row with an inf coordinate: that group's
+        # distances meet inf - inf.  Its means are those the list reference
+        # finds with the warning ignored, as the leader pass found them
+        # before it silenced the warning
+        rng = np.random.default_rng(5)
+        groups = [rng.uniform(-1.0, 1.0, size=(30, 2)) for _ in range(12)]
+        groups[3][7, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cluster(np.vstack(groups), [30] * 12, 0.1)
+        with np.errstate(invalid="ignore"):
+            want = [_list_cluster(g, 0.1) for g in groups]
+        assert _same_bits(got, want)
+        assert np.isinf(got[3]).any()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_long_groups_cross_from_lockstep_to_sweep(self, d, monkeypatch):
