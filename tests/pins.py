@@ -1,20 +1,27 @@
-"""Recorder of tests/pins.json, the store of the Tier-1 pinned scext runs.
+"""Recorder of the Tier-1 stores: tests/pins.json and tests/verdicts.json.
 
     python tests/pins.py
 
 Reruns every entry's ``argv`` (scext arguments, paths relative to the repository
-root) and rewrites the rest in perfbench/reference.json's layout: seed, ``C``
-(null without certify), stages and perfbench/worker.py's ``artifact_digests``.
+root) and rewrites the rest.  tests/pins.json holds passing runs in
+perfbench/reference.json's layout: seed, ``C`` (null without certify), stages
+and perfbench/worker.py's ``artifact_digests``.  tests/verdicts.json is the
+verdict ledger: runs that do not pass, each with its exit code and the status
+of every stage it ran, and a ``note`` that is kept as written.
 """
 
+import contextlib
+import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STORE = ROOT / "tests" / "pins.json"
+LEDGER = ROOT / "tests" / "verdicts.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from scext import cli  # noqa: E402
@@ -36,10 +43,29 @@ def record(argv: list[str], out: Path) -> dict:
     }
 
 
+def verdict(argv: list[str]) -> dict:
+    """The exit code of ``scext ARGV`` and the status it prints for each stage."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(argv)
+    lines = re.findall(r"^\[(\w+)\] (\w+)", printed.getvalue(), re.MULTILINE)
+    return {"exit_code": code, "stages": {name: status for status, name in lines}}
+
+
+def _rewrite(path: Path, entry_of) -> None:
+    store = json.loads(path.read_text())
+    for name, entry in store.items():
+        store[name] = entry_of(entry)
+    path.write_text(json.dumps(store, indent=2, sort_keys=True) + "\n")
+
+
+def _pinned(entry: dict) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        return {"argv": entry["argv"], **record(entry["argv"], Path(out))}
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
-    store = json.loads(STORE.read_text())
-    for name, entry in store.items():
-        with tempfile.TemporaryDirectory() as out:
-            store[name] = {"argv": entry["argv"], **record(entry["argv"], Path(out))}
-    STORE.write_text(json.dumps(store, indent=2, sort_keys=True) + "\n")
+    _rewrite(STORE, _pinned)
+    _rewrite(LEDGER, lambda entry: {"argv": entry["argv"], "note": entry["note"],
+                                    **verdict(entry["argv"])})

@@ -35,14 +35,7 @@ _ROOT = Path(__file__).resolve().parents[1]
 
 
 # sq-norm is convex, so at C = 0 every nondegenerate triple is a witness
-_FAILING_CERTIFICATE = {
-    "scenario": "custom",
-    "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
-    "function": {"identifier": "sq-norm"},
-    "ball": {"center": [0.0, 0.0], "radius": 0.8},
-    "stages": ["certify"],
-    "knobs": {"C": 0.0, "triples": 800},
-}
+_FAILING_CERTIFICATE = str(_ROOT / "tests/failing_certificate.json")
 _FAILING_CERTIFICATE_DIGEST = (
     "a5d575bb54dcd0a38490264c875405bad2c5b42e02fb1b2cc7ef41e8ea8e269b"
 )
@@ -277,18 +270,14 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"scenario": "custom"}))
         assert main(["--config", str(cfg)]) == 2
 
-    def test_failed_certificate_exits_one(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(_FAILING_CERTIFICATE))
-        assert main(["--config", str(cfg)]) == 1
+    def test_failed_certificate_exits_one(self, capsys):
+        assert main(["--config", _FAILING_CERTIFICATE]) == 1
         assert "[fail] certify" in capsys.readouterr().out
 
     def test_failed_certificate_witnesses_are_pinned(self, tmp_path, capsys):
         # no pinned run writes a witness, since every certificate there passes
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(_FAILING_CERTIFICATE))
         out = tmp_path / "artifacts"
-        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["--config", _FAILING_CERTIFICATE, "--out", str(out)]) == 1
         cert = json.loads((out / "certify.json").read_text())
         assert cert["n_witnesses"] > 0
         digest = hashlib.sha256((out / "certify.json").read_bytes()).hexdigest()
@@ -322,30 +311,13 @@ class TestExitCodes:
         assert "[pass] certify" in capsys.readouterr().out
 
 
-def _failing_certify_config(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "scenario": "custom",
-                "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
-                "function": {"identifier": "sq-norm"},
-                "ball": {"center": [0.0, 0.0], "radius": 0.8},
-                "stages": ["certify"],
-                "knobs": {"C": 0.0, "triples": 800},
-            }
-        )
-    )
-    return cfg
-
-
 class TestArtifactContract:
     """A failing stage still writes its artifacts, an erroring one writes none,
     and report.json lists exactly the files each stage wrote, in order."""
 
     def test_failing_stage_writes_its_artifacts(self, tmp_path):
         out = tmp_path / "artifacts"
-        assert main(["--config", str(_failing_certify_config(tmp_path)), "--out", str(out)]) == 1
+        assert main(["--config", _FAILING_CERTIFICATE, "--out", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
         (stage,) = report["stages"]
         assert stage["status"] == "fail"
@@ -444,6 +416,27 @@ class TestPinnedRuns:
         # a re-record then diffs only the digests that moved
         text = _STORES[store].read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+_LEDGER = _ROOT / "tests/verdicts.json"
+
+
+class TestVerdictLedger:
+    """The runs known to exit non-zero, each with its verdict: a run that
+    flips re-records as one reviewable diff of tests/verdicts.json."""
+
+    @pytest.mark.parametrize("name", json.loads(_LEDGER.read_text()))
+    def test_run_gives_its_recorded_verdict(self, name, monkeypatch):
+        monkeypatch.chdir(_ROOT)
+        entry = json.loads(_LEDGER.read_text())[name]
+        got = importlib.import_module("pins").verdict(entry["argv"])
+        assert got == {"exit_code": entry["exit_code"], "stages": entry["stages"]}
+
+    def test_ledger_is_in_the_recorders_layout(self):
+        text = _LEDGER.read_text()
+        ledger = json.loads(text)
+        assert text == json.dumps(ledger, indent=2, sort_keys=True) + "\n"
+        assert all(set(e) == {"argv", "exit_code", "note", "stages"} for e in ledger.values())
 
 
 def _dumped(obj) -> str:
