@@ -386,8 +386,7 @@ class TestLockstepCluster:
     def test_an_inf_row_raises_no_warning(self):
         # 12 groups of 30 rows, one row with an inf coordinate: that group's
         # distances meet inf - inf.  Its means are those the list reference
-        # finds with the warning ignored, as the leader pass found them
-        # before it silenced the warning
+        # finds with the warning ignored
         rng = np.random.default_rng(5)
         groups = [rng.uniform(-1.0, 1.0, size=(30, 2)) for _ in range(12)]
         groups[3][7, 1] = np.inf
