@@ -4,9 +4,10 @@ The reachable set at x is estimated by sampling gradients on shrinking
 annuli around x inside the open domain, keeping only points that look
 differentiable, and compressing the pooled samples to representatives that
 are pairwise more than eps_c apart.  Hulls and normal cones then feed the
-propagation-direction selection; they are built in dimension <= 2 only and
-raise DimensionError otherwise, while the reachable sets work in any
-dimension the domains support.
+propagation-direction selection: the cone is taken at a hull point that is
+not a vertex, where it is the normal of the edge through that point.  They
+are built in dimension <= 2 only and raise DimensionError otherwise, while
+the reachable sets work in any dimension the domains support.
 
 Reachable sets are estimated for many base points in lockstep
 (``_reachable_sets``): the rings of all of them are sampled in one gradient
@@ -45,7 +46,6 @@ DEFAULT_EPS_S = 0.05
 # h_fd as a fraction of r0: small enough that the one-sided-quotient filter
 # still passes points where the field merely bends at O(1/r**2) curvature.
 DEFAULT_FD_FRACTION = 5e-6
-_N_DIRS = 8  # most normal-cone generators returned
 
 _GOLDEN = 0.6180339887498949
 _EPS = float(np.finfo(float).eps)
@@ -687,23 +687,16 @@ def hull_gap(
     return bnd[_distances(bnd, reps).min(axis=1) > gap]
 
 
-def _sector_rays(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    a1 = math.atan2(n1[1], n1[0])
-    a2 = math.atan2(n2[1], n2[0])
-    sweep = (a2 - a1) % (2.0 * math.pi)
-    if sweep > math.pi:  # take the short way round: normal cones open < pi
-        a1, a2 = a2, a1
-        sweep = 2.0 * math.pi - sweep
-    count = max(2, min(_N_DIRS, 2 + int(sweep / 0.2)))
-    ang = a1 + sweep * np.linspace(0.0, 1.0, count)
-    return np.column_stack([np.cos(ang), np.sin(ang)])
-
-
 def normal_cone_directions(poly: ConvexPolytope, p0) -> np.ndarray:
-    """At most _N_DIRS unit generators of {nu : <nu, q - p0> <= 0 for all
-    vertices q}.
+    """Unit generators of {nu : <nu, q - p0> <= 0 for all vertices q} at a
+    point p0 of the hull that is not a vertex.
 
-    Interior points get an empty output (the cone is {0}).  Propagation
+    Condition (H) takes p0 on the hull boundary but outside the reachable
+    set, and every vertex of the hull is a reachable gradient, so p0 lies on
+    one edge and its cone is that edge's outward normal.  A segment gives
+    both perpendiculars in 2D and none in 1D; interior points get an empty
+    output (the cone is {0}).  A p0 within 1e-9 of a vertex, including a
+    segment end and a one-point hull, raises InputError.  Propagation
     directions are theta = -nu for the returned rays.
     """
     d = poly.ambient_dimension
@@ -711,46 +704,18 @@ def normal_cone_directions(poly: ConvexPolytope, p0) -> np.ndarray:
     if polytope_distance(poly, p0) > 1e-9:
         raise InputError("p0 does not lie on the polytope")
     v = poly.vertices
-    if poly.affine_dimension == 0:
-        return _even_directions(d, _N_DIRS)
+    if float(_column_norms(v - p0).min()) <= 1e-9:
+        raise InputError("p0 is a vertex of the polytope")
     if poly.affine_dimension == 1:
-        a, b = v[0], v[1]
-        u = (b - a) / np.linalg.norm(b - a)
+        u = (v[1] - v[0]) / np.linalg.norm(v[1] - v[0])
         # the perpendiculars in 2D; a 1D segment has none
-        rays = [np.array([-u[1], u[0]]), np.array([u[1], -u[0]])] if d == 2 else []
-        if np.linalg.norm(p0 - a) <= 1e-9:
-            rays.append(-u)
-        elif np.linalg.norm(p0 - b) <= 1e-9:
-            rays.append(u)
-        return _dedupe_rays(np.array(rays).reshape(-1, d))
+        return np.array([[-u[1], u[0]], [u[1], -u[0]]]) if d == 2 else np.empty((0, 1))
     k = v.shape[0]
-    near = [_point_segment_distance(p0, v[i], v[(i + 1) % k]) <= 1e-9 for i in range(k)]
-    if not any(near):
+    dist = [_point_segment_distance(p0, v[i], v[(i + 1) % k]) for i in range(k)]
+    i = int(np.argmin(dist))
+    if dist[i] > 1e-9:
         return np.empty((0, 2))
-    # edge i runs from v[i] to v[i+1]; the edges near p0 form one run of the
-    # cycle, read from its first edge whatever vertex the cycle starts at
-    start = near.index(False) if not all(near) else 0
-    run = [(start + j) % k for j in range(k) if near[(start + j) % k]]
-    normals = []
-    for i in (run[0], run[-1]):
-        e = v[(i + 1) % k] - v[i]
-        n = np.array([e[1], -e[0]])
-        normals.append(n / np.linalg.norm(n))
-    if len(run) == 1:
-        return np.array(normals[:1])
-    return _dedupe_rays(_sector_rays(normals[0], normals[1]))
-
-
-def _even_directions(d: int, count: int) -> np.ndarray:
-    if d == 1:
-        return np.array([[1.0], [-1.0]])[:count]
-    ang = 2.0 * math.pi * np.arange(count) / count
-    return np.column_stack([np.cos(ang), np.sin(ang)])
-
-
-def _dedupe_rays(rays: np.ndarray) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for r in rays:
-        if all(float(np.linalg.norm(r - q)) > 1e-12 for q in out):
-            out.append(r)
-    return np.array(out).reshape(-1, rays.shape[1])
+    # edge i runs from v[i] to v[i+1], counter-clockwise
+    e = v[(i + 1) % k] - v[i]
+    n = np.array([e[1], -e[0]])
+    return (n / np.linalg.norm(n))[None, :]

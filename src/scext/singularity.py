@@ -60,7 +60,10 @@ def select_p0(rset: ReachableGradientSet, candidates: np.ndarray) -> np.ndarray:
 
 
 def propagation_directions(rset: ReachableGradientSet, p0) -> np.ndarray:
-    """theta = -nu for each normal-cone generator nu at p0 on the hull."""
+    """theta = -nu for each normal-cone generator nu at p0 on the hull: the
+    outward normal of the edge through p0, or both perpendiculars of a 2D
+    segment hull.  p0 must not be a hull vertex (InputError); an interior
+    p0 raises DegenerateDirectionError."""
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     poly = convex_hull(rset.representatives)
     nus = normal_cone_directions(poly, p0)

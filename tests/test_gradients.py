@@ -881,14 +881,14 @@ def _row_set(rays):
 
 
 def test_cycle_start_does_not_change_the_selection(ex1_u_set, monkeypatch):
-    """check_condition_h, select_p0 and the normal cones give the same bits
-    from every rotation of example 1's vertex cycle."""
+    """check_condition_h, select_p0 and the propagation directions give the
+    same bits from every rotation of example 1's vertex cycle, and every
+    vertex is refused whichever vertex starts the cycle."""
     poly = convex_hull(ex1_u_set.representatives)
     holds, cands = check_condition_h(ex1_u_set, 0.01, DEFAULT_EPS_S)
     p0 = select_p0(ex1_u_set, cands)
     thetas = propagation_directions(ex1_u_set, p0)
     k = poly.vertices.shape[0]
-    vertex_cones = [_row_set(normal_cone_directions(poly, q)) for q in poly.vertices]
     assert holds and k > 3
     for shift in range(1, k):
         rolled = ConvexPolytope(np.roll(poly.vertices, shift, axis=0), 2)
@@ -899,10 +899,50 @@ def test_cycle_start_does_not_change_the_selection(ex1_u_set, monkeypatch):
         assert np.array_equal(select_p0(ex1_u_set, cands_r), p0)
         thetas_r = propagation_directions(ex1_u_set, p0)
         assert np.array_equal(_row_set(thetas_r), _row_set(thetas))
-        # the cone at the vertex that now starts the cycle, and at its neighbours
+        # the vertex that now starts the cycle, and its neighbours
         for i in (-shift - 1, -shift, 1 - shift):
-            got = normal_cone_directions(rolled, poly.vertices[i % k])
-            assert np.array_equal(_row_set(got), vertex_cones[i % k])
+            with pytest.raises(InputError):
+                normal_cone_directions(rolled, poly.vertices[i % k])
+
+
+@pytest.mark.parametrize("name", ["ex1_u_set", "ex2_u_set"])
+def test_condition_h_never_selects_a_vertex(name, request):
+    """The p0 that condition (H) selects lies off every hull vertex by more
+    than DEFAULT_EPS_S, so its normal cone is the normal of one edge."""
+    rset = request.getfixturevalue(name)
+    holds, cands = check_condition_h(rset, 0.01, DEFAULT_EPS_S)
+    assert holds
+    p0 = select_p0(rset, cands)
+    vertices = convex_hull(rset.representatives).vertices
+    assert float(np.linalg.norm(vertices - p0, axis=1).min()) > DEFAULT_EPS_S
+
+
+def _random_convex_polygon(rng) -> np.ndarray:
+    while True:
+        poly = convex_hull(rng.uniform(-1.0, 1.0, (int(rng.integers(3, 12)), 2)))
+        if poly.affine_dimension == 2:
+            return poly.vertices
+
+
+def test_edge_point_cone_is_the_edge_normal():
+    """A point strictly inside an edge of a random convex polygon gets one
+    unit ray, the edge's outward normal, with the same bits whatever vertex
+    starts the cycle."""
+    rng = np.random.default_rng(20261021)
+    for _ in range(40):
+        v = _random_convex_polygon(rng)
+        k = v.shape[0]
+        i = int(rng.integers(k))
+        a, b = v[i], v[(i + 1) % k]
+        p0 = a + rng.uniform(0.01, 0.99) * (b - a)
+        rays = normal_cone_directions(ConvexPolytope(v, 2), p0)
+        assert rays.shape == (1, 2)
+        nu = rays[0]
+        assert abs(np.linalg.norm(nu) - 1.0) <= 1e-12
+        assert float(np.max((v - p0) @ nu)) <= 1e-9
+        for shift in range(1, k):
+            rolled = ConvexPolytope(np.roll(v, shift, axis=0), 2)
+            assert normal_cone_directions(rolled, p0).tobytes() == rays.tobytes()
 
 
 def _dense_segment_set() -> ReachableGradientSet:
@@ -958,15 +998,12 @@ class TestNormalCone:
         assert got == {(1.0, 0.0), (-1.0, 0.0)}
 
     def test_square_vertex_cone(self):
+        # a vertex lies in the reachable set, so condition (H) never asks
+        # for its cone; it is refused, as is a point within 1e-9 of it
         poly = convex_hull([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        rays = normal_cone_directions(poly, (0.0, 0.0))
-        got = {tuple(np.round(r, 9)) for r in rays}
-        assert (-1.0, 0.0) in got
-        assert (0.0, -1.0) in got
-        p0 = np.zeros(2)
-        for nu in rays:
-            assert abs(np.linalg.norm(nu) - 1.0) <= 1e-12
-            assert float(np.max((poly.vertices - p0) @ nu)) <= 1e-9
+        for p0 in [(0.0, 0.0), (1.0, 1.0), (5e-10, 0.0)]:
+            with pytest.raises(InputError):
+                normal_cone_directions(poly, p0)
 
     def test_interior_point_has_empty_cone(self):
         poly = convex_hull([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -981,24 +1018,16 @@ class TestNormalCone:
 
     def test_one_dimensional_segment_cones_are_pinned(self):
         poly = convex_hull([(0.0,), (1.0,)])
-        assert np.array_equal(normal_cone_directions(poly, (0.0,)), [[-1.0]])
-        assert np.array_equal(normal_cone_directions(poly, (1.0,)), [[1.0]])
+        for end in [(0.0,), (1.0,)]:
+            with pytest.raises(InputError):
+                normal_cone_directions(poly, end)
         assert normal_cone_directions(poly, (0.5,)).shape == (0, 1)
 
     def test_single_point_cones_are_pinned(self):
-        rays = normal_cone_directions(convex_hull([(0.3,)]), (0.3,))
-        assert np.array_equal(rays, [[1.0], [-1.0]])
-        rays = normal_cone_directions(convex_hull([(0.3, -0.2)]), (0.3, -0.2))
-        assert rays.tolist() == [
-            [1.0, 0.0],
-            [0.7071067811865476, 0.7071067811865475],
-            [6.123233995736766e-17, 1.0],
-            [-0.7071067811865475, 0.7071067811865476],
-            [-1.0, 1.2246467991473532e-16],
-            [-0.7071067811865477, -0.7071067811865475],
-            [-1.8369701987210297e-16, -1.0],
-            [0.7071067811865474, -0.7071067811865477],
-        ]
+        # the one point of the hull is its vertex
+        for point in [(0.3,), (0.3, -0.2)]:
+            with pytest.raises(InputError):
+                normal_cone_directions(convex_hull([point]), point)
 
     def test_distance_rejects_a_point_of_the_wrong_size(self):
         poly = convex_hull([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
