@@ -655,11 +655,14 @@ def polytope_distance(poly: ConvexPolytope, p) -> float:
 
 
 def _boundary_samples(poly: ConvexPolytope, spacing: float) -> np.ndarray:
-    """Topological boundary of the hull; affine-deficient hulls count whole."""
+    """Topological boundary of the hull; affine-deficient hulls count whole,
+    but in R^1 a segment's boundary is its two ends."""
     v = poly.vertices
     d = poly.ambient_dimension
     if poly.affine_dimension == 0:
         return np.empty((0, d))
+    if d == 1:
+        return v
     if poly.affine_dimension == 1:
         a, b = v[0], v[1]
         n = max(1, int(math.ceil(np.linalg.norm(b - a) / spacing)))

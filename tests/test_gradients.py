@@ -970,6 +970,14 @@ class TestHullGap:
     def test_filled_segment_has_no_gap(self):
         assert hull_gap(_dense_segment_set(), eps_g=0.01).shape[0] == 0
 
+    def test_one_dimensional_two_point_set_has_no_gap(self):
+        # in R^1 the hull's boundary is its two ends, both representatives
+        pair = dataclasses.replace(
+            _dense_segment_set(), base_point=np.zeros(1),
+            representatives=np.array([[-1.0], [1.0]]),
+        )
+        assert hull_gap(pair, eps_g=0.01).shape == (0, 1)
+
     def test_singleton_has_no_gap(self):
         single = dataclasses.replace(
             _dense_segment_set(), representatives=np.array([[0.2, -0.4]])
