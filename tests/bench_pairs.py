@@ -3,8 +3,9 @@
     python tests/bench_pairs.py REV --workload W [--workload W ...] --pairs N
         [--out FILE]
 
-Extracts REV with ``git archive`` into a sibling directory of this tree whose
-path has the same length (``peak_rss_mb`` moves with the path length), then
+Extracts REV with ``git archive`` into a new sibling directory of this tree
+whose name ends in a fresh random suffix, so its path has the same length
+(``peak_rss_mb`` moves with the path length), then
 runs ``perfbench/run.py --workload W`` N times in each tree, at perfbench's
 own seed.  The side that goes first alternates pair by pair, and with several
 workloads each pair runs them all in turn.  It prints the ``ten_pairs`` block of the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import secrets
 import shutil
 import statistics
 import subprocess
@@ -29,19 +31,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
+_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+SUFFIX = 8  # random characters at the end of the sibling's name, at most
+
+
+def sibling(root: Path) -> Path:
+    """A path next to root that does not exist, whose name is as long as
+    root's: its last characters (up to SUFFIX of them) drawn at random."""
+    n = min(len(root.name), SUFFIX)
+    keep = root.name[: len(root.name) - n]
+    while True:
+        tree = root.parent / (keep + "".join(secrets.choice(_ALPHABET) for _ in range(n)))
+        if tree != root and not tree.exists():
+            return tree
 
 
 def extract(rev: str) -> Path:
     """REV's files in a new sibling of ROOT whose name is as long as ROOT's."""
-    name = ROOT.name[:-1] + ("~" if ROOT.name[-1] != "~" else "+")
-    tree = ROOT.parent / name
-    if tree.exists():
-        raise SystemExit(f"bench_pairs: {tree} exists; remove it first")
     data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
                           capture_output=True, check=True).stdout
-    tree.mkdir()
-    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(tree, filter="data")
+    tree = sibling(ROOT)
+    try:
+        tree.mkdir()
+    except OSError as exc:
+        raise SystemExit(f"bench_pairs: cannot create a directory in {ROOT.parent}: {exc.strerror}")
+    try:
+        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+            tar.extractall(tree, filter="data")
+    except BaseException:
+        shutil.rmtree(tree, ignore_errors=True)
+        raise
     return tree
 
 

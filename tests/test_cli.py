@@ -760,3 +760,29 @@ class TestAffineSanity:
             assert entry["certified"] is True
         assert metrics["glue"]["sup_error_u"] <= 1e-9
         assert metrics["glue"]["sup_error_field"] <= 1e-9
+
+
+class TestBenchPairsSibling:
+    """tests/bench_pairs.py extracts the parent tree into a fresh sibling of
+    the checkout with a name as long as the checkout's."""
+
+    def test_sibling_is_fresh_and_as_long_as_the_checkout(self):
+        bench_pairs = importlib.import_module("bench_pairs")
+        root = bench_pairs.ROOT
+        names = [bench_pairs.sibling(root) for _ in range(2)]
+        for tree in names:
+            assert tree.parent == root.parent
+            assert len(tree.name) == len(root.name)
+            assert tree != root and not tree.exists()
+        assert names[0] != names[1]
+
+    def test_unwritable_parent_fails_in_one_line(self, tmp_path, monkeypatch):
+        bench_pairs = importlib.import_module("bench_pairs")
+        missing = tmp_path / "missing"
+        monkeypatch.setattr(bench_pairs, "ROOT", missing / "repo")
+        monkeypatch.setattr(bench_pairs.subprocess, "run",
+                            lambda *a, **k: subprocess.CompletedProcess(a, 0, stdout=b""))
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.extract("HEAD")
+        message = str(exc.value)
+        assert "\n" not in message and str(missing) in message
