@@ -24,6 +24,7 @@ import json
 import secrets
 import shutil
 import statistics
+import string
 import subprocess
 import sys
 import tarfile
@@ -31,10 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
-_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
-
-
 SUFFIX = 8  # random characters at the end of the sibling's name, at most
+_ALPHABET = string.ascii_lowercase + string.digits
 
 
 def sibling(root: Path) -> Path:
