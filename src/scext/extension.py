@@ -354,7 +354,7 @@ class ExtensionField(_FunctionLike):
     def ball(self) -> BallRegion:
         return self.support.ball
 
-    # no scext run calls this; kept because perfbench/layers.py calls it by name
+    # no scext run calls this or envelope_values; perfbench/layers.py names both
     def in_data_region(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.domain.contains_many(pts, "closure") & self.ball.contains_many(pts)

@@ -202,14 +202,6 @@ def _build_quadratic(dimension, params):
     )
 
 
-def _build_constant(dimension, params):
-    value = float(params.get("value", 0.0))
-    return (
-        lambda pts: np.full(pts.shape[0], value),
-        lambda pts: np.zeros_like(pts),
-    )
-
-
 # Each builder(dimension, params) returns a pair (fn, grad_or_None) of
 # vectorized evaluators on (N, d) arrays.  A gradient evaluator returns a NaN
 # row at each point where the form is singular and a finite row everywhere
@@ -222,7 +214,6 @@ _REGISTRY: dict[str, Callable] = {
     "sq-norm": _build_sq_norm,
     "neg-sq-norm": _build_neg_sq_norm,
     "quadratic": _build_quadratic,
-    "constant": _build_constant,
 }
 
 

@@ -61,24 +61,14 @@ from .singularity import (
 # -- closed-form reference envelopes ----------------------------------------
 
 
-def _env_half_disk(pts: np.ndarray, inside: Callable, alpha: float, c: float) -> np.ndarray:
-    """Extension across {x1 = 0} with coefficient c: inside values for x1 >= 0,
-    else -|x2| + c|x1|^(1+alpha)."""
+def envelope_half_disk(pts, func: FunctionSpec, alpha: float, c: float) -> np.ndarray:
+    """Extension of u = func across {x1 = 0} with coefficient c: u on the rows
+    with x1 >= 0, and -|x2| + c|x1|^(1+alpha) on the others."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    left = -np.abs(pts[:, 1]) + c * np.abs(pts[:, 0]) ** (1.0 + alpha)
-    return np.where(pts[:, 0] < 0.0, left, inside(pts))
-
-
-def envelope_neg_norm(pts, alpha: float, c: float) -> np.ndarray:
-    return _env_half_disk(pts, lambda q: -np.linalg.norm(q, axis=1), alpha, c)
-
-
-def envelope_neg_abs_x2(pts, alpha: float, c: float) -> np.ndarray:
-    return _env_half_disk(pts, lambda q: -np.abs(q[:, 1]), alpha, c)
-
-
-def envelope_neg_sqrt(pts, alpha: float, c: float) -> np.ndarray:
-    return _env_half_disk(pts, lambda q: -np.sqrt(q[:, 0] ** 4 + q[:, 1] ** 2), alpha, c)
+    vals = -np.abs(pts[:, 1]) + c * np.abs(pts[:, 0]) ** (1.0 + alpha)
+    right = pts[:, 0] >= 0.0
+    vals[right] = func.evaluate_many(pts[right])
+    return vals
 
 
 # -- closed-form reference gradient sets -------------------------------------
@@ -184,12 +174,12 @@ _WORKED_EXAMPLE = {
 SCENARIOS: dict[str, dict] = {
     "example1": {
         **_WORKED_EXAMPLE, "function": {"identifier": "neg-norm"}, "support_spacing": 0.01,
-        "reference_envelope": envelope_neg_norm, "reference_set": "left-unit-arc",
+        "reference_envelope": envelope_half_disk, "reference_set": "left-unit-arc",
         "expected_condition": True, "expected_thetas": [[-1.0, 0.0]],
     },
     "example2": {
         **_WORKED_EXAMPLE, "function": {"identifier": "neg-abs-x2"}, "support_spacing": 0.02,
-        "reference_envelope": envelope_neg_abs_x2, "reference_set": "vertical-unit-pair",
+        "reference_envelope": envelope_half_disk, "reference_set": "vertical-unit-pair",
         "expected_condition": True, "expected_thetas": [[1.0, 0.0], [-1.0, 0.0]],
     },
     # The flat face of the gradient set is filled in, so the hull adds no new
@@ -197,7 +187,7 @@ SCENARIOS: dict[str, dict] = {
     # that way explicitly.
     "example3": {
         **_WORKED_EXAMPLE, "function": {"identifier": "neg-sqrt-x1p4-x2sq"},
-        "support_spacing": 0.02, "reference_envelope": envelope_neg_sqrt,
+        "support_spacing": 0.02, "reference_envelope": envelope_half_disk,
         "reference_set": "vertical-unit-segment", "expected_condition": False,
         "fallback_thetas": [[-1.0, 0.0]],
     },
@@ -552,7 +542,7 @@ def stage_extend(ctx: StageContext) -> tuple[dict, dict]:
     sweep = None  # the field on the grid's lattice, when the stage computes it
     if sc.reference_envelope is not None:
         pts = _ball_lattice(sc.ball, kn["sweep_spacing"])
-        ref = sc.reference_envelope(pts, field.params.alpha, field.coefficient)
+        ref = sc.reference_envelope(pts, sc.func, field.params.alpha, field.coefficient)
         sweep = field.evaluate_many(pts)
         err = np.abs(sweep - ref)
         metrics["sup_error"] = float(np.max(err))
@@ -649,9 +639,7 @@ def stage_trace(ctx: StageContext) -> tuple[dict, dict]:
                 "validated": arc.validated,
                 "lost": arc.lost,
                 "max_drift": drift,
-                "min_indicator": float(np.min(arc.indicators[1:]))
-                if arc.s.size > 1
-                else None,
+                "min_indicator": float(np.min(arc.indicators[1:])),
             }
         )
     metrics = {"n_arcs": len(arcs), "arcs": records, "passed": all_ok and len(arcs) > 0}

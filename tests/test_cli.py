@@ -23,7 +23,7 @@ from scext.scenarios import (
     _json_default,
     build_scenario,
     default_knobs,
-    envelope_neg_norm,
+    envelope_half_disk,
     resolve_knobs,
     scenario_from_spec,
     stage_extend,
@@ -439,6 +439,21 @@ class TestVerdictLedger:
         assert all(set(e) == {"argv", "exit_code", "note", "stages"} for e in ledger.values())
 
 
+def test_half_plane_run_meets_example1s_bounds(tmp_path, monkeypatch):
+    # the paper's domain may be unbounded: inside B(0, 1) the half-plane
+    # {x1 > 0} has example1's closure, so its pinned run must meet example1's
+    # bounds, which a custom config cannot name
+    monkeypatch.chdir(_ROOT)
+    argv = json.loads(_STORES["pins"].read_text())["half-plane"]["argv"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    sets = json.loads((tmp_path / "gradients.json").read_text())
+    for side in ("function", "envelope"):
+        reps = np.array(sets[side]["representatives"])
+        assert scenarios.hausdorff_to_reference("left-unit-arc", reps) <= 0.05
+    thetas = json.loads((tmp_path / "condition.json").read_text())["thetas"]
+    assert min(scenarios._angle_deg(np.array([-1.0, 0.0]), np.array(t)) for t in thetas) <= 5.0
+
+
 def _dumped(obj) -> str:
     """What ``write_json`` writes for a support set or a field: its
     ``header()`` with the support's pairs built as dicts in the empty list."""
@@ -691,7 +706,8 @@ class TestReportRoundTrip:
         report, out = example1_run
         metrics = {s["name"]: s["metrics"] for s in report.stages}
         header, rows = _read_rows(out / "field_grid.csv")
-        ref = envelope_neg_norm(rows[:, :2], 1.0, metrics["extend"]["coefficient"])
+        func = build_scenario("example1").func
+        ref = envelope_half_disk(rows[:, :2], func, 1.0, metrics["extend"]["coefficient"])
         sup = float(np.max(np.abs(rows[:, 2] - ref)))
         assert rows.shape[0] == metrics["extend"]["n_sweep"]
         assert abs(sup - metrics["extend"]["sup_error"]) <= 1e-12

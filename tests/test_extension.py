@@ -36,7 +36,7 @@ from scext.extension import _BATCH, _FINE_PER_RADIUS, _MARGIN, _NEST, _node_inde
 from scext.funcspace import FunctionSpec, _stencil
 from scext.geometry import boundary_sample, capped_disk, closure_grid
 from scext.gradients import _gradient_samples, reachable_gradients
-from scext.scenarios import build_scenario, envelope_neg_abs_x2
+from scext.scenarios import build_scenario
 
 from conftest import ball_points, holder_ratio, traced_peak_mb
 
@@ -991,7 +991,9 @@ class TestMollify:
 
     def test_constant_base_field_reproduced(self):
         dom = disk((0.0, 0.0), 1.0)
-        func = named_function("constant", dimension=2, domain=dom, params={"value": 2.5})
+        func = named_function(
+            "affine", dimension=2, domain=dom, params={"p": [0.0, 0.0], "b": 2.5}
+        )
         support = build_support_set(func, dom, BallRegion((0.0, 0.0), 1.0), spacing=0.1)
         field = build_extension(func, dom, support, ModulusParams(1.0, 0.0), coefficient=1.0)
         approx = MollifiedApproximant(field, h=10)

@@ -32,7 +32,6 @@ _SINGULAR_SET = {
     "sq-norm": _nowhere,
     "neg-sq-norm": _nowhere,
     "quadratic": _nowhere,
-    "constant": _nowhere,
 }
 
 # gradients at the underflow rows 6-8 of the contract test's points
@@ -67,7 +66,7 @@ def functions(half_disk):
         "neg-sqrt": build("neg-sqrt-x1p4-x2sq"),
         "affine": build("affine", params={"p": [2.0, 0.0], "b": 0.0}),
         "sq-norm": build("sq-norm"),
-        "constant": build("constant", params={"value": 1.25}),
+        "constant": build("affine", params={"p": [0.0, 0.0], "b": 1.25}),
     }
 
 
