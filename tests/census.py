@@ -2,14 +2,14 @@
 
     python tests/census.py
 
-Runs every built-in scenario, perfbench/alpha_half.json and every entry of
-perfbench/reference.json, tests/pins.json and tests/verdicts.json (each
-distinct argv once) in this process under a ``sys.settrace`` line tracer.
-Then prints, file by file, each executable line of src/scext that no run
-reached, leaving out refusals: the lines of a ``raise`` statement and of an
-``except`` clause whose body only raises.  README.md names the blocks it
-still lists on purpose.  A traced pass takes about 20 s, so this is a script
-and not a Tier-1 test.
+Runs every built-in scenario and every entry of perfbench/reference.json
+(perfbench/alpha_half.json among them), tests/pins.json and
+tests/verdicts.json, each distinct argv once, in this process under a
+``sys.settrace`` line tracer.  Then prints, file by file, each executable
+line of src/scext that no run reached, leaving out refusals: the lines of a
+``raise`` statement and of an ``except`` clause whose body only raises.
+README.md names the blocks it still lists on purpose.  A traced pass takes
+10-20 s, so this is a script and not a Tier-1 test.
 """
 
 from __future__ import annotations
@@ -69,14 +69,12 @@ def _tracer(reached: dict[str, set[int]]):
 
 
 def _argvs(builtins) -> list[list[str]]:
-    from run import DEFAULT_SEED, WORKLOADS  # perfbench/run.py
+    """Each distinct argv of the built-ins and of the stores' entries."""
+    from run import WORKLOADS  # perfbench/run.py
 
     argvs = [["--scenario", name] for name in builtins]
-    argvs.append(["--config", "perfbench/alpha_half.json"])
-    for name, entry in json.loads((ROOT / "perfbench/reference.json").read_text()).items():
-        argv = [str(Path(a).relative_to(ROOT)) if a.startswith(str(ROOT)) else a
-                for a in WORKLOADS[name]]
-        argvs.append(argv + ([] if entry["seed"] == DEFAULT_SEED else ["--seed", str(entry["seed"])]))
+    reference = json.loads((ROOT / "perfbench/reference.json").read_text())
+    argvs += [WORKLOADS[name] + ["--seed", str(e["seed"])] for name, e in reference.items()]
     for store in ("tests/pins.json", "tests/verdicts.json"):
         argvs += [entry["argv"] for entry in json.loads((ROOT / store).read_text()).values()]
     return [list(a) for a in dict.fromkeys(map(tuple, argvs))]
